@@ -94,9 +94,6 @@ use crate::runner::{
 
 /// How long a joining peer gets to complete the `Hello`/`Welcome` handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-drain window at each round boundary: long enough to pick up a
-/// connection that is already pending, short enough not to tax the round.
-const JOIN_DRAIN: Duration = Duration::from_millis(5);
 /// Longest single poll wait inside the reactor; bounds the latency of
 /// deadline checks without spinning.
 const PUMP_SLICE: Duration = Duration::from_millis(25);
@@ -223,10 +220,12 @@ impl Peer {
     fn enqueue(&mut self, telemetry: &Telemetry, frame: &[u8]) -> bool {
         match self.link.enqueue_frame(frame) {
             Ok(_pending) => {
-                telemetry.counter(
-                    &format!("net.peer.{}.tx_bytes", self.peer_id),
-                    frame.len() as u64,
-                );
+                if telemetry.is_enabled() {
+                    telemetry.counter(
+                        &format!("net.peer.{}.tx_bytes", self.peer_id),
+                        frame.len() as u64,
+                    );
+                }
                 true
             }
             Err(_) => false,
@@ -423,10 +422,12 @@ impl<'a> ServeState<'a> {
     /// Dispatches one inbound frame. Returns `false` when the peer was
     /// disconnected while handling it.
     fn on_frame(&mut self, pi: usize, frame: &[u8]) -> bool {
-        self.telemetry.counter(
-            &format!("net.peer.{}.rx_bytes", self.peers[pi].peer_id),
-            frame.len() as u64,
-        );
+        if self.telemetry.is_enabled() {
+            self.telemetry.counter(
+                &format!("net.peer.{}.rx_bytes", self.peers[pi].peer_id),
+                frame.len() as u64,
+            );
+        }
         let msg = match WireMessage::decode(frame) {
             Ok(msg) => msg,
             Err(_) => {
@@ -699,11 +700,15 @@ impl<'a> ServeState<'a> {
         self.broadcast(&frame, true);
     }
 
-    /// Opens a round: drains boundary joiners, splits the planned sessions
-    /// round-robin over the eligible peers (in join order), and queues each
-    /// its `RoundStart`. With no eligible peer the slots are parked as
-    /// orphans; [`ServeState::collect`] then waits up to the join-grace
-    /// window for a (re)joiner before declaring them late.
+    /// Opens a round: one non-blocking reactor pass accepts every queued
+    /// connection and handshakes any joiner whose `Hello` has already
+    /// arrived, then the planned sessions are split round-robin over the
+    /// eligible peers (in join order) and each is queued its `RoundStart`.
+    /// Nothing waits on a fixed window here: joiners still mid-handshake
+    /// pick up orphaned slots during the round or join the next one. With
+    /// no eligible peer the slots are parked as orphans;
+    /// [`ServeState::collect`] then waits up to the join-grace window for a
+    /// (re)joiner before declaring them late.
     pub(crate) fn begin_round(
         &mut self,
         task: usize,
@@ -712,9 +717,8 @@ impl<'a> ServeState<'a> {
         model_frame: Vec<u8>,
         extra_frame: Option<Vec<u8>>,
     ) {
-        // Pick up connections already pending at the boundary (newcomers
-        // can still join mid-round; this just keeps joins prompt).
-        self.pump(JOIN_DRAIN);
+        // No wait for joiners: results are slot-indexed, so which peer
+        // trains a slot never changes the outputs.
         self.pump(Duration::ZERO);
         if self.handshaked() == 0 {
             let grace = Instant::now() + Duration::from_millis(self.net.join_grace_ms);
@@ -1505,6 +1509,77 @@ mod tests {
             merge: None,
         };
         assert!(remote_session(sr).is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn boundary_joiner_is_dealt_slots_in_the_same_round() {
+        use refil_wire::{connect, Endpoint, ModelBroadcast, NetLink, NetListener};
+
+        let dir = std::env::temp_dir().join(format!("refil-fed-boundary-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ep = Endpoint::Unix(dir.join("serve.sock"));
+        let listener = NetListener::bind(&ep).expect("bind unix");
+        let far = Instant::now() + Duration::from_secs(10);
+        let hello = |nonce| {
+            WireMessage::Hello(Hello {
+                nonce,
+                codec: CODEC_REVISION,
+                resume: None,
+            })
+            .encode()
+        };
+        let mut serve = ServeState::new(
+            &listener,
+            "spec",
+            NetConfig::default(),
+            None,
+            Telemetry::disabled(),
+        );
+        let first = connect(&ep, far).expect("first connect");
+        first.send(&hello(1)).unwrap();
+        serve.wait_for_peers();
+        // The second peer arrives at the round boundary: connected with its
+        // Hello already sent, but not yet seen by the reactor.
+        let second = connect(&ep, far).expect("second connect");
+        second.send(&hello(2)).unwrap();
+        let assignments: Vec<SessionAssignment> = (0..4)
+            .map(|cid| SessionAssignment {
+                client_id: cid,
+                group: 0,
+                seed: cid,
+            })
+            .collect();
+        let model = WireMessage::ModelBroadcast(ModelBroadcast {
+            task: 0,
+            round: 0,
+            model: vec![0.5; 3],
+        })
+        .encode();
+        serve.begin_round(0, 0, &assignments, model, None);
+        assert_eq!(serve.handshaked(), 2, "the boundary joiner is handshaked");
+        let dealt: Vec<Vec<usize>> = serve
+            .peers
+            .iter()
+            .map(|p| p.pending_slots.clone())
+            .collect();
+        assert_eq!(dealt, vec![vec![0, 2], vec![1, 3]]);
+        // Each link carries its Welcome, then its share of the round.
+        let sessions_of = |link: &NetLink| {
+            let welcome = WireMessage::decode(&link.recv_deadline(far).unwrap()).unwrap();
+            assert!(matches!(welcome, WireMessage::Welcome(_)));
+            match WireMessage::decode(&link.recv_deadline(far).unwrap()).unwrap() {
+                WireMessage::RoundStart(rs) => {
+                    rs.sessions.iter().map(|a| a.client_id).collect::<Vec<_>>()
+                }
+                other => panic!("expected RoundStart, got {:?}", other.kind()),
+            }
+        };
+        assert_eq!(sessions_of(&first), vec![0, 2]);
+        assert_eq!(sessions_of(&second), vec![1, 3]);
+        drop(serve);
+        drop(listener);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -302,7 +302,31 @@ pub fn int8_dequantize_one(zero_point: f32, scale: f32, code: u8) -> f32 {
 /// Positions (into `values`) of the `k` largest-magnitude entries, returned
 /// in ascending position order. Ties on magnitude keep the lower position —
 /// the deterministic tie-break that makes two identical uplinks identical.
+///
+/// O(n) selection of the k-th ranked position, then a sort of the k
+/// survivors only. The rank order (`|x|` descending by `total_cmp`, then
+/// position ascending) is a strict total order, so the kept set is the one
+/// a full sort would keep.
 pub fn topk_positions(values: &[f32], k: usize) -> Vec<usize> {
+    let k = k.min(values.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    if k < order.len() {
+        order.select_nth_unstable_by(k - 1, |&a, &b| {
+            values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b))
+        });
+        order.truncate(k);
+        order.sort_unstable();
+    }
+    order
+}
+
+/// The full-sort top-k that [`topk_positions`] replaced, kept as the
+/// reference its selection is property-tested against.
+#[cfg(test)]
+pub(crate) fn topk_positions_by_sort(values: &[f32], k: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..values.len()).collect();
     order.sort_unstable_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b)));
     order.truncate(k.min(values.len()));

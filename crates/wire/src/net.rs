@@ -172,12 +172,20 @@ impl Write for Stream {
     }
 }
 
+/// First allocation for a frame body. The body grows (doubling, capped at
+/// the declared length) only as bytes actually arrive, so a length prefix
+/// alone — trusted before any handshake — never buys a large allocation.
+const BODY_CHUNK: usize = 64 * 1024;
+
 /// Receive-side state: a partially read length prefix or frame body
 /// survives a deadline timeout and resumes on the next call.
 struct ReadHalf {
     stream: Stream,
     len_buf: [u8; 4],
     len_got: usize,
+    /// Declared length of the frame being read.
+    body_len: usize,
+    /// Body buffer, zero-filled ahead of `body_got` up to its current size.
     body: Vec<u8>,
     body_got: usize,
 }
@@ -231,6 +239,7 @@ impl NetLink {
                 stream,
                 len_buf: [0; 4],
                 len_got: 0,
+                body_len: 0,
                 body: Vec::new(),
                 body_got: 0,
             }),
@@ -286,11 +295,24 @@ fn try_read_frame(r: &mut ReadHalf) -> Result<Option<Vec<u8>>, RecvError> {
                 "length prefix exceeds frame cap",
             )));
         }
-        r.body = vec![0; len];
+        r.body_len = len;
+        r.body = Vec::new();
         r.body_got = 0;
     }
-    if !fill(&mut r.stream, &mut r.body, &mut r.body_got)? {
-        return Ok(None);
+    loop {
+        if r.body_got == r.body.len() && r.body.len() < r.body_len {
+            // Double (capped at the declared length); the exact reserve
+            // makes the finished frame's capacity equal its length.
+            let grown = r.body_len.min(BODY_CHUNK.max(2 * r.body.len()));
+            r.body.reserve_exact(grown - r.body.len());
+            r.body.resize(grown, 0);
+        }
+        if !fill(&mut r.stream, &mut r.body, &mut r.body_got)? {
+            return Ok(None);
+        }
+        if r.body_got == r.body_len {
+            break;
+        }
     }
     r.len_got = 0;
     Ok(Some(std::mem::take(&mut r.body)))
@@ -766,6 +788,45 @@ mod tests {
             server_side.recv_deadline(far()),
             Err(RecvError::Frame(WireError::Malformed(_)))
         ));
+    }
+
+    #[test]
+    fn stalled_max_length_prefix_allocates_one_chunk() {
+        // A peer declares a 1 GiB frame (the cap, so not a framing error),
+        // sends a few body bytes, and stalls: the receiver must not
+        // allocate the declared length up front.
+        let listener =
+            NetListener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).expect("bind tcp");
+        let client = connect(&listener.local_endpoint(), far()).expect("connect");
+        let stream = loop {
+            if let Some(stream) = listener.try_accept().unwrap() {
+                break stream;
+            }
+        };
+        let server_side = NetLink::from_stream(stream, 1).expect("server link");
+        server_side.set_nonblocking(true).unwrap();
+        client.send_raw_body(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        client.send_raw_body(&[1, 2, 3]);
+        let deadline = far();
+        while server_side.reader.lock().unwrap().body_got < 3 {
+            assert_eq!(server_side.try_recv_frame(), Ok(None));
+            assert!(Instant::now() < deadline, "body bytes never arrived");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server_side.try_recv_frame(), Ok(None));
+        let r = server_side.reader.lock().unwrap();
+        assert_eq!((r.len_got, r.body_len, r.body_got), (4, MAX_FRAME_LEN, 3));
+        assert!(r.body.capacity() <= BODY_CHUNK, "{}", r.body.capacity());
+    }
+
+    #[test]
+    fn frame_body_grows_to_exactly_its_length() {
+        let (server_side, client) = tcp_pair();
+        let frame: Vec<u8> = (0..3 * BODY_CHUNK + 17).map(|i| i as u8).collect();
+        client.send(&frame).unwrap();
+        let got = server_side.recv_deadline(far()).unwrap();
+        assert_eq!(got, frame);
+        assert_eq!(got.capacity(), frame.len());
     }
 
     #[cfg(unix)]

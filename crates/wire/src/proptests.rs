@@ -14,7 +14,8 @@
 use proptest::prelude::*;
 
 use crate::compress::{
-    f16_from_f32, f16_to_f32, int8_dequantize_one, int8_quantize, CompressionSpec, QuantMode,
+    f16_from_f32, f16_to_f32, int8_dequantize_one, int8_quantize, topk_positions,
+    topk_positions_by_sort, CompressionSpec, QuantMode,
 };
 use crate::frame::HEADER_LEN;
 use crate::message::{
@@ -507,6 +508,45 @@ proptest! {
                 prop_assert_eq!(back[i].to_bits(), b.to_bits(), "dropped coord {}", i);
             }
         }
+    }
+
+    #[test]
+    fn topk_selection_matches_full_sort_reference(
+        picks in prop::collection::vec(0u32..=u32::MAX, 0..48),
+        n_sel in 0usize..4,
+        k_sel in 0usize..6,
+    ) {
+        // The selection-based top-k must keep exactly the positions the
+        // old full sort kept, so compressed frames stay byte-identical.
+        // Most values come from a small palette (heavy magnitude ties,
+        // ±0.0, ±Inf, NaN of both signs); the rest are raw bit patterns.
+        let n = [0, 1, picks.len(), 4099][n_sel];
+        let values: Vec<f32> = (0..n)
+            .map(|i| {
+                let p = if picks.is_empty() {
+                    i as u32
+                } else {
+                    let lap = (i / picks.len()) as u32;
+                    picks[i % picks.len()].wrapping_add(lap.wrapping_mul(0x9e37_79b9))
+                };
+                match p % 12 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => f32::NAN,
+                    5 => -f32::NAN,
+                    6 => 0.5,
+                    7 => -0.5,
+                    8 => 1.0,
+                    _ => f32::from_bits(p),
+                }
+            })
+            .collect();
+        let k = [0, 1, n.saturating_sub(1), n, n + 3, n / 2][k_sel];
+        let fast = topk_positions(&values, k);
+        prop_assert_eq!(&fast, &topk_positions_by_sort(&values, k), "n={} k={}", n, k);
+        prop_assert_eq!(fast.len(), k.min(n));
     }
 }
 
