@@ -253,50 +253,51 @@ impl RefFiL {
     /// Computes the client's Local Prompt Group (Eq. 2): per-class balanced
     /// means of generated prompts over (a subsample of) the local data,
     /// under the given (locally trained) parameters.
+    ///
+    /// The class subsamples are stacked class-major and generated in one
+    /// tape-free forward; forwards are row-independent, so each class's
+    /// mean over its contiguous rows is bit-identical to generating that
+    /// class on its own.
     fn compute_lpg(&self, params: &Params, setting: &TrainSetting<'_>) -> LocalPromptGroup {
-        let classes = self.model.config().classes;
-        let dim_in = self.model.config().in_dim;
-        let p = self.cfg.method.prompt_len;
-        let d = self.model.config().token_dim;
-        let mut by_class: Vec<Vec<&refil_data::Sample>> = vec![Vec::new(); classes];
+        let mut by_class: Vec<Vec<&refil_data::Sample>> =
+            vec![Vec::new(); self.model.config().classes];
         for s in setting.samples {
             if by_class[s.label].len() < self.cfg.lpg_max_samples {
                 by_class[s.label].push(s);
             }
         }
+        let dim_in = self.model.config().in_dim;
+        let pd = self.cfg.method.prompt_len * self.model.config().token_dim;
+        let rows: usize = by_class.iter().map(Vec::len).sum();
         let mut prompts = Vec::new();
-        for (k, samples) in by_class.iter().enumerate() {
-            if samples.is_empty() {
-                continue;
-            }
-            let mut data = Vec::with_capacity(samples.len() * dim_in);
-            for s in samples {
+        if rows > 0 {
+            let mut data = Vec::with_capacity(rows * dim_in);
+            for s in by_class.iter().flatten() {
                 data.extend_from_slice(&s.features);
             }
-            let x = Tensor::from_vec(data, &[samples.len(), dim_in]);
-            let g = Graph::new();
-            let (_, tokens) = self.model.tokenize(&g, params, &x);
-            let pv = Self::local_prompts(
-                &self.model,
-                &self.cdap,
-                self.fixed_prompt,
-                &g,
-                params,
-                tokens,
-                setting.task,
-            );
-            let vals = g.value(pv); // [n, p, d]
-            let mut mean = vec![0.0f32; p * d];
-            for row in vals.data().chunks(p * d) {
-                for (m, &x) in mean.iter_mut().zip(row) {
-                    *m += x;
-                }
-            }
-            let inv = 1.0 / samples.len() as f32;
-            for m in &mut mean {
-                *m *= inv;
-            }
-            prompts.push((k, mean));
+            let x = Tensor::from_vec(data, &[rows, dim_in]);
+            InferenceSession::new().forward(|g| {
+                let (_, tokens) = self.model.tokenize(g, params, &x);
+                let pv = Self::local_prompts(
+                    &self.model,
+                    &self.cdap,
+                    self.fixed_prompt,
+                    g,
+                    params,
+                    tokens,
+                    setting.task,
+                );
+                g.with_value(pv, |vals| {
+                    // [rows, p, d], class-major.
+                    let mut class_rows = vals.data().chunks(pd);
+                    for (k, samples) in by_class.iter().enumerate() {
+                        if !samples.is_empty() {
+                            let rows = class_rows.by_ref().take(samples.len());
+                            prompts.push((k, class_mean(rows, pd, samples.len())));
+                        }
+                    }
+                });
+            });
         }
         LocalPromptGroup {
             client_id: setting.client_id,
@@ -331,6 +332,22 @@ impl RefFiL {
             task_free,
         }
     }
+}
+
+/// Mean of `n` prompt rows of width `pd`, summed in row order and then
+/// scaled by `1/n`.
+fn class_mean<'v>(rows: impl Iterator<Item = &'v [f32]>, pd: usize, n: usize) -> Vec<f32> {
+    let mut mean = vec![0.0f32; pd];
+    for row in rows {
+        for (m, &x) in mean.iter_mut().zip(row) {
+            *m += x;
+        }
+    }
+    let inv = 1.0 / n as f32;
+    for m in &mut mean {
+        *m *= inv;
+    }
+    mean
 }
 
 /// Shared read-only eval view: the prompt machinery borrowed from the
@@ -941,6 +958,111 @@ mod tests {
         let d = strat.cfg.method.prompt_len * strat.model.config().token_dim;
         for (_, v) in &lpg.prompts {
             assert_eq!(v.len(), d);
+        }
+    }
+
+    /// The per-class taped LPG that `compute_lpg` replaced: one training
+    /// graph per non-empty class, kept as its bit-exactness reference.
+    fn compute_lpg_per_class(
+        strat: &RefFiL,
+        params: &Params,
+        setting: &TrainSetting<'_>,
+    ) -> LocalPromptGroup {
+        let classes = strat.model.config().classes;
+        let dim_in = strat.model.config().in_dim;
+        let p = strat.cfg.method.prompt_len;
+        let d = strat.model.config().token_dim;
+        let mut by_class: Vec<Vec<&refil_data::Sample>> = vec![Vec::new(); classes];
+        for s in setting.samples {
+            if by_class[s.label].len() < strat.cfg.lpg_max_samples {
+                by_class[s.label].push(s);
+            }
+        }
+        let mut prompts = Vec::new();
+        for (k, samples) in by_class.iter().enumerate() {
+            if samples.is_empty() {
+                continue;
+            }
+            let mut data = Vec::with_capacity(samples.len() * dim_in);
+            for s in samples {
+                data.extend_from_slice(&s.features);
+            }
+            let x = Tensor::from_vec(data, &[samples.len(), dim_in]);
+            let g = Graph::new();
+            let (_, tokens) = strat.model.tokenize(&g, params, &x);
+            let pv = RefFiL::local_prompts(
+                &strat.model,
+                &strat.cdap,
+                strat.fixed_prompt,
+                &g,
+                params,
+                tokens,
+                setting.task,
+            );
+            let vals = g.value(pv);
+            let mut mean = vec![0.0f32; p * d];
+            for row in vals.data().chunks(p * d) {
+                for (m, &x) in mean.iter_mut().zip(row) {
+                    *m += x;
+                }
+            }
+            let inv = 1.0 / samples.len() as f32;
+            for m in &mut mean {
+                *m *= inv;
+            }
+            prompts.push((k, mean));
+        }
+        LocalPromptGroup {
+            client_id: setting.client_id,
+            prompts,
+        }
+    }
+
+    #[test]
+    fn stacked_lpg_matches_per_class_taped_reference_bitwise() {
+        let ds = tiny_dataset();
+        // Class 0 past the per-class cap, class 1 a single sample, class 2
+        // absent.
+        let train = &ds.domains[1].train;
+        let mut samples: Vec<refil_data::Sample> =
+            train.iter().filter(|s| s.label == 0).cloned().collect();
+        let one = train.iter().find(|s| s.label == 1).expect("class 1 sample");
+        samples.insert(samples.len() / 2, one.clone());
+        for flags in [
+            RefFiLFlags::default(),
+            RefFiLFlags {
+                use_cdap: false,
+                use_gpl: true,
+                use_dpcl: true,
+            },
+        ] {
+            let mut strat = RefFiL::new(tiny_cfg().with_flags(flags));
+            assert!(samples.len() > strat.cfg.lpg_max_samples + 1);
+            let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
+            strat.core.load(&res.final_global);
+            for task in 0..2 {
+                let setting = TrainSetting {
+                    client_id: 2,
+                    task,
+                    round: 0,
+                    group: ClientGroup::New,
+                    samples: &samples,
+                    local_epochs: 1,
+                    batch_size: 16,
+                    seed: 1,
+                };
+                let got = strat.compute_lpg(&strat.core.params, &setting);
+                let want = compute_lpg_per_class(&strat, &strat.core.params, &setting);
+                let classes: Vec<usize> = got.prompts.iter().map(|(k, _)| *k).collect();
+                assert_eq!(classes, [0, 1], "flags {flags:?} task {task}");
+                assert_eq!(got.prompts.len(), want.prompts.len());
+                for ((k, g), (wk, w)) in got.prompts.iter().zip(&want.prompts) {
+                    assert_eq!(k, wk);
+                    let gb: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+                    let wb: Vec<u32> = w.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(gb, wb, "flags {flags:?} task {task} class {k}");
+                }
+            }
         }
     }
 

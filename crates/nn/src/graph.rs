@@ -645,25 +645,56 @@ impl Graph {
         )
     }
 
-    /// Gaussian error linear unit (tanh approximation). Under
-    /// [`crate::KernelPolicy::Fast`] the forward value routes to the
-    /// vectorized rational-tanh kernel in [`crate::gemm_fast::gelu_fast`]
-    /// (libm `tanhf` dominates backbone inference otherwise); the backward
-    /// closure keeps the exact derivative in both policies.
+    /// Gaussian error linear unit (tanh approximation).
+    ///
+    /// On a training graph the forward computes each element's `tanh` once
+    /// and derives both the value and the exact derivative from it; the
+    /// backward closure owns the derivatives (one `f32` per element until
+    /// the tape drops) and returns `g·d`. An inference graph computes the
+    /// value only. Under [`crate::KernelPolicy::Fast`] the value routes to
+    /// the vectorized rational-tanh kernel in
+    /// [`crate::gemm_fast::gelu_fast`] and the derivative stays the exact
+    /// libm one, so each policy's bits are those of the separate
+    /// forward/backward formulas.
     pub fn gelu(&self, a: Var) -> Var {
-        let v = if crate::gemm::fast_enabled() {
+        self.gelu_with(a, crate::gemm::fast_enabled())
+    }
+
+    /// [`Graph::gelu`] under an explicit kernel policy (`fast` selects the
+    /// [`crate::KernelPolicy::Fast`] value kernel).
+    fn gelu_with(&self, a: Var, fast: bool) -> Var {
+        let (v, deriv) = {
             let nodes = self.nodes.borrow();
             let av = &nodes[a.id].value;
-            let mut out = self.out_cleared(av.numel());
-            crate::gemm_fast::gelu_fast(av.data(), &mut out);
-            Tensor::from_vec(out, av.shape())
-        } else {
-            self.unary_value(a, gelu_fwd)
+            let x = av.data();
+            let mut y = self.out_cleared(x.len());
+            let mut deriv = (!self.inference).then(|| Vec::with_capacity(x.len()));
+            if fast {
+                crate::gemm_fast::gelu_fast(x, &mut y);
+                if let Some(d) = &mut deriv {
+                    d.extend(x.iter().map(|&xi| gelu_bwd(xi)));
+                }
+            } else if let Some(d) = &mut deriv {
+                for &xi in x {
+                    let (yi, di) = gelu_fwd_bwd(xi);
+                    y.push(yi);
+                    d.push(di);
+                }
+            } else {
+                y.extend(x.iter().map(|&xi| gelu_fwd(xi)));
+            }
+            (Tensor::from_vec(y, av.shape()), deriv)
         };
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, p, _, _scr| vec![g.zip(p[0], |gi, xi| gi * gelu_bwd(xi))])),
+            deriv.map(|d| -> BackwardFn {
+                Box::new(move |g, _, _, scr| {
+                    let mut out = scr.take_cleared(d.len());
+                    out.extend(g.data().iter().zip(&d).map(|(&gi, &di)| gi * di));
+                    vec![Tensor::from_vec(out, g.shape())]
+                })
+            }),
             None,
         )
     }
@@ -1787,12 +1818,25 @@ fn gelu_fwd(x: f32) -> f32 {
     0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
 }
 
+/// The exact derivative of [`gelu_fwd`].
 fn gelu_bwd(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let inner = C * (x + 0.044715 * x * x * x);
     let t = inner.tanh();
     let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// `(gelu_fwd(x), gelu_bwd(x))` from one `tanh`: the same expressions in
+/// the same operation order, so both halves are bit-identical to the
+/// separate functions.
+fn gelu_fwd_bwd(x: f32) -> (f32, f32) {
+    const C: f32 = 0.797_884_6;
+    let inner = C * (x + 0.044715 * x * x * x);
+    let t = inner.tanh();
+    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+    let y = 0.5 * x * (1.0 + t);
+    (y, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 }
 
 fn softmax_last_tensor(x: &Tensor) -> Tensor {
@@ -2003,6 +2047,89 @@ mod tests {
                 },
                 2e-2,
             );
+        }
+    }
+
+    /// Dense grid over the GELU's working range plus the edges where its
+    /// `tanh` saturates, overflows or goes NaN.
+    fn gelu_probe_inputs() -> Vec<f32> {
+        let mut xs: Vec<f32> = (-1280..=1280).map(|i| i as f32 / 64.0).collect();
+        // A stride through every bit pattern covers each binade and sign.
+        xs.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        xs.extend([
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            9.0,
+            -9.0,
+            20.0,
+            -20.0,
+            1e30,
+            -1e30,
+            f32::NAN,
+        ]);
+        xs
+    }
+
+    /// `gelu` value and `d sum(gelu(x)) / dx` on a training graph under
+    /// the given policy.
+    fn gelu_value_and_grad(xs: &[f32], fast: bool) -> (Vec<f32>, Vec<f32>) {
+        let mut params = Params::new();
+        let id = params.insert("x", Tensor::from_vec(xs.to_vec(), &[xs.len()]), true);
+        let g = Graph::new();
+        let y = g.gelu_with(g.param(&params, id), fast);
+        let value = g.value(y).into_vec();
+        g.backward(g.sum_all(y), &mut params);
+        (value, params.grad(id).data().to_vec())
+    }
+
+    /// The gradient the separate-formula backward produced: `1·gelu_bwd(x)`
+    /// accumulated into a zeroed parameter gradient.
+    fn gelu_bwd_reference_grad(xs: &[f32]) -> Vec<f32> {
+        let x = Tensor::from_vec(xs.to_vec(), &[xs.len()]);
+        let mut grad = Tensor::zeros(&[xs.len()]);
+        grad.axpy(
+            1.0,
+            &Tensor::ones(&[xs.len()]).zip(&x, |gi, xi| gi * gelu_bwd(xi)),
+        );
+        grad.into_vec()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gelu_single_tanh_matches_separate_formulas_bitwise() {
+        let xs = gelu_probe_inputs();
+        let (value, grad) = gelu_value_and_grad(&xs, false);
+        let want: Vec<f32> = xs.iter().map(|&x| gelu_fwd(x)).collect();
+        assert_eq!(bits(&value), bits(&want), "forward value");
+        assert_eq!(bits(&grad), bits(&gelu_bwd_reference_grad(&xs)), "gradient");
+    }
+
+    #[test]
+    fn gelu_fast_value_keeps_the_exact_derivative() {
+        let xs = gelu_probe_inputs();
+        let (value, grad) = gelu_value_and_grad(&xs, true);
+        let mut want = Vec::new();
+        crate::gemm_fast::gelu_fast(&xs, &mut want);
+        assert_eq!(bits(&value), bits(&want), "forward value");
+        assert_eq!(bits(&grad), bits(&gelu_bwd_reference_grad(&xs)), "gradient");
+    }
+
+    #[test]
+    fn inference_gelu_matches_and_boxes_no_closure() {
+        let xs = gelu_probe_inputs();
+        for fast in [false, true] {
+            let g = Graph::inference();
+            let y = g.gelu_with(g.input(&Tensor::from_vec(xs.clone(), &[xs.len()])), fast);
+            let (taped, _) = gelu_value_and_grad(&xs, fast);
+            assert_eq!(bits(g.value(y).data()), bits(&taped), "fast={fast}");
+            assert!(g.nodes.borrow()[y.id].backward.is_none(), "fast={fast}");
         }
     }
 

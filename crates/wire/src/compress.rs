@@ -303,24 +303,43 @@ pub fn int8_dequantize_one(zero_point: f32, scale: f32, code: u8) -> f32 {
 /// in ascending position order. Ties on magnitude keep the lower position —
 /// the deterministic tie-break that makes two identical uplinks identical.
 ///
-/// O(n) selection of the k-th ranked position, then a sort of the k
-/// survivors only. The rank order (`|x|` descending by `total_cmp`, then
-/// position ascending) is a strict total order, so the kept set is the one
-/// a full sort would keep.
+/// Each position gets a packed rank key, `!|x|bits` in the high half and
+/// the position in the low half, so ascending keys are `|x|` descending by
+/// `total_cmp` (on non-negative floats that is the order of their bits)
+/// and then position ascending: a strict total order. O(n) selection finds
+/// the k-th key, and one ascending scan keeps every position ranked at or
+/// before it, so the positions come out sorted with no sort of the
+/// survivors.
 pub fn topk_positions(values: &[f32], k: usize) -> Vec<usize> {
-    let k = k.min(values.len());
+    let n = values.len();
+    let k = k.min(n);
     if k == 0 {
         return Vec::new();
     }
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    if k < order.len() {
-        order.select_nth_unstable_by(k - 1, |&a, &b| {
-            values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b))
-        });
-        order.truncate(k);
-        order.sort_unstable();
+    if k == n {
+        return (0..n).collect();
     }
-    order
+    assert!(
+        u32::try_from(n).is_ok(),
+        "top-k positions must fit the u32 index list"
+    );
+    let rank = |i: usize, x: f32| (u64::from(!(x.to_bits() & 0x7fff_ffff)) << 32) | i as u64;
+    let mut keys: Vec<u64> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| rank(i, x))
+        .collect();
+    let kth = *keys.select_nth_unstable(k - 1).1;
+    let mut out = Vec::with_capacity(k);
+    out.extend(
+        values
+            .iter()
+            .enumerate()
+            .filter(|&(i, &x)| rank(i, x) <= kth)
+            .map(|(i, _)| i),
+    );
+    debug_assert_eq!(out.len(), k);
+    out
 }
 
 /// The full-sort top-k that [`topk_positions`] replaced, kept as the

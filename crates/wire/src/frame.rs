@@ -202,8 +202,12 @@ impl MessageKind {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-16 tables for the reflected IEEE polynomial. `T[0]` is the
+/// classic byte table; `T[k][i]` is the CRC state after feeding byte `i`
+/// followed by `k` zero bytes, so one 16-byte block folds in as 16
+/// independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -216,18 +220,63 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
+/// Advances the (pre-inverted) CRC state over `data`: sixteen bytes per
+/// step through the slice-by-16 tables, then one byte per step over the
+/// tail.
 fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = state;
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let w = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(w & 0xff) as usize]
+            ^ t[14][((w >> 8) & 0xff) as usize]
+            ^ t[13][((w >> 16) & 0xff) as usize]
+            ^ t[12][(w >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The one-byte-per-step loop [`crc32_update`] replaced, kept as the
+/// reference its slice-by-16 body is property-tested against.
+#[cfg(test)]
+fn crc32_update_bytewise(state: u32, data: &[u8]) -> u32 {
     let mut c = state;
     for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c
 }
@@ -470,18 +519,60 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_known_vector() {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        // Longer than one 16-byte block, with a tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+        let every_byte: Vec<u8> = (0..1024).map(|i| i as u8).collect();
+        assert_eq!(crc32(&every_byte), 0xb70b_4c26);
     }
 
     #[test]
     fn crc32_two_concatenates() {
         assert_eq!(crc32_two(b"1234", b"56789"), crc32(b"123456789"));
         assert_eq!(crc32_two(b"", b"123456789"), crc32(b"123456789"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slice_by_16_matches_bytewise_reference(
+            data in prop::collection::vec(0u8..=u8::MAX, 0..=4099usize),
+            state in 0u32..=u32::MAX,
+            split in 0usize..=4099,
+        ) {
+            prop_assert_eq!(crc32_update(state, &data), crc32_update_bytewise(state, &data));
+            let at = split % (data.len() + 1);
+            let (head, tail) = data.split_at(at);
+            let reference = crc32_update_bytewise(
+                crc32_update_bytewise(0xffff_ffff, head), tail) ^ 0xffff_ffff;
+            prop_assert_eq!(crc32_two(head, tail), reference);
+        }
+    }
+
+    #[test]
+    fn slice_by_16_matches_bytewise_at_every_length() {
+        // Every length through 4099 — each residue mod 16, each block count
+        // up to 256 — over one fixed pseudo-random buffer.
+        let data: Vec<u8> = (0u32..4099)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32_update(0xffff_ffff, &data[..len]),
+                crc32_update_bytewise(0xffff_ffff, &data[..len]),
+                "len {len}"
+            );
+        }
     }
 
     #[test]
