@@ -21,7 +21,7 @@ use refil_fed::{FdilRunner, IncrementConfig, RunConfig};
 use refil_nn::gemm::{gemm, gemm_nt, gemm_ref, gemm_ref_branchy, gemm_tn};
 use refil_nn::gemm_fast::{gelu_fast, gemm_fast};
 use refil_nn::models::BackboneConfig;
-use refil_nn::{Graph, Params, Tensor};
+use refil_nn::{kernel_policy, set_kernel_policy, Graph, KernelPolicy, Params, Tensor};
 
 #[derive(serde::Serialize)]
 struct KernelRecord {
@@ -380,6 +380,16 @@ fn main() {
         let src = Tensor::randn(&[len], 1.0, &mut rng);
         let mut out_fast: Vec<f32> = Vec::with_capacity(len);
         let mut out_exact: Vec<f32> = Vec::with_capacity(len);
+        let mut libm_gelu = || {
+            out_exact.clear();
+            const C: f32 = 0.797_884_6;
+            out_exact.extend(
+                src.data()
+                    .iter()
+                    .map(|&x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())),
+            );
+            black_box(out_exact[0]);
+        };
         let (fast, libm) = duel_ns(
             reps,
             || {
@@ -387,16 +397,7 @@ fn main() {
                 gelu_fast(src.data(), &mut out_fast);
                 black_box(out_fast[0]);
             },
-            || {
-                out_exact.clear();
-                const C: f32 = 0.797_884_6;
-                out_exact.extend(
-                    src.data()
-                        .iter()
-                        .map(|&x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())),
-                );
-                black_box(out_exact[0]);
-            },
+            &mut libm_gelu,
         );
         kernels.push(KernelRecord {
             name: "nn/gelu_fast".into(),
@@ -412,6 +413,32 @@ fn main() {
             name: "nn/gelu_fast".into(),
             baseline: "libm tanhf gelu forward".into(),
             speedup: libm as f64 / fast as f64,
+        });
+
+        // The bit-exact tier's GELU (in-tree lane `tanhf`, same bits as the
+        // libm forward) through an inference graph, against the same libm
+        // loop.
+        let previous = kernel_policy();
+        set_kernel_policy(KernelPolicy::BitExact);
+        let (exact, libm_again) = duel_ns(
+            reps,
+            || {
+                let g = Graph::inference();
+                let y = g.gelu(g.input(&src));
+                black_box(g.value(y));
+            },
+            &mut libm_gelu,
+        );
+        set_kernel_policy(previous);
+        kernels.push(KernelRecord {
+            name: "nn/gelu_exact".into(),
+            shape: format!("{len}"),
+            median_ns: exact,
+        });
+        speedups.push(Speedup {
+            name: "nn/gelu_exact".into(),
+            baseline: "libm tanhf gelu forward".into(),
+            speedup: libm_again.min(libm) as f64 / exact as f64,
         });
     }
 

@@ -129,11 +129,11 @@ pub fn gemm_tn_fast(at: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 // Fast tanh-GELU
 // ---------------------------------------------------------------------------
 
-/// `sqrt(2/π)` — must match `graph::gelu_fwd`'s constant exactly so the two
+/// `sqrt(2/π)` — shared with the bit-exact `Graph::gelu` so the two
 /// policies approximate the *same* function.
-const GELU_C: f32 = 0.797_884_6;
-/// Cubic coefficient of the tanh-GELU argument.
-const GELU_K: f32 = 0.044_715;
+pub(crate) const GELU_C: f32 = 0.797_884_6;
+/// Cubic coefficient of the tanh-GELU argument (shared likewise).
+pub(crate) const GELU_K: f32 = 0.044_715;
 /// `tanh` saturates to ±1 (in f32) well before this; the rational
 /// approximation below is a minimax fit on `[-TANH_CLAMP, TANH_CLAMP]` and
 /// arguments are clamped into that interval first.
@@ -191,13 +191,15 @@ pub fn gelu_fma(x: f32) -> f32 {
 
 /// Fast tanh-GELU over a slice, appended to `out`.
 ///
-/// Replaces the libm `tanhf` in `graph::gelu_fwd` — the single most
-/// expensive call in backbone inference on this profile — with the rational
-/// fit above, vectorized 8-wide under AVX2+FMA. Error contract (checked by
-/// a dense grid test and proptest in `crates/nn/tests/fast_kernels.rs`):
+/// Replaces the bit-exact `tanh` of `Graph::gelu`'s forward (the in-tree
+/// fdlibm `tanhf` port, which carries the host libm's bits) with the
+/// rational fit above, vectorized 8-wide under AVX2+FMA. Error contract
+/// (checked by a dense grid test and proptest in
+/// `crates/nn/tests/fast_kernels.rs`), with `gelu_exact` the bit-exact
+/// tier's value:
 ///
 /// ```text
-/// |gelu_fast(x) − gelu_fwd(x)| ≤ 1e-6 · (1 + |x|)    for finite x
+/// |gelu_fast(x) − gelu_exact(x)| ≤ 1e-6 · (1 + |x|)    for finite x
 /// ```
 ///
 /// and the result is deterministic: equal inputs produce equal bits
@@ -530,7 +532,7 @@ mod neon {
     /// (`vfmaq_f32` vs. `mul_add`), same clamp order
     /// (`min(hi, max(lo, x))`), same correctly-rounded divide — so lane and
     /// tail results agree bitwise for finite inputs and the error contract
-    /// `|gelu_fast(x) − gelu_fwd(x)| ≤ 1e-6 · (1 + |x|)` carries over.
+    /// `|gelu_fast(x) − gelu_exact(x)| ≤ 1e-6 · (1 + |x|)` carries over.
     pub(super) unsafe fn gelu_neon(src: &[f32], out: &mut Vec<f32>) {
         use super::tanh_poly::*;
         let n = src.len();

@@ -25,7 +25,9 @@
 use std::cell::{Cell, RefCell};
 
 use crate::gemm::{dispatch, gemm, gemm_nt, gemm_tn};
+use crate::gemm_fast::{GELU_C, GELU_K};
 use crate::params::{ParamId, Params};
+use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
 
 /// Per-thread scratch-arena accounting: how many buffer-request bytes were
@@ -647,15 +649,16 @@ impl Graph {
 
     /// Gaussian error linear unit (tanh approximation).
     ///
-    /// On a training graph the forward computes each element's `tanh` once
-    /// and derives both the value and the exact derivative from it; the
-    /// backward closure owns the derivatives (one `f32` per element until
-    /// the tape drops) and returns `g·d`. An inference graph computes the
-    /// value only. Under [`crate::KernelPolicy::Fast`] the value routes to
-    /// the vectorized rational-tanh kernel in
+    /// On a training graph the forward computes each element's `tanh` once,
+    /// with the in-tree kernel that reproduces fdlibm `tanhf` bit for
+    /// bit, and derives both the value and the exact derivative from it;
+    /// the backward closure owns the derivatives (one `f32` per element
+    /// until the tape drops) and returns `g·d`. An inference graph computes
+    /// the value only. Under [`crate::KernelPolicy::Fast`] the value routes
+    /// to the vectorized rational-tanh kernel in
     /// [`crate::gemm_fast::gelu_fast`] and the derivative stays the exact
-    /// libm one, so each policy's bits are those of the separate
-    /// forward/backward formulas.
+    /// one, so each policy's bits are those of the separate forward/backward
+    /// formulas.
     pub fn gelu(&self, a: Var) -> Var {
         self.gelu_with(a, crate::gemm::fast_enabled())
     }
@@ -672,16 +675,22 @@ impl Graph {
             if fast {
                 crate::gemm_fast::gelu_fast(x, &mut y);
                 if let Some(d) = &mut deriv {
-                    d.extend(x.iter().map(|&xi| gelu_bwd(xi)));
-                }
-            } else if let Some(d) = &mut deriv {
-                for &xi in x {
-                    let (yi, di) = gelu_fwd_bwd(xi);
-                    y.push(yi);
-                    d.push(di);
+                    d.extend(x.iter().map(|&xi| gelu_inner(xi)));
+                    tanh_in_place(d);
+                    for (di, &xi) in d.iter_mut().zip(x) {
+                        *di = gelu_deriv(xi, *di);
+                    }
                 }
             } else {
-                y.extend(x.iter().map(|&xi| gelu_fwd(xi)));
+                // `y` holds the tanh argument, then `t`, then the value.
+                y.extend(x.iter().map(|&xi| gelu_inner(xi)));
+                tanh_in_place(&mut y);
+                if let Some(d) = &mut deriv {
+                    d.extend(x.iter().zip(&y).map(|(&xi, &t)| gelu_deriv(xi, t)));
+                }
+                for (yi, &xi) in y.iter_mut().zip(x) {
+                    *yi = 0.5 * xi * (1.0 + *yi);
+                }
             }
             (Tensor::from_vec(y, av.shape()), deriv)
         };
@@ -701,7 +710,13 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        let v = self.unary_value(a, f32::tanh);
+        let v = {
+            let nodes = self.nodes.borrow();
+            let av = &nodes[a.id].value;
+            let mut out = self.out_copied(av.data());
+            tanh_in_place(&mut out);
+            Tensor::from_vec(out, av.shape())
+        };
         self.push(
             v,
             self.deps(&[a.id]),
@@ -1812,31 +1827,35 @@ impl Graph {
     }
 }
 
-/// The tanh-approximated GELU used by the MLP layers.
+/// The tanh-GELU's `tanh` argument, `C·(x + 0.044715·x³)`.
+#[inline]
+fn gelu_inner(x: f32) -> f32 {
+    GELU_C * (x + GELU_K * x * x * x)
+}
+
+/// The exact GELU derivative at `x` given `t = tanh(gelu_inner(x))`.
+#[inline]
+fn gelu_deriv(x: f32, t: f32) -> f32 {
+    let dinner = GELU_C * (1.0 + 3.0 * GELU_K * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// libm reference for the tanh-approximated GELU: `Graph::gelu` must
+/// match it bit for bit.
+#[cfg(test)]
 fn gelu_fwd(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
 }
 
-/// The exact derivative of [`gelu_fwd`].
+/// The exact derivative of [`gelu_fwd`] (libm reference).
+#[cfg(test)]
 fn gelu_bwd(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let inner = C * (x + 0.044715 * x * x * x);
     let t = inner.tanh();
     let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-}
-
-/// `(gelu_fwd(x), gelu_bwd(x))` from one `tanh`: the same expressions in
-/// the same operation order, so both halves are bit-identical to the
-/// separate functions.
-fn gelu_fwd_bwd(x: f32) -> (f32, f32) {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-    let y = 0.5 * x * (1.0 + t);
-    (y, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 }
 
 fn softmax_last_tensor(x: &Tensor) -> Tensor {

@@ -51,6 +51,7 @@ mod params;
 #[cfg(test)]
 mod proptests;
 mod schedule;
+mod tanh;
 mod tensor;
 
 pub use gemm::{kernel_policy, set_kernel_policy, KernelPolicy};
