@@ -13,7 +13,7 @@ use refil_data::{DatasetSpec, DomainSpec};
 use refil_fed::{fedavg, FdilRunner, IncrementConfig, RunConfig, WeightedUpdate};
 use refil_nn::layers::TransformerBlock;
 use refil_nn::models::{BackboneConfig, PromptedBackbone};
-use refil_nn::{force_taped, Graph, Params, Tensor};
+use refil_nn::{Graph, Params, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
@@ -23,7 +23,7 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 fn bench_gemm(c: &mut Criterion) {
-    use refil_nn::gemm::{gemm, gemm_ref_branchy};
+    use refil_nn::gemm::gemm;
     let mut rng = StdRng::seed_from_u64(7);
     // (label, m, k, n): a square stress shape plus the two shapes the
     // quickstart config actually runs — token projections ([b*t, d] x [d, d])
@@ -44,40 +44,7 @@ fn bench_gemm(c: &mut Criterion) {
                 out[0]
             })
         });
-        c.bench_function(&format!("nn/gemm/naive_{label}"), |bench| {
-            bench.iter(|| {
-                out.fill(0.0);
-                gemm_ref_branchy(a.data(), b.data(), &mut out, m, k, n);
-                out[0]
-            })
-        });
     }
-}
-
-fn bench_gemm_zero_branch(c: &mut Criterion) {
-    // Before/after of dropping `if av == 0.0 { continue; }` from the naive
-    // inner loop, isolated from tiling: same ikj loop, only the branch
-    // differs. Dense random inputs — the branch never fires, it just costs.
-    use refil_nn::gemm::{gemm_ref, gemm_ref_branchy};
-    let mut rng = StdRng::seed_from_u64(8);
-    let (m, k, n) = (128usize, 128usize, 128usize);
-    let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-    let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-    let mut out = vec![0.0f32; m * n];
-    c.bench_function("nn/gemm_zero_branch/with_branch_128", |bench| {
-        bench.iter(|| {
-            out.fill(0.0);
-            gemm_ref_branchy(a.data(), b.data(), &mut out, m, k, n);
-            out[0]
-        })
-    });
-    c.bench_function("nn/gemm_zero_branch/without_branch_128", |bench| {
-        bench.iter(|| {
-            out.fill(0.0);
-            gemm_ref(a.data(), b.data(), &mut out, m, k, n);
-            out[0]
-        })
-    });
 }
 
 fn bench_conv1d(c: &mut Criterion) {
@@ -311,6 +278,9 @@ fn bench_round_parallel(c: &mut Criterion) {
         eval_batch: 128,
         dropout_prob: 0.0,
         seed: 13,
+        threads: 0,
+        net: Default::default(),
+        wire: Default::default(),
     };
     c.bench_function("fed/round_parallel/threads_1", |bench| {
         bench.iter(|| {
@@ -330,12 +300,12 @@ fn bench_round_parallel(c: &mut Criterion) {
     });
 }
 
-fn bench_evaluate(c: &mut Criterion) {
-    // The per-domain eval sweep of a trained RefFiL model, taped vs
-    // tape-free and serial vs parallel. All four are byte-identical
-    // (enforced by tests/inference.rs); only wall time differs.
+fn bench_domain_eval(c: &mut Criterion) {
+    // The per-domain eval sweep of a trained RefFiL model, serial vs
+    // parallel. Both are byte-identical (enforced by tests/inference.rs);
+    // only wall time differs.
     let dataset = DatasetSpec {
-        name: "bench_eval".into(),
+        name: "eval".into(),
         classes: 3,
         feature_dim: 8,
         proto_scale: 2.5,
@@ -380,6 +350,9 @@ fn bench_evaluate(c: &mut Criterion) {
         eval_batch: 16,
         dropout_prob: 0.0,
         seed: 13,
+        threads: 0,
+        net: Default::default(),
+        wire: Default::default(),
     };
     let mut strat = RefFiL::new(RefFiLConfig::new(method));
     let res = FdilRunner::new(run_cfg).run(&dataset, &mut strat);
@@ -388,11 +361,6 @@ fn bench_evaluate(c: &mut Criterion) {
     let serial = FdilRunner::new(run_cfg).threads(1);
     let parallel = FdilRunner::new(run_cfg).threads(4);
 
-    force_taped(true);
-    c.bench_function("fed/evaluate/taped_serial", |bench| {
-        bench.iter(|| serial.evaluate_task(&strat, &global, &dataset, last))
-    });
-    force_taped(false);
     c.bench_function("fed/evaluate/tape_free_serial", |bench| {
         bench.iter(|| serial.evaluate_task(&strat, &global, &dataset, last))
     });
@@ -407,9 +375,9 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_gemm, bench_gemm_zero_branch, bench_conv1d,
+    targets = bench_matmul, bench_gemm, bench_conv1d,
         bench_attention_forward, bench_backbone_step,
         bench_cdap_generate, bench_finch, bench_fedavg, bench_dpcl,
-        bench_span_overhead, bench_round_parallel, bench_evaluate
+        bench_span_overhead, bench_round_parallel, bench_domain_eval
 }
 criterion_main!(micro);

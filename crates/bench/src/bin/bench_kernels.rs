@@ -1,26 +1,17 @@
-//! Kernel perf recorder: times the GEMM/conv kernels and an end-to-end
-//! federated round on the quickstart-like bench config, then writes
-//! `BENCH_kernels.json` (median ns per kernel shape, plus naive-vs-tiled
+//! Kernel perf recorder: times the GEMM, GELU and conv kernels, then writes
+//! `BENCH_kernels.json` (median ns per kernel shape, plus fast-vs-bit-exact
 //! speedups) to the repo root so the perf trajectory is recorded in-tree.
 //!
-//! Run with `cargo run --release --bin bench_kernels`. The end-to-end
-//! comparison re-executes this binary as a child with `REFIL_NAIVE_GEMM=1`,
-//! which routes `Tensor::matmul`/`bmm` through the pre-tiling branchy kernel
-//! — results are byte-identical either way, only wall time differs.
+//! Run with `cargo run --release --bin bench_kernels`.
 
 use std::hint::black_box;
-use std::process::Command;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use refil_continual::{Finetune, MethodConfig};
-use refil_data::{DatasetSpec, DomainSpec};
-use refil_fed::{FdilRunner, IncrementConfig, RunConfig};
-use refil_nn::gemm::{gemm, gemm_nt, gemm_ref, gemm_ref_branchy, gemm_tn};
+use refil_nn::gemm::{gemm, gemm_nt, gemm_tn};
 use refil_nn::gemm_fast::{gelu_fast, gemm_fast};
-use refil_nn::models::BackboneConfig;
 use refil_nn::{kernel_policy, set_kernel_policy, Graph, KernelPolicy, Params, Tensor};
 
 #[derive(serde::Serialize)]
@@ -38,21 +29,12 @@ struct Speedup {
 }
 
 #[derive(serde::Serialize)]
-struct EndToEnd {
-    name: String,
-    naive_median_ns: u64,
-    tiled_median_ns: u64,
-    speedup: f64,
-}
-
-#[derive(serde::Serialize)]
 struct Report {
     generated_by: String,
     meta: refil_bench::BenchMeta,
     reps: usize,
     kernels: Vec<KernelRecord>,
     speedups: Vec<Speedup>,
-    end_to_end: Vec<EndToEnd>,
 }
 
 fn median_block<F: FnMut()>(reps: usize, f: &mut F) -> u64 {
@@ -99,144 +81,6 @@ fn duel_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (u64, u64
     (best_f, best_g)
 }
 
-/// The same small two-domain workload as the `fed/round_parallel` criterion
-/// bench: a full Finetune protocol run over 8 clients. `conv = true` swaps
-/// in the conv extractor at wider dims, where the round loop spends most of
-/// its time inside the kernel layer instead of clustering/eval bookkeeping.
-fn round_workload(threads: usize, conv: bool) {
-    let feature_dim = if conv { 128 } else { 8 };
-    let dataset = DatasetSpec {
-        name: "bench".into(),
-        classes: 3,
-        feature_dim,
-        proto_scale: 2.5,
-        within_std: 0.4,
-        test_fraction: 0.3,
-        signature_dim: 2,
-        signature_scale: 0.6,
-        domains: vec![
-            DomainSpec::new("d0", if conv { 150 } else { 400 }, 0.15, 0.05),
-            DomainSpec::new("d1", if conv { 150 } else { 400 }, 0.3, 0.4),
-        ],
-    }
-    .generate(11);
-    let backbone = if conv {
-        BackboneConfig {
-            in_dim: 128,
-            extractor_width: 128,
-            extractor_depth: 1,
-            n_patches: 4,
-            token_dim: 32,
-            heads: 4,
-            blocks: 2,
-            classes: 3,
-            extractor: refil_nn::models::ExtractorKind::Conv,
-        }
-    } else {
-        BackboneConfig {
-            in_dim: 8,
-            extractor_width: 16,
-            extractor_depth: 1,
-            n_patches: 2,
-            token_dim: 8,
-            heads: 2,
-            blocks: 1,
-            classes: 3,
-            extractor: refil_nn::models::ExtractorKind::ResidualMlp,
-        }
-    };
-    let method = MethodConfig {
-        backbone,
-        lr: 0.05,
-        prompt_len: 2,
-        max_tasks: 2,
-        ..MethodConfig::default()
-    };
-    let run_cfg = RunConfig {
-        increment: IncrementConfig {
-            initial_clients: 8,
-            select_per_round: 8,
-            increment_per_task: 1,
-            transition_fraction: 0.8,
-            rounds_per_task: 2,
-        },
-        local_epochs: 1,
-        batch_size: 16,
-        quantity_sigma: 0.5,
-        eval_batch: 128,
-        dropout_prob: 0.0,
-        seed: 13,
-        threads: 0,
-        net: Default::default(),
-        wire: Default::default(),
-    };
-    let mut strat = Finetune::new(method);
-    black_box(
-        FdilRunner::new(run_cfg)
-            .threads(threads)
-            .run(&dataset, &mut strat),
-    );
-}
-
-/// Child mode: time the round workload in this process (whose kernel path is
-/// fixed by `REFIL_NAIVE_GEMM` at startup) and print the median ns.
-fn child_round(threads: usize, reps: usize, conv: bool) {
-    println!("{}", median_ns(reps, || round_workload(threads, conv)));
-}
-
-fn spawn_round(naive: bool, threads: usize, reps: usize, conv: bool) -> u64 {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = Command::new(exe);
-    cmd.arg("--round")
-        .arg(threads.to_string())
-        .arg(reps.to_string())
-        .arg(if conv { "conv" } else { "mlp" });
-    if naive {
-        cmd.env("REFIL_NAIVE_GEMM", "1");
-    } else {
-        cmd.env_remove("REFIL_NAIVE_GEMM");
-    }
-    let out = cmd.output().expect("spawn bench child");
-    assert!(out.status.success(), "bench child failed: {out:?}");
-    String::from_utf8_lossy(&out.stdout)
-        .trim()
-        .parse()
-        .expect("child median ns")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn naive_conv1d_fwd(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    b: usize,
-    c_in: usize,
-    l: usize,
-    c_out: usize,
-    k: usize,
-    pad: usize,
-) {
-    let l_out = l + 2 * pad - k + 1;
-    for bi in 0..b {
-        for co in 0..c_out {
-            for lo in 0..l_out {
-                let mut acc = bias[co];
-                for ci in 0..c_in {
-                    for kk in 0..k {
-                        let xi = lo + kk;
-                        if xi < pad || xi - pad >= l {
-                            continue;
-                        }
-                        acc += x[(bi * c_in + ci) * l + (xi - pad)] * w[(co * c_in + ci) * k + kk];
-                    }
-                }
-                out[(bi * c_out + co) * l_out + lo] = acc;
-            }
-        }
-    }
-}
-
 fn out_path_from_args(args: &[String]) -> String {
     let default = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string();
     let mut out = default;
@@ -267,12 +111,6 @@ fn out_path_from_args(args: &[String]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() == 5 && args[1] == "--round" {
-        let threads: usize = args[2].parse().expect("threads");
-        let reps: usize = args[3].parse().expect("reps");
-        child_round(threads, reps, args[4] == "conv");
-        return;
-    }
     let out_path = out_path_from_args(&args);
 
     let reps = 200usize;
@@ -290,34 +128,15 @@ fn main() {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let mut out = vec![0.0f32; m * n];
-        let mut out2 = vec![0.0f32; m * n];
-        let (tiled, naive) = duel_ns(
-            reps,
-            || {
-                out.fill(0.0);
-                gemm(a.data(), b.data(), &mut out, m, k, n);
-                black_box(out[0]);
-            },
-            || {
-                out2.fill(0.0);
-                gemm_ref_branchy(a.data(), b.data(), &mut out2, m, k, n);
-                black_box(out2[0]);
-            },
-        );
+        let tiled = median_ns(reps, || {
+            out.fill(0.0);
+            gemm(a.data(), b.data(), &mut out, m, k, n);
+            black_box(out[0]);
+        });
         kernels.push(KernelRecord {
             name: "nn/gemm/tiled".into(),
             shape: label.into(),
             median_ns: tiled,
-        });
-        kernels.push(KernelRecord {
-            name: "nn/gemm/naive".into(),
-            shape: label.into(),
-            median_ns: naive,
-        });
-        speedups.push(Speedup {
-            name: format!("nn/gemm/{label}"),
-            baseline: "pre-tiling branchy ikj kernel".into(),
-            speedup: naive as f64 / tiled as f64,
         });
 
         // Layout-aware backward kernels at the same logical shape.
@@ -442,79 +261,21 @@ fn main() {
         });
     }
 
-    // Zero-skip branch before/after, isolated from tiling: same ikj loop,
-    // only the `if av == 0.0 { continue; }` differs.
-    {
-        let (m, k, n) = (128usize, 128usize, 128usize);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let mut out = vec![0.0f32; m * n];
-        let mut out2 = vec![0.0f32; m * n];
-        let (without_branch, with_branch) = duel_ns(
-            reps,
-            || {
-                out.fill(0.0);
-                gemm_ref(a.data(), b.data(), &mut out, m, k, n);
-                black_box(out[0]);
-            },
-            || {
-                out2.fill(0.0);
-                gemm_ref_branchy(a.data(), b.data(), &mut out2, m, k, n);
-                black_box(out2[0]);
-            },
-        );
-        kernels.push(KernelRecord {
-            name: "nn/gemm_zero_branch/with_branch".into(),
-            shape: "128x128x128".into(),
-            median_ns: with_branch,
-        });
-        kernels.push(KernelRecord {
-            name: "nn/gemm_zero_branch/without_branch".into(),
-            shape: "128x128x128".into(),
-            median_ns: without_branch,
-        });
-        speedups.push(Speedup {
-            name: "nn/gemm_zero_branch/128x128x128".into(),
-            baseline: "ikj loop with the av == 0.0 skip".into(),
-            speedup: with_branch as f64 / without_branch as f64,
-        });
-    }
-
-    // conv1d forward: im2col + GEMM vs the old 5-deep nested loop, and the
-    // full autodiff backward through the new lowering.
+    // conv1d forward (im2col + GEMM) and the full autodiff backward through
+    // the same lowering.
     {
         let (b, c_in, l, c_out, k, pad) = (32usize, 4usize, 32usize, 8usize, 5usize, 2usize);
         let shape = "b32_c4x8_l32_k5".to_string();
         let x = Tensor::randn(&[b, c_in, l], 1.0, &mut rng);
         let w = Tensor::randn(&[c_out, c_in, k], 0.5, &mut rng);
         let bias = Tensor::randn(&[c_out], 0.5, &mut rng);
-        let l_out = l + 2 * pad - k + 1;
-        let mut out = vec![0.0f32; b * c_out * l_out];
-        let (fwd, fwd_naive) = duel_ns(
-            reps,
-            || {
-                let g = Graph::new();
-                let xv = g.constant(x.clone());
-                let wv = g.constant(w.clone());
-                let bv = g.constant(bias.clone());
-                black_box(g.value(g.conv1d(xv, wv, bv, pad)));
-            },
-            || {
-                naive_conv1d_fwd(
-                    x.data(),
-                    w.data(),
-                    bias.data(),
-                    &mut out,
-                    b,
-                    c_in,
-                    l,
-                    c_out,
-                    k,
-                    pad,
-                );
-                black_box(out[0]);
-            },
-        );
+        let fwd = median_ns(reps, || {
+            let g = Graph::new();
+            let xv = g.constant(x.clone());
+            let wv = g.constant(w.clone());
+            let bv = g.constant(bias.clone());
+            black_box(g.value(g.conv1d(xv, wv, bv, pad)));
+        });
         let mut params = Params::new();
         params.insert("x", x.clone(), true);
         params.insert("w", w.clone(), true);
@@ -537,42 +298,10 @@ fn main() {
             median_ns: fwd,
         });
         kernels.push(KernelRecord {
-            name: "nn/conv1d_fwd/naive_loop".into(),
-            shape: shape.clone(),
-            median_ns: fwd_naive,
-        });
-        kernels.push(KernelRecord {
             name: "nn/conv1d_bwd/fwd_bwd_tape".into(),
-            shape: shape.clone(),
+            shape,
             median_ns: bwd,
         });
-        speedups.push(Speedup {
-            name: format!("nn/conv1d_fwd/{shape}"),
-            baseline: "pre-im2col 5-deep nested loop (graph overhead not included)".into(),
-            speedup: fwd_naive as f64 / fwd as f64,
-        });
-    }
-
-    // End-to-end: the same full federated run, old kernels vs new, via
-    // child processes so the REFIL_NAIVE_GEMM escape hatch is honored.
-    let mut end_to_end = Vec::new();
-    for (tag, conv, round_reps) in [("round_parallel", false, 7usize), ("round_conv", true, 3)] {
-        for threads in [1usize, 4] {
-            // Alternate tiled/naive child runs and keep each side's best,
-            // for the same contention-robustness reason as `duel_ns`.
-            let mut tiled = u64::MAX;
-            let mut naive = u64::MAX;
-            for _ in 0..3 {
-                tiled = tiled.min(spawn_round(false, threads, round_reps, conv));
-                naive = naive.min(spawn_round(true, threads, round_reps, conv));
-            }
-            end_to_end.push(EndToEnd {
-                name: format!("fed/{tag}/threads_{threads}"),
-                naive_median_ns: naive,
-                tiled_median_ns: tiled,
-                speedup: naive as f64 / tiled as f64,
-            });
-        }
     }
 
     let report = Report {
@@ -581,16 +310,9 @@ fn main() {
         reps,
         kernels,
         speedups,
-        end_to_end,
     };
     for s in &report.speedups {
         println!("{:<40} {:>6.2}x  (vs {})", s.name, s.speedup, s.baseline);
-    }
-    for e in &report.end_to_end {
-        println!(
-            "{:<40} {:>6.2}x  (naive {} ns -> tiled {} ns)",
-            e.name, e.speedup, e.naive_median_ns, e.tiled_median_ns
-        );
     }
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, json + "\n").expect("write kernels report");

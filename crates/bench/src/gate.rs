@@ -4,14 +4,14 @@
 //! Reports are treated generically: any object carrying a `name` (plus
 //! optional `shape` / `threads` discriminators) contributes one metric per
 //! `*_ns` field and one per ratio field (`speedup`, `*_speedup`,
-//! `*_ratio`), so `BENCH_eval.json` records, its `speedups` rows (e.g.
-//! `fed/eval/parallel_vs_serial`), `BENCH_kernels.json` kernel rows, and
-//! its end-to-end naive/tiled pairs all gate without format-specific code.
-//! Time metrics regress when the candidate gets *slower*; ratio metrics
-//! regress when the candidate ratio *drops* — a shrinking
-//! `parallel_vs_serial` fails the gate even if every raw median held
-//! steady. Comparability is enforced through the [`BenchMeta`] header —
-//! same hostname and thread budget — unless the caller forces the diff.
+//! `*_ratio`), so `BENCH_kernels.json` kernel rows and its `speedups` rows
+//! (e.g. `nn/gemm_fast/128x128x128`), and the `BENCH_net.json` and
+//! `BENCH_wire.json` rows, all gate without format-specific code. Time
+//! metrics regress when the candidate gets *slower*; ratio metrics regress
+//! when the candidate ratio *drops* — a shrinking speedup fails the gate
+//! even if every raw median held steady. Comparability is enforced through
+//! the [`BenchMeta`] header — same hostname and thread budget — unless the
+//! caller forces the diff.
 
 use std::collections::BTreeMap;
 
@@ -52,8 +52,8 @@ pub enum MetricKind {
 /// One metric's before/after in a gate comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
-    /// Metric key, e.g. `fed/eval/tape_free_serial/median_ns` or
-    /// `fed/eval/parallel_vs_serial/speedup`.
+    /// Metric key, e.g. `nn/gemm/tiled@128x128x128/median_ns` or
+    /// `nn/gemm_fast/128x128x128/speedup`.
     pub name: String,
     /// Whether this is a time median or a ratio.
     pub kind: MetricKind,

@@ -40,8 +40,8 @@ pub struct RunConfig {
     /// wall time, so this field is inert for determinism.
     #[serde(default)]
     pub threads: usize,
-    /// Networked-server options; inert on the in-process paths, so adding
-    /// (or changing) them cannot perturb a loopback or direct run.
+    /// Networked-server options; inert on the in-process path, so adding
+    /// (or changing) them cannot perturb a loopback run.
     #[serde(default)]
     pub net: NetConfig,
     /// Uplink payload-compression options (delta / quantization / top-k).

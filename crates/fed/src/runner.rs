@@ -30,9 +30,7 @@
 //! the actual framed byte lengths. The driver performs all link and codec
 //! work in client-id order on its own thread, so the wire layer does not
 //! perturb the concurrency model above; because the codec is bit-exact for
-//! `f32`, a loopback-transported run is byte-identical to the
-//! codec-bypassing direct path ([`FdilRunner::direct`]), which exists
-//! precisely to enforce that equivalence in tests.
+//! `f32`, sessions train on exactly the values the server holds.
 //!
 //! [`FdilRunner::serve`] runs the same loop over real sockets: planned
 //! sessions are assigned to connected peer processes, trained remotely, and
@@ -240,7 +238,7 @@ pub trait FdilStrategy {
     /// [`FdilStrategy::round_ctx`] (fed its own
     /// [`FdilStrategy::round_broadcast`]) and immediately applies its merge
     /// message, returning the update. Equivalent to what the driver does for
-    /// a single client on the direct path.
+    /// a single client, minus the codec.
     fn train_once(&mut self, setting: &TrainSetting<'_>, global: &[f32]) -> ClientUpdate
     where
         Self: Sized,
@@ -365,11 +363,29 @@ impl RunResult {
 type SessionSlots = Vec<Option<(SessionOutput, SessionStat)>>;
 
 /// One round's session results, indexed by planned-session slot: trained
-/// locally on the worker pool, or collected from remote peers (`None` =
-/// the result missed the round deadline).
-enum RoundOutputs {
-    Local(SessionSlots),
+/// locally on the worker pool (with the echo uplink their frames travel
+/// through), or collected from remote peers (`None` = the result missed the
+/// round deadline).
+enum RoundOutputs<'l> {
+    Local {
+        slots: SessionSlots,
+        uplink: &'l dyn Link,
+    },
     Remote(Vec<Option<RemoteSession>>),
+}
+
+/// How [`FdilRunner::run_inner`] moves a round's frames.
+enum Exchange<'s, 'l> {
+    /// The driver plays both ends: every frame goes out on an echo link and
+    /// is decoded from what comes back (`down` server→client, `up`
+    /// client→server).
+    Echo {
+        down: &'l dyn Link,
+        up: &'l dyn Link,
+    },
+    /// Connected peer processes train the sessions; the reactor carries
+    /// every frame.
+    Serve(&'s mut ServeState<'l>),
 }
 
 /// Converts the nn crate's thread-local scratch accounting into the
@@ -588,11 +604,9 @@ fn threads_from_env() -> usize {
 ///
 /// Client sessions within a round execute on `threads` scoped workers; the
 /// result is byte-for-byte identical at any thread count (see the module
-/// docs for why). By default every exchange is encoded through the
-/// `refil-wire` codec and moved over an in-memory [`Loopback`] link pair;
-/// [`FdilRunner::direct`] bypasses the codec (identical results, same
-/// measured traffic via `WireMessage::encoded_len`),
-/// [`FdilRunner::run_with_links`] plugs in custom links, and
+/// docs for why). Every exchange is encoded through the `refil-wire` codec:
+/// [`FdilRunner::run`] moves frames over an in-memory [`Loopback`] link
+/// pair, [`FdilRunner::run_with_links`] plugs in custom links, and
 /// [`FdilRunner::serve`] drives the same protocol over real sockets.
 #[derive(Debug)]
 pub struct FdilRunner {
@@ -600,7 +614,6 @@ pub struct FdilRunner {
     telemetry: Telemetry,
     threads: usize,
     clamp: bool,
-    direct: bool,
     /// Lazily-created persistent worker pool, sized to
     /// [`FdilRunner::effective_threads`] on the first dispatch that wants
     /// more than one worker and reused for every round and eval sweep after.
@@ -617,7 +630,6 @@ impl Clone for FdilRunner {
             telemetry: self.telemetry.clone(),
             threads: self.threads,
             clamp: self.clamp,
-            direct: self.direct,
             pool: OnceLock::new(),
         }
     }
@@ -638,7 +650,6 @@ impl FdilRunner {
             telemetry: Telemetry::disabled(),
             threads,
             clamp: true,
-            direct: false,
             pool: OnceLock::new(),
         }
     }
@@ -704,22 +715,10 @@ impl FdilRunner {
             .get_or_init(|| Arc::new(WorkerPool::new(self.effective_threads())))
     }
 
-    /// Bypasses the wire codec: typed messages move in memory without being
-    /// encoded, while [`TrafficStats`] still reports the identical
-    /// encoded-frame sizes via `WireMessage::encoded_len`. Because the codec
-    /// is bit-exact, results are byte-identical either way — this path exists
-    /// to *prove* that (the wire-vs-direct equivalence tests) and to skip
-    /// codec overhead in tight experiment sweeps.
-    #[must_use]
-    pub fn direct(mut self, direct: bool) -> Self {
-        self.direct = direct;
-        self
-    }
-
     /// Executes the full FDIL protocol for `strategy` on `dataset`.
     ///
-    /// Unless [`FdilRunner::direct`] was set, every exchange is encoded and
-    /// moved through a fresh in-memory [`Loopback`] pair (downlink + uplink).
+    /// Every exchange is encoded and moved through a fresh in-memory
+    /// [`Loopback`] pair (downlink + uplink).
     ///
     /// The span hierarchy is `run > task:<t> > round:<r> > client:<c>`, with
     /// sibling `fedavg` and `evaluate_domain` spans; client spans are emitted
@@ -728,9 +727,15 @@ impl FdilRunner {
     /// [`TrafficStats::record_client`] exactly, so their final totals in the
     /// trace equal the run's [`TrafficStats`]; sibling `wire.<kind>_bytes`
     /// counters break the same bytes down per message kind. Neither
-    /// telemetry, the thread count, nor the codec path touches the run's RNG
-    /// streams: results are identical whichever sink (or none) is installed,
-    /// however many workers run, and whether frames are encoded or not.
+    /// telemetry nor the thread count touches the run's RNG streams: results
+    /// are identical whichever sink (or none) is installed and however many
+    /// workers run.
+    ///
+    /// A client update is rejected — counted in
+    /// [`RoundReport::clients_rejected`], with no bytes accounted and its
+    /// merge message dropped — unless it has the global model's length, a
+    /// finite positive weight that keeps the round's total weight finite, and
+    /// only finite values.
     ///
     /// # Panics
     ///
@@ -739,13 +744,7 @@ impl FdilRunner {
     /// [`crate::ConfigError`]), if the dataset has no domains, or if a
     /// domain has no test data.
     pub fn run(&self, dataset: &FdilDataset, strategy: &mut dyn FdilStrategy) -> RunResult {
-        if self.direct {
-            self.run_inner(dataset, strategy, None, None)
-        } else {
-            let downlink = Loopback::new();
-            let uplink = Loopback::new();
-            self.run_inner(dataset, strategy, Some((&downlink, &uplink)), None)
-        }
+        self.run_with_links(dataset, strategy, &Loopback::new(), &Loopback::new())
     }
 
     /// Like [`FdilRunner::run`], but moves every frame over caller-supplied
@@ -769,7 +768,11 @@ impl FdilRunner {
         downlink: &dyn Link,
         uplink: &dyn Link,
     ) -> RunResult {
-        self.run_inner(dataset, strategy, Some((downlink, uplink)), None)
+        let exchange = Exchange::Echo {
+            down: downlink,
+            up: uplink,
+        };
+        self.run_inner(dataset, strategy, exchange)
     }
 
     /// Runs the full FDIL protocol as a long-lived federation server: client
@@ -794,7 +797,8 @@ impl FdilRunner {
     /// # Panics
     ///
     /// Panics like [`FdilRunner::run`]. Peer failures never panic — they
-    /// surface as `clients_late` and `net.peers_left` telemetry.
+    /// surface as `clients_late`, `clients_rejected` and `net.peers_left`
+    /// telemetry.
     pub fn serve(
         &self,
         dataset: &FdilDataset,
@@ -817,15 +821,14 @@ impl FdilRunner {
             self.telemetry.clone(),
         );
         state.wait_for_peers();
-        self.run_inner(dataset, strategy, None, Some(&mut state))
+        self.run_inner(dataset, strategy, Exchange::Serve(&mut state))
     }
 
     fn run_inner(
         &self,
         dataset: &FdilDataset,
         strategy: &mut dyn FdilStrategy,
-        wire: Option<(&dyn Link, &dyn Link)>,
-        mut serve: Option<&mut ServeState<'_>>,
+        mut exchange: Exchange<'_, '_>,
     ) -> RunResult {
         let cfg = &self.cfg;
         let telemetry = &self.telemetry;
@@ -849,8 +852,6 @@ impl FdilRunner {
         ));
 
         let mut global = strategy.init_global();
-        let downlink = wire.map(|(down, _)| down);
-        let uplink = wire.map(|(_, up)| up);
         // Uplink compression: active when the config asks for delta/quant/
         // top-k or the strategy exchanges only a subset of coordinates in
         // some task. The server reconstructs compressed updates against its
@@ -881,7 +882,7 @@ impl FdilRunner {
 
             // Distribute the new domain's training data among recipients.
             distribute_task_data(&mut holdings, schedule, dataset, cfg, task);
-            if let Some(srv) = serve.as_deref_mut() {
+            if let Exchange::Serve(srv) = &mut exchange {
                 srv.begin_task(task, &global);
             }
 
@@ -963,9 +964,8 @@ impl FdilRunner {
                 // Server → clients: the round's global model (plus any
                 // strategy broadcast) travels as encoded frames through the
                 // downlink, and sessions train on the *decoded* copy. The
-                // direct path moves the same typed messages unencoded while
-                // accounting the identical frame sizes; the serve path nests
-                // the same encoded frames inside each peer's `RoundStart`.
+                // serve path nests the same encoded frames inside each peer's
+                // `RoundStart`.
                 let broadcast_start = std::time::Instant::now();
                 let broadcast_t0 = telemetry.now_ns();
                 let model_msg = WireMessage::ModelBroadcast(ModelBroadcast {
@@ -975,8 +975,8 @@ impl FdilRunner {
                 });
                 let extra_msg = strategy.round_broadcast(task, round);
                 let extra_kind = extra_msg.as_ref().map(WireMessage::kind);
-                let (round_model, broadcast, model_bytes, extra_bytes) =
-                    if let Some(srv) = serve.as_deref_mut() {
+                let (round_model, broadcast, model_bytes, extra_bytes) = match &mut exchange {
+                    Exchange::Serve(srv) => {
                         let model_frame = model_msg.encode();
                         let model_bytes = model_frame.len() as u64;
                         let (extra_frame, extra_bytes) = match extra_msg {
@@ -997,20 +997,22 @@ impl FdilRunner {
                             .collect();
                         srv.begin_round(task, round, &assignments, model_frame, extra_frame);
                         (Vec::new(), None, model_bytes, extra_bytes)
-                    } else {
-                        let (model_out, model_bytes) = roundtrip(downlink, model_msg);
+                    }
+                    Exchange::Echo { down, .. } => {
+                        let (model_out, model_bytes) = roundtrip(*down, model_msg);
                         let WireMessage::ModelBroadcast(model_out) = model_out else {
                             panic!("downlink delivered a non-ModelBroadcast frame");
                         };
                         let (broadcast, extra_bytes) = match extra_msg {
                             Some(msg) => {
-                                let (decoded, bytes) = roundtrip(downlink, msg);
+                                let (decoded, bytes) = roundtrip(*down, msg);
                                 (Some(decoded), bytes)
                             }
                             None => (None, 0),
                         };
                         (model_out.model, broadcast, model_bytes, extra_bytes)
-                    };
+                    }
+                };
                 if round_compression.is_some() {
                     // Remember what this round's broadcast said, so client
                     // updates delta-encoded against it can be reconstructed.
@@ -1042,96 +1044,104 @@ impl FdilRunner {
                 let train_start = std::time::Instant::now();
                 let train_t0 = telemetry.now_ns();
                 let (mut outputs, train_pool, train_scratch): (
-                    RoundOutputs,
+                    RoundOutputs<'_>,
                     Option<PoolStats>,
                     ArenaStats,
-                ) = if let Some(srv) = serve.as_deref_mut() {
-                    // Remote path: peers train their assigned sessions; the
-                    // driver blocks (without spinning) until every result is
-                    // in or the round deadline passes.
-                    let deadline = std::time::Instant::now()
-                        + std::time::Duration::from_millis(cfg.net.round_deadline_ms);
-                    let slots = srv.collect(deadline);
-                    (RoundOutputs::Remote(slots), None, ArenaStats::default())
-                } else {
-                    let ctx = strategy.round_ctx(task, round, &round_model, broadcast.as_ref());
-                    let workers = self.effective_threads().min(sessions.len());
-                    if workers <= 1 {
-                        let t = telemetry.scoped(&round_path);
-                        let mut lane = timeline.lane(0);
-                        let _ = refil_nn::take_scratch_stats();
-                        let outputs: SessionSlots = sessions
-                            .iter()
-                            .map(|s| {
-                                let start = lane.tick();
-                                let (out, duration_ns) = run_session(&*ctx, s, cfg, &t);
-                                lane.record("client", Some(s.cid as u64), start);
-                                let stat = SessionStat {
-                                    client_id: s.cid as u64,
-                                    track: 1,
-                                    duration_ns,
-                                };
-                                Some((out, stat))
-                            })
-                            .collect();
-                        let scratch = arena_stats(refil_nn::take_scratch_stats());
-                        let wall = timeline.tick().saturating_sub(train_t0);
-                        (
-                            RoundOutputs::Local(outputs),
-                            timeline.merge(&[&lane], wall),
-                            scratch,
-                        )
-                    } else {
-                        let pool = self.pool();
-                        let _dispatch = pool.serialize();
-                        let next = AtomicUsize::new(0);
-                        let slots: Mutex<SessionSlots> =
-                            Mutex::new(sessions.iter().map(|_| None).collect());
-                        let worker_scratch: Mutex<Vec<ArenaStats>> =
-                            Mutex::new(vec![ArenaStats::default(); workers]);
-                        pool.run(workers, &|slot| {
+                ) = match &mut exchange {
+                    Exchange::Serve(srv) => {
+                        // Remote path: peers train their assigned sessions; the
+                        // driver blocks (without spinning) until every result is
+                        // in or the round deadline passes.
+                        let deadline = std::time::Instant::now()
+                            + std::time::Duration::from_millis(cfg.net.round_deadline_ms);
+                        let slots = srv.collect(deadline);
+                        (RoundOutputs::Remote(slots), None, ArenaStats::default())
+                    }
+                    Exchange::Echo { up, .. } => {
+                        let uplink = *up;
+                        let ctx = strategy.round_ctx(task, round, &round_model, broadcast.as_ref());
+                        let workers = self.effective_threads().min(sessions.len());
+                        if workers <= 1 {
                             let t = telemetry.scoped(&round_path);
-                            let mut lane = pool.lane(slot);
-                            timeline.rearm(&mut lane, slot);
-                            let track = slot as u32 + 1;
-                            let ctx = &*ctx;
+                            let mut lane = timeline.lane(0);
                             let _ = refil_nn::take_scratch_stats();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(session) = sessions.get(i) else {
-                                    break;
-                                };
-                                let start = lane.tick();
-                                let (out, duration_ns) = run_session(ctx, session, cfg, &t);
-                                lane.record("client", Some(session.cid as u64), start);
-                                let stat = SessionStat {
-                                    client_id: session.cid as u64,
-                                    track,
-                                    duration_ns,
-                                };
-                                slots.lock().expect("session slots poisoned")[i] =
-                                    Some((out, stat));
+                            let outputs: SessionSlots = sessions
+                                .iter()
+                                .map(|s| {
+                                    let start = lane.tick();
+                                    let (out, duration_ns) = run_session(&*ctx, s, cfg, &t);
+                                    lane.record("client", Some(s.cid as u64), start);
+                                    let stat = SessionStat {
+                                        client_id: s.cid as u64,
+                                        track: 1,
+                                        duration_ns,
+                                    };
+                                    Some((out, stat))
+                                })
+                                .collect();
+                            let scratch = arena_stats(refil_nn::take_scratch_stats());
+                            let wall = timeline.tick().saturating_sub(train_t0);
+                            (
+                                RoundOutputs::Local {
+                                    slots: outputs,
+                                    uplink,
+                                },
+                                timeline.merge(&[&lane], wall),
+                                scratch,
+                            )
+                        } else {
+                            let pool = self.pool();
+                            let _dispatch = pool.serialize();
+                            let next = AtomicUsize::new(0);
+                            let slots: Mutex<SessionSlots> =
+                                Mutex::new(sessions.iter().map(|_| None).collect());
+                            let worker_scratch: Mutex<Vec<ArenaStats>> =
+                                Mutex::new(vec![ArenaStats::default(); workers]);
+                            pool.run(workers, &|slot| {
+                                let t = telemetry.scoped(&round_path);
+                                let mut lane = pool.lane(slot);
+                                timeline.rearm(&mut lane, slot);
+                                let track = slot as u32 + 1;
+                                let ctx = &*ctx;
+                                let _ = refil_nn::take_scratch_stats();
+                                loop {
+                                    let i = next.fetch_add(1, Ordering::Relaxed);
+                                    let Some(session) = sessions.get(i) else {
+                                        break;
+                                    };
+                                    let start = lane.tick();
+                                    let (out, duration_ns) = run_session(ctx, session, cfg, &t);
+                                    lane.record("client", Some(session.cid as u64), start);
+                                    let stat = SessionStat {
+                                        client_id: session.cid as u64,
+                                        track,
+                                        duration_ns,
+                                    };
+                                    slots.lock().expect("session slots poisoned")[i] =
+                                        Some((out, stat));
+                                }
+                                worker_scratch.lock().expect("scratch slots poisoned")[slot] =
+                                    arena_stats(refil_nn::take_scratch_stats());
+                            });
+                            let mut scratch = ArenaStats::default();
+                            for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
+                                scratch.merge(&s);
                             }
-                            worker_scratch.lock().expect("scratch slots poisoned")[slot] =
-                                arena_stats(refil_nn::take_scratch_stats());
-                        });
-                        let mut scratch = ArenaStats::default();
-                        for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
-                            scratch.merge(&s);
+                            let wall = timeline.tick().saturating_sub(train_t0);
+                            let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
+                            let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
+                            let pool_stats = timeline.merge(&lanes, wall);
+                            drop(lanes);
+                            drop(guards);
+                            (
+                                RoundOutputs::Local {
+                                    slots: slots.into_inner().expect("session slots poisoned"),
+                                    uplink,
+                                },
+                                pool_stats,
+                                scratch,
+                            )
                         }
-                        let wall = timeline.tick().saturating_sub(train_t0);
-                        let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
-                        let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
-                        let pool_stats = timeline.merge(&lanes, wall);
-                        drop(lanes);
-                        drop(guards);
-                        (
-                            RoundOutputs::Local(
-                                slots.into_inner().expect("session slots poisoned"),
-                            ),
-                            pool_stats,
-                            scratch,
-                        )
                     }
                 };
                 report.phases.train = elapsed_ns(train_start);
@@ -1146,6 +1156,7 @@ impl FdilRunner {
                 let aggregate_start = std::time::Instant::now();
                 let aggregate_t0 = telemetry.now_ns();
                 let mut updates = Vec::with_capacity(sessions.len());
+                let mut total_weight = 0.0f32;
                 let mut merges: Vec<(usize, WireMessage)> = Vec::new();
                 for (i, session) in sessions.iter().enumerate() {
                     // Normalize both paths to the same shape: the decoded
@@ -1153,7 +1164,7 @@ impl FdilRunner {
                     // with its frame bytes, and the session stat. `None`
                     // means the result never arrived (remote path only).
                     let collected = match &mut outputs {
-                        RoundOutputs::Local(slots) => {
+                        RoundOutputs::Local { slots, uplink } => {
                             let (out, stat) = slots[i].take().expect("planned session never ran");
                             // On the in-process paths the driver plays both
                             // roles: it builds exactly the uplink frame a
@@ -1179,7 +1190,7 @@ impl FdilRunner {
                                     model: out.update.flat,
                                 })
                             };
-                            let (update_out, update_bytes) = roundtrip(uplink, update_msg);
+                            let (update_out, update_bytes) = roundtrip(*uplink, update_msg);
                             let update_out = match update_out {
                                 WireMessage::ClientModelUpdate(u) => RemoteUpdate::Plain(u),
                                 WireMessage::CompressedModelUpdate(c) => {
@@ -1187,7 +1198,7 @@ impl FdilRunner {
                                 }
                                 _ => panic!("uplink delivered a non-model-update frame"),
                             };
-                            let merge = out.merge.map(|msg| roundtrip(uplink, msg));
+                            let merge = out.merge.map(|msg| roundtrip(*uplink, msg));
                             Some((update_out, update_bytes, merge, stat))
                         }
                         RoundOutputs::Remote(slots) => slots[i]
@@ -1235,6 +1246,16 @@ impl FdilRunner {
                             }
                         }
                     };
+                    // A hostile or diverged update must neither crash FedAvg
+                    // nor poison the global model. Like a failed
+                    // reconstruction, a refused update accounts no bytes and
+                    // its merge message is dropped.
+                    if !admissible(&update, global.len(), total_weight) {
+                        telemetry.counter("clients.rejected", 1);
+                        report.clients_rejected += 1;
+                        continue;
+                    }
+                    total_weight += update.weight;
                     report.sessions.push(stat);
                     let mut up_bytes = update_bytes;
                     telemetry.counter(&format!("wire.{update_kind}_bytes"), update_bytes);
@@ -1266,7 +1287,7 @@ impl FdilRunner {
                     let _fedavg_span = telemetry.span("fedavg");
                     global = fedavg(&updates);
                 }
-                if let Some(srv) = serve.as_deref_mut() {
+                if let Exchange::Serve(srv) = &mut exchange {
                     // Sync every peer (and the replay log) with the new
                     // global and the full ordered merge sequence, so each
                     // client replica ingests exactly what the server does.
@@ -1295,7 +1316,7 @@ impl FdilRunner {
 
             // Clients that saw the new domain carry it forward as their data.
             carry_forward(&mut holdings, schedule);
-            if let Some(srv) = serve.as_deref_mut() {
+            if let Exchange::Serve(srv) = &mut exchange {
                 srv.end_task(task, &global);
             }
 
@@ -1324,7 +1345,7 @@ impl FdilRunner {
             domain_acc.push(row);
         }
 
-        if let Some(srv) = serve {
+        if let Exchange::Serve(srv) = exchange {
             srv.finish_run();
         }
         telemetry.info(format!(
@@ -1486,6 +1507,19 @@ impl FdilRunner {
     }
 }
 
+/// Whether FedAvg may take `update` into a round whose admitted updates so
+/// far weigh `total_weight`: it has the global model's `len` parameters, a
+/// finite positive weight that keeps the total finite, and only finite
+/// values.
+fn admissible(update: &WeightedUpdate, len: usize, total_weight: f32) -> bool {
+    update.flat.len() == len
+        && update.weight.is_finite()
+        && update.weight > 0.0
+        && (total_weight + update.weight).is_finite()
+        // No early exit, so the scan vectorizes.
+        && update.flat.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
 /// Adds `bytes` to the per-round wire-bytes map under `kind`, allocating the
 /// key only on first occurrence per round.
 fn bump_wire(map: &mut std::collections::BTreeMap<String, u64>, kind: &str, bytes: u64) {
@@ -1508,9 +1542,9 @@ struct EvalItem<'a> {
 
 /// Samples staged per multi-RHS forward inside one eval item. Wider batches
 /// amortize plan replay, but past ~64 rows the activation working set
-/// spills L1 and data movement starts dominating the GEMMs (measured in
-/// `BENCH_eval.json`: a whole-domain forward is slower than 64-row blocks
-/// despite fewer plan replays). The block split is positional and constant
+/// spills L1 and data movement starts dominating the GEMMs (a whole-domain
+/// forward measured slower than 64-row blocks despite fewer plan replays).
+/// The block split is positional and constant
 /// — independent of worker count — and per-row forward arithmetic doesn't
 /// depend on batch width, so results stay byte-identical at any thread
 /// count and any block size.
@@ -1558,10 +1592,8 @@ fn eval_item(
     correct
 }
 
-/// Moves one message the way the active path dictates: encoded through the
-/// echo link (send → recv → decode) when one is given, or as the typed value
-/// itself on the direct path. Byte accounting is identical either way —
-/// `WireMessage::encoded_len` always equals the encoded frame's length.
+/// Moves one message through an echo link — encode, send, receive, decode —
+/// returning the decoded message and its frame length.
 ///
 /// # Panics
 ///
@@ -1569,22 +1601,14 @@ fn eval_item(
 /// has the frame queued already — any wait at all means the link is broken),
 /// or delivers one that fails to decode — all fatal protocol violations for
 /// the driver.
-fn roundtrip(link: Option<&dyn Link>, msg: WireMessage) -> (WireMessage, u64) {
-    match link {
-        Some(link) => {
-            let frame = msg.encode();
-            let bytes = frame.len() as u64;
-            link.send(&frame).expect("link send failed");
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            let received = link.recv_deadline(deadline).expect("link recv failed");
-            let decoded = WireMessage::decode(&received).expect("received frame failed to decode");
-            (decoded, bytes)
-        }
-        None => {
-            let bytes = msg.encoded_len() as u64;
-            (msg, bytes)
-        }
-    }
+fn roundtrip(link: &dyn Link, msg: WireMessage) -> (WireMessage, u64) {
+    let frame = msg.encode();
+    let bytes = frame.len() as u64;
+    link.send(&frame).expect("link send failed");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let received = link.recv_deadline(deadline).expect("link recv failed");
+    let decoded = WireMessage::decode(&received).expect("received frame failed to decode");
+    (decoded, bytes)
 }
 
 /// Accuracy (%) of the strategy's global model on one domain's test split.
@@ -1881,21 +1905,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_and_direct_paths_are_byte_identical() {
-        let ds = tiny_dataset();
-        let mut s_wire = CentroidStrategy::new(3, 6);
-        let mut s_direct = CentroidStrategy::new(3, 6);
-        let wire = FdilRunner::new(tiny_config()).run(&ds, &mut s_wire);
-        let direct = FdilRunner::new(tiny_config())
-            .direct(true)
-            .run(&ds, &mut s_direct);
-        assert_eq!(wire.final_global, direct.final_global);
-        assert_eq!(wire.domain_acc, direct.domain_acc);
-        assert_eq!(wire.traffic, direct.traffic);
-        assert_eq!(s_wire.merged, s_direct.merged);
-    }
-
-    #[test]
     fn explicit_loopback_links_match_run() {
         let ds = tiny_dataset();
         let mut s1 = CentroidStrategy::new(3, 6);
@@ -1911,6 +1920,134 @@ mod tests {
         assert_eq!(downlink.pending(), 0);
         assert_eq!(uplink.pending(), 0);
         assert!(b.rounds.iter().all(|r| r.clients_late == 0));
+    }
+
+    /// How [`HostileStrategy`] corrupts its victim client's update.
+    #[derive(Clone, Copy, Debug)]
+    enum Corruption {
+        NanValue,
+        WrongLength,
+        ZeroWeight,
+    }
+
+    /// [`CentroidStrategy`] whose client 0 sends a corrupted update every
+    /// time it is selected; every other client stays honest.
+    struct HostileStrategy {
+        inner: CentroidStrategy,
+        corruption: Corruption,
+        corrupted: AtomicUsize,
+    }
+
+    struct HostileCtx<'a> {
+        inner: CentroidCtx<'a>,
+        corruption: Corruption,
+        corrupted: &'a AtomicUsize,
+    }
+
+    impl RoundContext for HostileCtx<'_> {
+        fn train_client(&self, s: &TrainSetting<'_>, telemetry: &Telemetry) -> SessionOutput {
+            let mut out = self.inner.train_client(s, telemetry);
+            if s.client_id == 0 {
+                self.corrupted.fetch_add(1, Ordering::Relaxed);
+                match self.corruption {
+                    Corruption::NanValue => out.update.flat[4] = f32::NAN,
+                    Corruption::WrongLength => out.update.flat.truncate(5),
+                    Corruption::ZeroWeight => out.update.weight = 0.0,
+                }
+            }
+            out
+        }
+    }
+
+    impl FdilStrategy for HostileStrategy {
+        fn name(&self) -> String {
+            "Hostile".into()
+        }
+
+        fn init_global(&mut self) -> Vec<f32> {
+            self.inner.init_global()
+        }
+
+        fn round_ctx<'a>(
+            &'a self,
+            _task: usize,
+            _round: usize,
+            global: &'a [f32],
+            _broadcast: Option<&'a WireMessage>,
+        ) -> Box<dyn RoundContext + 'a> {
+            Box::new(HostileCtx {
+                inner: CentroidCtx {
+                    classes: self.inner.classes,
+                    dim: self.inner.dim,
+                    global,
+                },
+                corruption: self.corruption,
+                corrupted: &self.corrupted,
+            })
+        }
+
+        fn merge_client(
+            &mut self,
+            task: usize,
+            round: usize,
+            client_id: usize,
+            message: WireMessage,
+        ) {
+            self.inner.merge_client(task, round, client_id, message);
+        }
+
+        fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
+            self.inner.predict(global, features)
+        }
+
+        fn eval_ctx<'a>(&'a self, global: &'a [f32]) -> Box<dyn EvalContext + 'a> {
+            self.inner.eval_ctx(global)
+        }
+    }
+
+    #[test]
+    fn corrupted_updates_are_rejected_not_aggregated() {
+        let ds = tiny_dataset();
+        for corruption in [
+            Corruption::NanValue,
+            Corruption::WrongLength,
+            Corruption::ZeroWeight,
+        ] {
+            let mut strat = HostileStrategy {
+                inner: CentroidStrategy::new(3, 6),
+                corruption,
+                corrupted: AtomicUsize::new(0),
+            };
+            let res = FdilRunner::new(tiny_config()).run(&ds, &mut strat);
+            let corrupted = strat.corrupted.load(Ordering::Relaxed) as u64;
+            assert!(corrupted > 0, "{corruption:?}: client 0 was never selected");
+            let rejected: u64 = res.rounds.iter().map(|r| r.clients_rejected).sum();
+            let trained: u64 = res.rounds.iter().map(|r| r.clients_trained).sum();
+            assert_eq!(rejected, corrupted, "{corruption:?}");
+            assert_eq!(trained, res.traffic.client_updates, "{corruption:?}");
+            assert_eq!(res.final_global.len(), 18, "{corruption:?}");
+            assert!(
+                res.final_global.iter().all(|x| x.is_finite()),
+                "{corruption:?}: the global model was poisoned"
+            );
+            // A rejected update's merge message is dropped with it.
+            assert!(
+                strat.inner.merged.iter().all(|&(_, cid, _)| cid != 0),
+                "{corruption:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn admissible_requires_length_finite_values_and_a_finite_positive_total() {
+        let update = |flat: Vec<f32>, weight| WeightedUpdate { flat, weight };
+        assert!(admissible(&update(vec![1.0, 2.0], 3.0), 2, 0.0));
+        assert!(!admissible(&update(vec![1.0], 3.0), 2, 0.0));
+        assert!(!admissible(&update(vec![1.0, f32::INFINITY], 3.0), 2, 0.0));
+        assert!(!admissible(&update(vec![1.0, 2.0], -1.0), 2, 0.0));
+        assert!(!admissible(&update(vec![1.0, 2.0], f32::NAN), 2, 0.0));
+        // Each weight is finite, but the round's total would overflow.
+        assert!(!admissible(&update(vec![1.0, 2.0], f32::MAX), 2, f32::MAX));
     }
 
     #[test]
@@ -2261,6 +2398,69 @@ mod tests {
         assert_eq!(local.domain_acc, served.domain_acc);
         assert_eq!(local.traffic, served.traffic);
         assert_eq!(s_local.merged, s_srv.merged);
+    }
+
+    #[test]
+    fn served_wrong_length_update_is_rejected_without_crashing() {
+        let ds = tiny_dataset();
+        let mut cfg = tiny_config();
+        cfg.net.min_peers = 2;
+        let listener =
+            refil_wire::NetListener::bind(&refil_wire::Endpoint::Tcp("127.0.0.1:0".into()))
+                .expect("bind failed");
+        let endpoint = listener.local_endpoint();
+        let honest = spawn_clients(&endpoint, &ds, cfg, 1, crate::net::ClientOptions::default());
+        // A raw peer that answers every assigned session with a dense
+        // update five parameters long, where the model has eighteen.
+        let ep = endpoint.clone();
+        let hostile = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let link = refil_wire::connect(&ep, deadline).expect("connect failed");
+            crate::net::client_handshake(&link, 99, None, deadline).expect("handshake failed");
+            let mut sent = 0u64;
+            while let Ok(frame) = link.recv_deadline(Instant::now() + Duration::from_secs(30)) {
+                match WireMessage::decode(&frame).expect("server frame decodes") {
+                    WireMessage::RoundStart(rs) => {
+                        for a in &rs.sessions {
+                            let update = WireMessage::ClientModelUpdate(WireClientModelUpdate {
+                                client_id: a.client_id,
+                                weight: 1.0,
+                                model: vec![0.5; 5],
+                            });
+                            let result = WireMessage::SessionResult(refil_wire::SessionResult {
+                                task: rs.task,
+                                round: rs.round,
+                                client_id: a.client_id,
+                                wall_ns: 0,
+                                update: update.encode(),
+                                merge: None,
+                            });
+                            link.send(&result.encode()).expect("send failed");
+                            sent += 1;
+                        }
+                    }
+                    WireMessage::RunEnd(_) => break,
+                    _ => {}
+                }
+            }
+            sent
+        });
+        let mut strat = CentroidStrategy::new(3, 6);
+        let served = FdilRunner::new(cfg).serve(&ds, &mut strat, &listener, "tiny-spec");
+        let sent = hostile.join().expect("hostile peer panicked");
+        for c in honest {
+            let report = c.join().expect("client thread panicked");
+            assert_eq!(report.reason, 0, "the honest client should see COMPLETE");
+        }
+
+        assert!(sent > 0, "the hostile peer was never dealt a session");
+        let rejected: u64 = served.rounds.iter().map(|r| r.clients_rejected).sum();
+        let late: u64 = served.rounds.iter().map(|r| r.clients_late).sum();
+        assert_eq!(rejected, sent);
+        assert_eq!(late, 0);
+        assert_eq!(served.domain_acc.len(), 2);
+        assert_eq!(served.final_global.len(), 18);
+        assert!(served.final_global.iter().all(|x| x.is_finite()));
     }
 
     #[test]

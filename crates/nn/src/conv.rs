@@ -15,7 +15,7 @@
 //! walks `(ci, kk)` in exactly the order the old nested loop did, so the
 //! forward accumulation per output element is the same floating-point chain.
 
-use crate::gemm::{gemm, gemm_nt, gemm_tn, naive_forced};
+use crate::gemm::{gemm, gemm_nt, gemm_tn};
 use crate::graph::{Graph, Var};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -125,52 +125,27 @@ impl Graph {
         let value = self.with_value(x, |xv| {
             self.with_value(w, |wv| {
                 self.with_value(bias, |bv| {
-                    if naive_forced() {
-                        // Pre-PR path for the A/B escape hatch: the 5-deep
-                        // nested loop.
-                        let mut out = self.out_zeroed(b * c_out * l_out);
-                        for bi in 0..b {
-                            for co in 0..c_out {
-                                for lo in 0..l_out {
-                                    let mut acc = bv.data()[co];
-                                    for ci in 0..c_in {
-                                        for kk in 0..k {
-                                            let xi = lo + kk;
-                                            if xi < pad || xi - pad >= l {
-                                                continue;
-                                            }
-                                            acc += xv.data()[(bi * c_in + ci) * l + (xi - pad)]
-                                                * wv.data()[(co * c_in + ci) * k + kk];
-                                        }
-                                    }
-                                    out[(bi * c_out + co) * l_out + lo] = acc;
-                                }
-                            }
+                    let key = (b, c_in, l, k, pad);
+                    let ckl = c_in * k * l_out;
+                    let mut cols = take_cols(key, b * ckl);
+                    im2col(xv.data(), &mut cols, b, c_in, l, k, pad);
+                    let mut out = self.out_zeroed(b * c_out * l_out);
+                    for bi in 0..b {
+                        let out_bi = &mut out[bi * c_out * l_out..(bi + 1) * c_out * l_out];
+                        for co in 0..c_out {
+                            out_bi[co * l_out..(co + 1) * l_out].fill(bv.data()[co]);
                         }
-                        Tensor::from_vec(out, &[b, c_out, l_out])
-                    } else {
-                        let key = (b, c_in, l, k, pad);
-                        let ckl = c_in * k * l_out;
-                        let mut cols = take_cols(key, b * ckl);
-                        im2col(xv.data(), &mut cols, b, c_in, l, k, pad);
-                        let mut out = self.out_zeroed(b * c_out * l_out);
-                        for bi in 0..b {
-                            let out_bi = &mut out[bi * c_out * l_out..(bi + 1) * c_out * l_out];
-                            for co in 0..c_out {
-                                out_bi[co * l_out..(co + 1) * l_out].fill(bv.data()[co]);
-                            }
-                            gemm(
-                                wv.data(),
-                                &cols[bi * ckl..(bi + 1) * ckl],
-                                out_bi,
-                                c_out,
-                                c_in * k,
-                                l_out,
-                            );
-                        }
-                        recycle_cols(key, cols);
-                        Tensor::from_vec(out, &[b, c_out, l_out])
+                        gemm(
+                            wv.data(),
+                            &cols[bi * ckl..(bi + 1) * ckl],
+                            out_bi,
+                            c_out,
+                            c_in * k,
+                            l_out,
+                        );
                     }
+                    recycle_cols(key, cols);
+                    Tensor::from_vec(out, &[b, c_out, l_out])
                 })
             })
         });
@@ -195,41 +170,6 @@ impl Graph {
             self.bw(|| {
                 Box::new(move |g, p, _, scr| {
                     let (xv, wv) = (p[0], p[1]);
-                    if naive_forced() {
-                        // Pre-PR path for the A/B escape hatch: gathered loops
-                        // with the gi == 0.0 skip branch.
-                        let mut dx = scr.take_zeroed(b * c_in * l);
-                        let mut dw = scr.take_zeroed(c_out * c_in * k);
-                        let mut db = scr.take_zeroed(c_out);
-                        for bi in 0..b {
-                            for (co, db_co) in db.iter_mut().enumerate() {
-                                for lo in 0..l_out {
-                                    let gi = g.data()[(bi * c_out + co) * l_out + lo];
-                                    if gi == 0.0 {
-                                        continue;
-                                    }
-                                    *db_co += gi;
-                                    for ci in 0..c_in {
-                                        for kk in 0..k {
-                                            let xi = lo + kk;
-                                            if xi < pad || xi - pad >= l {
-                                                continue;
-                                            }
-                                            let x_idx = (bi * c_in + ci) * l + (xi - pad);
-                                            let w_idx = (co * c_in + ci) * k + kk;
-                                            dx[x_idx] += gi * wv.data()[w_idx];
-                                            dw[w_idx] += gi * xv.data()[x_idx];
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        return vec![
-                            Tensor::from_vec(dx, &[b, c_in, l]),
-                            Tensor::from_vec(dw, &[c_out, c_in, k]),
-                            Tensor::from_vec(db, &[c_out]),
-                        ];
-                    }
                     let key = (b, c_in, l, k, pad);
                     let ckl = c_in * k * l_out;
                     // Rebuild the column matrix from the parent value instead of

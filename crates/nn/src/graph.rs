@@ -24,7 +24,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::gemm::{dispatch, gemm, gemm_nt, gemm_tn};
+use crate::gemm::{gemm, gemm_nt, gemm_tn};
 use crate::gemm_fast::{GELU_C, GELU_K};
 use crate::params::{ParamId, Params};
 use crate::tanh::tanh_in_place;
@@ -790,7 +790,7 @@ impl Graph {
                 bv.shape()
             );
             let mut out = self.out_zeroed(m * n);
-            dispatch(av.data(), bv.data(), &mut out, m, k, n);
+            gemm(av.data(), bv.data(), &mut out, m, k, n);
             Tensor::from_vec(out, &[m, n])
         };
         self.push(
@@ -870,7 +870,7 @@ impl Graph {
             assert_eq!(k, k2, "bmm inner dim mismatch");
             let mut out = self.out_zeroed(bb * m * n);
             for bi in 0..bb {
-                dispatch(
+                gemm(
                     &av.data()[bi * m * k..(bi + 1) * m * k],
                     &bv.data()[bi * k * n..(bi + 1) * k * n],
                     &mut out[bi * m * n..(bi + 1) * m * n],

@@ -42,19 +42,10 @@ use crate::graph::Graph;
 static FORCE_TAPED: AtomicBool = AtomicBool::new(false);
 
 /// Forces every subsequently created [`InferenceSession`] onto the taped
-/// (pre-inference-engine) forward path. Intended for A/B benchmarks and
-/// bit-exactness tests only; serialize tests that flip this.
+/// forward path: the reference the tape-free path is tested against.
+/// Intended for bit-exactness tests only; serialize tests that flip this.
 pub fn force_taped(on: bool) {
     FORCE_TAPED.store(on, Ordering::SeqCst);
-}
-
-/// Whether newly created sessions default to the taped path, either via
-/// [`force_taped`] or the `REFIL_TAPED_INFER=1` environment escape hatch.
-pub fn taped_forced() -> bool {
-    FORCE_TAPED.load(Ordering::SeqCst)
-        || std::env::var("REFIL_TAPED_INFER")
-            .map(|v| v == "1")
-            .unwrap_or(false)
 }
 
 /// A reusable forward plan for tape-free prediction.
@@ -71,37 +62,20 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// The default session: tape-free, unless [`force_taped`] /
-    /// `REFIL_TAPED_INFER=1` is in effect at creation time.
+    /// A tape-free session backed by a pooled forward-only graph — unless
+    /// [`force_taped`] is in effect at creation time, in which case every
+    /// forward pass builds a fresh training-mode tape (boxed backward
+    /// closures and all), the reference the tape-free path must match.
     pub fn new() -> Self {
-        if taped_forced() {
-            Self::taped()
-        } else {
-            Self::tape_free()
-        }
-    }
-
-    /// A tape-free session backed by a pooled forward-only graph.
-    pub fn tape_free() -> Self {
+        let taped = FORCE_TAPED.load(Ordering::SeqCst);
         Self {
-            graph: Graph::inference(),
-            taped: false,
+            graph: if taped {
+                Graph::new()
+            } else {
+                Graph::inference()
+            },
+            taped,
         }
-    }
-
-    /// A session that faithfully emulates the pre-inference-engine path: a
-    /// fresh training-mode tape (boxed backward closures and all) for every
-    /// forward pass. The A/B baseline for benchmarks and equivalence tests.
-    pub fn taped() -> Self {
-        Self {
-            graph: Graph::new(),
-            taped: true,
-        }
-    }
-
-    /// Whether this session runs the taped baseline path.
-    pub fn is_taped(&self) -> bool {
-        self.taped
     }
 
     /// Runs one forward pass. `build` must extract an owned result (e.g.
@@ -151,7 +125,7 @@ mod tests {
             g.value(y)
         };
 
-        let mut session = InferenceSession::tape_free();
+        let mut session = InferenceSession::new();
         for _ in 0..4 {
             let got = session.forward(|g| {
                 let wv = g.param(&params, w);
@@ -172,7 +146,7 @@ mod tests {
             Tensor::from_vec(vec![1.0, -1.0, 0.5, 2.0], &[2, 2]),
             true,
         );
-        let mut session = InferenceSession::tape_free();
+        let mut session = InferenceSession::new();
         for rows in [1usize, 3, 2, 5, 1] {
             let x = Tensor::from_vec((0..rows * 2).map(|i| i as f32 * 0.1).collect(), &[rows, 2]);
             let reference = {

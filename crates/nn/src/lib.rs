@@ -57,7 +57,7 @@ mod tensor;
 pub use gemm::{kernel_policy, set_kernel_policy, KernelPolicy};
 pub use gemm_fast::fast_kernels_available;
 pub use graph::{take_scratch_stats, Graph, ScratchStats, Var};
-pub use infer::{force_taped, taped_forced, InferenceSession};
+pub use infer::{force_taped, InferenceSession};
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use params::{ParamEntry, ParamId, Params};
 pub use schedule::LrSchedule;

@@ -400,7 +400,7 @@ impl Tensor {
             self.shape, other.shape
         );
         let mut out = vec![0.0f32; m * n];
-        crate::gemm::dispatch(&self.data, &other.data, &mut out, m, k, n);
+        crate::gemm::gemm(&self.data, &other.data, &mut out, m, k, n);
         Self {
             shape: Shape::new(&[m, n]),
             data: out,
@@ -427,7 +427,7 @@ impl Tensor {
         assert_eq!(k, k2, "bmm inner dim mismatch");
         let mut out = vec![0.0f32; b * m * n];
         for i in 0..b {
-            crate::gemm::dispatch(
+            crate::gemm::gemm(
                 &self.data[i * m * k..(i + 1) * m * k],
                 &other.data[i * k * n..(i + 1) * k * n],
                 &mut out[i * m * n..(i + 1) * m * n],

@@ -167,6 +167,13 @@ pub struct RoundReport {
     /// `#[serde(default)]` keeps pre-sampling reports deserializable.
     #[serde(default)]
     pub clients_sampled_out: u64,
+    /// Updates that arrived but were refused before aggregation: wrong
+    /// parameter count, a weight that is not finite and positive (or that
+    /// would overflow the round's total), or a non-finite value. No bytes
+    /// are accounted for them.
+    /// `#[serde(default)]` keeps earlier reports deserializable.
+    #[serde(default)]
+    pub clients_rejected: u64,
     /// Per-domain accuracies when this round closed a task, else `None`.
     pub eval_domain_acc: Option<Vec<f32>>,
     /// What this round's client updates would have cost as plain dense
@@ -282,6 +289,7 @@ mod tests {
             clients_dropped: 0,
             clients_late: 0,
             clients_sampled_out: 1,
+            clients_rejected: 0,
             eval_domain_acc: Some(vec![0.5, 0.25]),
             uplink_raw_bytes: 128,
             uplink_encoded_bytes: 32,

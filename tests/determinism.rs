@@ -124,58 +124,33 @@ fn finetune_parallel_matches_sequential_across_seeds() {
 }
 
 #[test]
-fn wire_path_matches_direct_path_across_seeds() {
-    // Routing every exchange through encoded frames over the loopback
-    // transport (the default) must be byte-identical to bypassing the codec
-    // (`.direct(true)`), for both the full RefFiL protocol (which adds
-    // GlobalPromptBroadcast / PromptUpload frames) and a plain baseline —
-    // while both paths account identical encoded-frame traffic.
-    let ds = dataset();
-    for seed in [13u64, 29] {
-        let cfg = run_cfg(seed, 0.0);
-
-        let mut s_wire = RefFiL::new(RefFiLConfig::new(method()));
-        let r_wire = FdilRunner::new(cfg).run(&ds, &mut s_wire);
-        let mut s_direct = RefFiL::new(RefFiLConfig::new(method()));
-        let r_direct = FdilRunner::new(cfg).direct(true).run(&ds, &mut s_direct);
-        assert_byte_identical(&r_wire, &r_direct);
-        assert_eq!(
-            s_wire.prompt_store().total_reps(),
-            s_direct.prompt_store().total_reps(),
-            "prompt store diverged between wire and direct paths at seed {seed}"
-        );
-
-        let mut f_wire = Finetune::new(method());
-        let f_r_wire = FdilRunner::new(cfg).run(&ds, &mut f_wire);
-        let mut f_direct = Finetune::new(method());
-        let f_r_direct = FdilRunner::new(cfg).direct(true).run(&ds, &mut f_direct);
-        assert_byte_identical(&f_r_wire, &f_r_direct);
-    }
-}
-
-#[test]
-fn lossless_wire_spec_matches_direct_path() {
+fn lossless_wire_spec_matches_default_config() {
     // `WireConfig { delta: false, quant: None, topk_fraction: 1.0 }` is the
     // identity spec: the compression layer must never engage, so the run is
-    // byte-identical to bypassing the frame codec entirely (`.direct(true)`)
-    // — the same guarantee the default config gives, stated explicitly for
-    // the spec's lossless corner.
+    // byte-identical to a default-config run, for the full RefFiL protocol
+    // (which adds GlobalPromptBroadcast / PromptUpload frames).
     let ds = dataset();
     for seed in [13u64, 29] {
-        let mut cfg = run_cfg(seed, 0.0);
+        let default_cfg = run_cfg(seed, 0.0);
+        let mut cfg = default_cfg;
         cfg.wire = WireConfig {
             delta: false,
             quant: WireQuant::None,
             topk_fraction: 1.0,
         };
-        let mut s_wire = RefFiL::new(RefFiLConfig::new(method()));
-        let r_wire = FdilRunner::new(cfg).run(&ds, &mut s_wire);
-        let mut s_direct = RefFiL::new(RefFiLConfig::new(method()));
-        let r_direct = FdilRunner::new(cfg).direct(true).run(&ds, &mut s_direct);
-        assert_byte_identical(&r_wire, &r_direct);
+        let mut s_spec = RefFiL::new(RefFiLConfig::new(method()));
+        let r_spec = FdilRunner::new(cfg).run(&ds, &mut s_spec);
+        let mut s_default = RefFiL::new(RefFiLConfig::new(method()));
+        let r_default = FdilRunner::new(default_cfg).run(&ds, &mut s_default);
+        assert_byte_identical(&r_spec, &r_default);
+        assert_eq!(
+            s_spec.prompt_store().total_reps(),
+            s_default.prompt_store().total_reps(),
+            "prompt store diverged at seed {seed}"
+        );
         // The identity spec must not have routed updates through the
         // compressed frame kind: raw == encoded on every round.
-        for r in &r_wire.rounds {
+        for r in &r_spec.rounds {
             assert_eq!(r.uplink_raw_bytes, r.uplink_encoded_bytes);
             assert!(!r.wire_bytes.contains_key("compressed_model_update"));
         }

@@ -202,7 +202,7 @@ fn chrome_trace_is_valid_json_with_strictly_nested_tracks() {
 /// The thread-count-independent projection of a round report.
 fn semantic_projection(r: &RoundReport) -> String {
     format!(
-        "task={} round={} wire={:?} trained={} dropped={} late={} sampled_out={} sessions={:?} eval={:?}",
+        "task={} round={} wire={:?} trained={} dropped={} late={} sampled_out={} rejected={} sessions={:?} eval={:?}",
         r.task,
         r.round,
         r.wire_bytes,
@@ -210,6 +210,7 @@ fn semantic_projection(r: &RoundReport) -> String {
         r.clients_dropped,
         r.clients_late,
         r.clients_sampled_out,
+        r.clients_rejected,
         r.sessions.iter().map(|s| s.client_id).collect::<Vec<_>>(),
         r.eval_domain_acc
     )
@@ -285,6 +286,7 @@ fn round_report_json_pins_field_presence() {
         "clients_dropped",
         "clients_late",
         "clients_sampled_out",
+        "clients_rejected",
         "eval_domain_acc",
         "scratch",
         "reserved_bytes",
