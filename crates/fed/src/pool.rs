@@ -39,8 +39,9 @@ struct Job {
     workers: usize,
 }
 
-// The raw pointer targets a `Sync` closure and is only dereferenced while
-// the publishing `run` call keeps the underlying borrow alive.
+// SAFETY: the raw pointer targets a `Sync` closure and is only
+// dereferenced while the publishing `run` call keeps the underlying borrow
+// alive.
 unsafe impl Send for Job {}
 
 struct PoolState {
@@ -146,9 +147,10 @@ impl WorkerPool {
         if workers == 0 {
             return;
         }
-        // Erase the closure's lifetime. Sound: we hold `state` through
-        // publication and do not return until `active == 0`, so the borrow
-        // outlives every dereference (see module docs).
+        // SAFETY: erasing the closure's lifetime is sound because we hold
+        // `state` through publication and do not return until
+        // `active == 0`, so the borrow outlives every dereference (see
+        // module docs).
         let task: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
         let mut state = self.shared.state.lock().expect("pool state poisoned");

@@ -3,8 +3,12 @@
 //! The default kernels in [`crate::gemm`] deliberately forgo hardware FMA:
 //! their contract is bit-identity with the naive ascending-`k` chain, and
 //! `a.mul_add(b, c)` rounds once where `a * b + c` rounds twice, so a
-//! contracted kernel cannot reproduce the oracle bit-for-bit. PR 3 measured
-//! the cost of that contract: the tiled kernels are no-FMA bound.
+//! contracted kernel cannot reproduce the oracle bit-for-bit. They do share
+//! this module's SIMD structure (explicit `__m256` tiles, two accumulators
+//! per row) and differ only in the unfused step, so on AVX2 hosts FMA is
+//! all that is left of this tier's GEMM speedup: 1.1–1.2× on the square
+//! and token kernel benches, and a slowdown on the narrow classifier head
+//! (`nn/gemm_fast/*` in `BENCH_kernels.json`).
 //!
 //! This module is the opt-in escape: explicit `std::arch` microkernels
 //! using fused multiply-add over 8-lane (`__m256`, AVX2+FMA) or 4-lane

@@ -260,8 +260,9 @@ proptest! {
 // Kernel-layer equivalence: the tiled GEMM variants and the im2col conv
 // lowering must be *bit-exact* against the naive reference loops, at every
 // shape — including k=1, n=1, and sizes that are not tile multiples. The
-// ranges below straddle the MR / NR tile boundaries (8 and 16), so every
-// full-tile and padded-edge code path is exercised.
+// ranges below straddle the 4-row tiles (every 1–3-row remainder height)
+// and the 16-column strips (full and masked-edge), so every tile shape of
+// the driver is exercised.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
