@@ -9,7 +9,7 @@
 //!
 //! The diff mode compares every shared `*_ns` median plus every shared
 //! ratio key (`speedup`, `*_speedup`, `*_ratio` — e.g.
-//! `nn/gemm_fast/128x128x128`) and exits 1 if any candidate median is
+//! `nn/gelu_exact`) and exits 1 if any candidate median is
 //! more than `--tolerance` percent (default 10) slower than its baseline,
 //! or any candidate ratio has *dropped* by more than the same tolerance.
 //! Reports from different hosts or thread budgets are refused (exit 2)

@@ -1,6 +1,7 @@
 //! Kernel perf recorder: times the GEMM, GELU and conv kernels, then writes
-//! `BENCH_kernels.json` (median ns per kernel shape, plus fast-vs-bit-exact
-//! speedups) to the repo root so the perf trajectory is recorded in-tree.
+//! `BENCH_kernels.json` (median ns per kernel shape, plus the bit-exact
+//! GELU's speedup over the libm formula) to the repo root so the perf
+//! trajectory is recorded in-tree.
 //!
 //! Run with `cargo run --release --bin bench_kernels`.
 
@@ -11,8 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use refil_nn::gemm::{gemm, gemm_nt, gemm_tn};
-use refil_nn::gemm_fast::{gelu_fast, gemm_fast};
-use refil_nn::{kernel_policy, set_kernel_policy, Graph, KernelPolicy, Params, Tensor};
+use refil_nn::{Graph, Params, Tensor};
 
 #[derive(serde::Serialize)]
 struct KernelRecord {
@@ -162,93 +162,38 @@ fn main() {
             shape: label.into(),
             median_ns: tn,
         });
-
-        // The `KernelPolicy::Fast` FMA/SIMD microkernel at the same shape,
-        // dueled against the bit-exact tiled kernel it replaces when the
-        // policy is flipped.
-        let mut out_fast = vec![0.0f32; m * n];
-        let (fast, tiled_again) = duel_ns(
-            reps,
-            || {
-                out_fast.fill(0.0);
-                gemm_fast(a.data(), b.data(), &mut out_fast, m, k, n);
-                black_box(out_fast[0]);
-            },
-            || {
-                out.fill(0.0);
-                gemm(a.data(), b.data(), &mut out, m, k, n);
-                black_box(out[0]);
-            },
-        );
-        kernels.push(KernelRecord {
-            name: "nn/gemm_fast".into(),
-            shape: label.into(),
-            median_ns: fast,
-        });
-        speedups.push(Speedup {
-            name: format!("nn/gemm_fast/{label}"),
-            baseline: "bit-exact tiled kernel".into(),
-            speedup: tiled_again.min(tiled) as f64 / fast as f64,
-        });
     }
 
-    // The fast rational-tanh GELU vs the libm forward it replaces under
-    // `KernelPolicy::Fast` — one backbone-realistic activation width.
+    // The bit-exact GELU (in-tree lane `tanhf`, same bits as the libm
+    // forward) through an inference graph, against the libm formula — one
+    // backbone-realistic activation width.
     {
         let len = 160 * 32;
         let src = Tensor::randn(&[len], 1.0, &mut rng);
-        let mut out_fast: Vec<f32> = Vec::with_capacity(len);
-        let mut out_exact: Vec<f32> = Vec::with_capacity(len);
-        let mut libm_gelu = || {
-            out_exact.clear();
-            const C: f32 = 0.797_884_6;
-            out_exact.extend(
-                src.data()
-                    .iter()
-                    .map(|&x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())),
-            );
-            black_box(out_exact[0]);
-        };
-        let (fast, libm) = duel_ns(
-            reps,
-            || {
-                out_fast.clear();
-                gelu_fast(src.data(), &mut out_fast);
-                black_box(out_fast[0]);
-            },
-            &mut libm_gelu,
-        );
-        kernels.push(KernelRecord {
-            name: "nn/gelu_fast".into(),
-            shape: format!("{len}"),
-            median_ns: fast,
-        });
-        kernels.push(KernelRecord {
-            name: "nn/gelu_libm".into(),
-            shape: format!("{len}"),
-            median_ns: libm,
-        });
-        speedups.push(Speedup {
-            name: "nn/gelu_fast".into(),
-            baseline: "libm tanhf gelu forward".into(),
-            speedup: libm as f64 / fast as f64,
-        });
-
-        // The bit-exact tier's GELU (in-tree lane `tanhf`, same bits as the
-        // libm forward) through an inference graph, against the same libm
-        // loop.
-        let previous = kernel_policy();
-        set_kernel_policy(KernelPolicy::BitExact);
-        let (exact, libm_again) = duel_ns(
+        let mut out_libm: Vec<f32> = Vec::with_capacity(len);
+        let (exact, libm) = duel_ns(
             reps,
             || {
                 let g = Graph::inference();
                 let y = g.gelu(g.input(&src));
                 black_box(g.value(y));
             },
-            &mut libm_gelu,
+            || {
+                out_libm.clear();
+                const C: f32 = 0.797_884_6;
+                out_libm.extend(
+                    src.data()
+                        .iter()
+                        .map(|&x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())),
+                );
+                black_box(out_libm[0]);
+            },
         );
-        set_kernel_policy(previous);
+        kernels.push(KernelRecord {
+            name: "nn/gelu_libm".into(),
+            shape: format!("{len}"),
+            median_ns: libm,
+        });
         kernels.push(KernelRecord {
             name: "nn/gelu_exact".into(),
             shape: format!("{len}"),
@@ -257,7 +202,7 @@ fn main() {
         speedups.push(Speedup {
             name: "nn/gelu_exact".into(),
             baseline: "libm tanhf gelu forward".into(),
-            speedup: libm_again.min(libm) as f64 / exact as f64,
+            speedup: libm as f64 / exact as f64,
         });
     }
 

@@ -5,7 +5,7 @@
 //! optional `shape` / `threads` discriminators) contributes one metric per
 //! `*_ns` field and one per ratio field (`speedup`, `*_speedup`,
 //! `*_ratio`), so `BENCH_kernels.json` kernel rows and its `speedups` rows
-//! (e.g. `nn/gemm_fast/128x128x128`), and the `BENCH_net.json` and
+//! (e.g. `nn/gelu_exact`), and the `BENCH_net.json` and
 //! `BENCH_wire.json` rows, all gate without format-specific code. Time
 //! metrics regress when the candidate gets *slower*; ratio metrics regress
 //! when the candidate ratio *drops* — a shrinking speedup fails the gate
@@ -53,7 +53,7 @@ pub enum MetricKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
     /// Metric key, e.g. `nn/gemm/tiled@128x128x128/median_ns` or
-    /// `nn/gemm_fast/128x128x128/speedup`.
+    /// `nn/gelu_exact/speedup`.
     pub name: String,
     /// Whether this is a time median or a ratio.
     pub kind: MetricKind,

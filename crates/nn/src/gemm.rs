@@ -34,69 +34,24 @@
 //!
 //! # Kernel policy
 //!
-//! The bit-exact contract above forbids FP contraction: a fused
-//! multiply-add rounds once where the oracle rounds twice. [`KernelPolicy`]
-//! is the opt-in that gives it up: the default [`KernelPolicy::BitExact`]
-//! keeps these kernels as the oracle; [`KernelPolicy::Fast`] (or
-//! `REFIL_FAST_KERNELS=1`) routes all three layouts through the FMA
-//! microkernels in [`crate::gemm_fast`], which stay deterministic
-//! (run-to-run and thread-count stable) but match the oracle only within
-//! the documented error bound. With the SIMD structure shared, FMA buys
-//! little on top of these kernels (see `BENCH_kernels.json`).
+//! These kernels are the only GEMM path; there is no approximate tier to
+//! opt into. The contract above forbids FP contraction (a fused
+//! multiply-add rounds once where the oracle rounds twice), and the SIMD
+//! structure already gives the speed a fused tier would offer.
 
-/// Which GEMM implementations the process uses. See the module docs.
+/// The kernel tier in use. There is only the bit-exact tier: this enum and
+/// [`set_kernel_policy`] exist only because the `perfbench` package still
+/// names them. Delete both once it stops doing so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
     /// The register-tiled no-contraction kernels below: byte-identical to
-    /// the naive ascending-`k` oracle. The default.
+    /// the naive ascending-`k` oracle.
     BitExact,
-    /// The explicit FMA/SIMD microkernels in [`crate::gemm_fast`]:
-    /// deterministic, but fused — within `2k·ε` of the oracle rather than
-    /// equal to it. Falls back to `BitExact` kernels on machines without a
-    /// SIMD fast path.
-    Fast,
 }
 
-/// Process-global kernel policy. `0` = not yet resolved (first read
-/// consults `REFIL_FAST_KERNELS`), `1` = bit-exact, `2` = fast.
-static POLICY: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// The active [`KernelPolicy`]: whatever [`set_kernel_policy`] installed,
-/// otherwise `Fast` when the process started with `REFIL_FAST_KERNELS=1`,
-/// otherwise `BitExact`.
-pub fn kernel_policy() -> KernelPolicy {
-    match POLICY.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => KernelPolicy::BitExact,
-        2 => KernelPolicy::Fast,
-        _ => {
-            let policy = match std::env::var("REFIL_FAST_KERNELS") {
-                Ok(v) if v == "1" => KernelPolicy::Fast,
-                _ => KernelPolicy::BitExact,
-            };
-            set_kernel_policy(policy);
-            policy
-        }
-    }
-}
-
-/// Installs `policy` process-wide (benches A/B-ing the kernels, tests
-/// pinning the fast path). Affects every subsequent GEMM on every thread;
-/// callers that flip it temporarily must serialize with other kernel users
-/// and restore the previous policy.
-pub fn set_kernel_policy(policy: KernelPolicy) {
-    let raw = match policy {
-        KernelPolicy::BitExact => 1,
-        KernelPolicy::Fast => 2,
-    };
-    POLICY.store(raw, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// True when the active policy is `Fast` *and* this machine has a real
-/// SIMD fast path to route to.
-#[inline]
-pub(crate) fn fast_enabled() -> bool {
-    kernel_policy() == KernelPolicy::Fast && crate::gemm_fast::fast_kernels_available()
-}
+/// No-op: [`KernelPolicy::BitExact`] is the only tier. Kept only because
+/// the `perfbench` package calls it.
+pub fn set_kernel_policy(_: KernelPolicy) {}
 
 /// Rows of the full register tile: output rows in flight per microkernel
 /// call. The last `m % MR` rows run the same microkernel at that height.
@@ -115,9 +70,6 @@ pub const NR: usize = 16;
 ///
 /// Panics if the slice lengths do not match the dimensions.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if fast_enabled() {
-        return crate::gemm_fast::gemm_fast(a, b, out, m, k, n);
-    }
     drive(Tile::detect(), a, (k, 1), Rhs::RowMajor(b), out, m, k, n);
 }
 
@@ -129,9 +81,6 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
 /// strictly ascending in `p`, byte-identical to transposing `bt` and
 /// calling [`gemm_ref`].
 pub fn gemm_nt(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if fast_enabled() {
-        return crate::gemm_fast::gemm_nt_fast(a, bt, out, m, k, n);
-    }
     drive(Tile::detect(), a, (k, 1), Rhs::Transposed(bt), out, m, k, n);
 }
 
@@ -142,9 +91,6 @@ pub fn gemm_nt(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, n: us
 /// `dB = Aᵀ · g` without materializing `Aᵀ`. The left operand is read in
 /// place with row stride 1 and `k` stride `m`.
 pub fn gemm_tn(at: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if fast_enabled() {
-        return crate::gemm_fast::gemm_tn_fast(at, b, out, m, k, n);
-    }
     drive(Tile::detect(), at, (1, m), Rhs::RowMajor(b), out, m, k, n);
 }
 

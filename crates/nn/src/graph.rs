@@ -25,7 +25,6 @@
 use std::cell::{Cell, RefCell};
 
 use crate::gemm::{gemm, gemm_nt, gemm_tn};
-use crate::gemm_fast::{GELU_C, GELU_K};
 use crate::params::{ParamId, Params};
 use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
@@ -654,43 +653,23 @@ impl Graph {
     /// bit, and derives both the value and the exact derivative from it;
     /// the backward closure owns the derivatives (one `f32` per element
     /// until the tape drops) and returns `g·d`. An inference graph computes
-    /// the value only. Under [`crate::KernelPolicy::Fast`] the value routes
-    /// to the vectorized rational-tanh kernel in
-    /// [`crate::gemm_fast::gelu_fast`] and the derivative stays the exact
-    /// one, so each policy's bits are those of the separate forward/backward
-    /// formulas.
+    /// the value only. The bits are those of the separate libm
+    /// forward/backward formulas.
     pub fn gelu(&self, a: Var) -> Var {
-        self.gelu_with(a, crate::gemm::fast_enabled())
-    }
-
-    /// [`Graph::gelu`] under an explicit kernel policy (`fast` selects the
-    /// [`crate::KernelPolicy::Fast`] value kernel).
-    fn gelu_with(&self, a: Var, fast: bool) -> Var {
         let (v, deriv) = {
             let nodes = self.nodes.borrow();
             let av = &nodes[a.id].value;
             let x = av.data();
             let mut y = self.out_cleared(x.len());
             let mut deriv = (!self.inference).then(|| Vec::with_capacity(x.len()));
-            if fast {
-                crate::gemm_fast::gelu_fast(x, &mut y);
-                if let Some(d) = &mut deriv {
-                    d.extend(x.iter().map(|&xi| gelu_inner(xi)));
-                    tanh_in_place(d);
-                    for (di, &xi) in d.iter_mut().zip(x) {
-                        *di = gelu_deriv(xi, *di);
-                    }
-                }
-            } else {
-                // `y` holds the tanh argument, then `t`, then the value.
-                y.extend(x.iter().map(|&xi| gelu_inner(xi)));
-                tanh_in_place(&mut y);
-                if let Some(d) = &mut deriv {
-                    d.extend(x.iter().zip(&y).map(|(&xi, &t)| gelu_deriv(xi, t)));
-                }
-                for (yi, &xi) in y.iter_mut().zip(x) {
-                    *yi = 0.5 * xi * (1.0 + *yi);
-                }
+            // `y` holds the tanh argument, then `t`, then the value.
+            y.extend(x.iter().map(|&xi| gelu_inner(xi)));
+            tanh_in_place(&mut y);
+            if let Some(d) = &mut deriv {
+                d.extend(x.iter().zip(&y).map(|(&xi, &t)| gelu_deriv(xi, t)));
+            }
+            for (yi, &xi) in y.iter_mut().zip(x) {
+                *yi = 0.5 * xi * (1.0 + *yi);
             }
             (Tensor::from_vec(y, av.shape()), deriv)
         };
@@ -1827,6 +1806,11 @@ impl Graph {
     }
 }
 
+/// `sqrt(2/π)`, the scale of the tanh-GELU argument.
+const GELU_C: f32 = 0.797_884_6;
+/// Cubic coefficient of the tanh-GELU argument.
+const GELU_K: f32 = 0.044_715;
+
 /// The tanh-GELU's `tanh` argument, `C·(x + 0.044715·x³)`.
 #[inline]
 fn gelu_inner(x: f32) -> f32 {
@@ -2093,13 +2077,12 @@ mod tests {
         xs
     }
 
-    /// `gelu` value and `d sum(gelu(x)) / dx` on a training graph under
-    /// the given policy.
-    fn gelu_value_and_grad(xs: &[f32], fast: bool) -> (Vec<f32>, Vec<f32>) {
+    /// `gelu` value and `d sum(gelu(x)) / dx` on a training graph.
+    fn gelu_value_and_grad(xs: &[f32]) -> (Vec<f32>, Vec<f32>) {
         let mut params = Params::new();
         let id = params.insert("x", Tensor::from_vec(xs.to_vec(), &[xs.len()]), true);
         let g = Graph::new();
-        let y = g.gelu_with(g.param(&params, id), fast);
+        let y = g.gelu(g.param(&params, id));
         let value = g.value(y).into_vec();
         g.backward(g.sum_all(y), &mut params);
         (value, params.grad(id).data().to_vec())
@@ -2124,18 +2107,8 @@ mod tests {
     #[test]
     fn gelu_single_tanh_matches_separate_formulas_bitwise() {
         let xs = gelu_probe_inputs();
-        let (value, grad) = gelu_value_and_grad(&xs, false);
+        let (value, grad) = gelu_value_and_grad(&xs);
         let want: Vec<f32> = xs.iter().map(|&x| gelu_fwd(x)).collect();
-        assert_eq!(bits(&value), bits(&want), "forward value");
-        assert_eq!(bits(&grad), bits(&gelu_bwd_reference_grad(&xs)), "gradient");
-    }
-
-    #[test]
-    fn gelu_fast_value_keeps_the_exact_derivative() {
-        let xs = gelu_probe_inputs();
-        let (value, grad) = gelu_value_and_grad(&xs, true);
-        let mut want = Vec::new();
-        crate::gemm_fast::gelu_fast(&xs, &mut want);
         assert_eq!(bits(&value), bits(&want), "forward value");
         assert_eq!(bits(&grad), bits(&gelu_bwd_reference_grad(&xs)), "gradient");
     }
@@ -2143,13 +2116,11 @@ mod tests {
     #[test]
     fn inference_gelu_matches_and_boxes_no_closure() {
         let xs = gelu_probe_inputs();
-        for fast in [false, true] {
-            let g = Graph::inference();
-            let y = g.gelu_with(g.input(&Tensor::from_vec(xs.clone(), &[xs.len()])), fast);
-            let (taped, _) = gelu_value_and_grad(&xs, fast);
-            assert_eq!(bits(g.value(y).data()), bits(&taped), "fast={fast}");
-            assert!(g.nodes.borrow()[y.id].backward.is_none(), "fast={fast}");
-        }
+        let g = Graph::inference();
+        let y = g.gelu(g.input(&Tensor::from_vec(xs.clone(), &[xs.len()])));
+        let (taped, _) = gelu_value_and_grad(&xs);
+        assert_eq!(bits(g.value(y).data()), bits(&taped));
+        assert!(g.nodes.borrow()[y.id].backward.is_none());
     }
 
     #[test]

@@ -35,11 +35,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod checkpoint;
 mod conv;
 pub mod gemm;
-pub mod gemm_fast;
 mod graph;
 pub mod infer;
 pub mod init;
@@ -54,8 +54,7 @@ mod schedule;
 mod tanh;
 mod tensor;
 
-pub use gemm::{kernel_policy, set_kernel_policy, KernelPolicy};
-pub use gemm_fast::fast_kernels_available;
+pub use gemm::{set_kernel_policy, KernelPolicy};
 pub use graph::{take_scratch_stats, Graph, ScratchStats, Var};
 pub use infer::{force_taped, InferenceSession};
 pub use optim::{clip_grad_norm, Adam, Sgd};

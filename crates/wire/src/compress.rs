@@ -11,8 +11,8 @@
 //!
 //! # Reconstruction-error contracts
 //!
-//! Checked by proptests in `crates/wire/src/proptests.rs`, in the spirit of
-//! the fast-kernel bounds in `crates/nn/src/gemm_fast.rs`:
+//! Each lossy stage states an error bound, checked by proptests in
+//! `crates/wire/src/proptests.rs`:
 //!
 //! ```text
 //! f16:  |x − dec(enc(x))| ≤ max(|x| · 2⁻¹¹, 2⁻²⁵)     for |x| ≤ 65504
