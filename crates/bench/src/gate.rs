@@ -5,8 +5,8 @@
 //! optional `shape` / `threads` discriminators) contributes one metric per
 //! `*_ns` field and one per ratio field (`speedup`, `*_speedup`,
 //! `*_ratio`), so `BENCH_kernels.json` kernel rows and its `speedups` rows
-//! (e.g. `nn/gelu_exact`), and the `BENCH_net.json` and
-//! `BENCH_wire.json` rows, all gate without format-specific code. Time
+//! (e.g. `nn/gelu_exact`), and the `BENCH_net.json` rows, all gate
+//! without format-specific code. Time
 //! metrics regress when the candidate gets *slower*; ratio metrics regress
 //! when the candidate ratio *drops* — a shrinking speedup fails the gate
 //! even if every raw median held steady. Comparability is enforced through

@@ -93,7 +93,8 @@ pub struct RefFiLConfig {
     /// travels, and the steady-state uplink shrinks to the prompt
     /// machinery's footprint. At bench scale it trades accuracy for bytes —
     /// the from-scratch backbone here keeps benefiting from aggregation,
-    /// unlike the paper's pretrained frozen ViT (see `BENCH_wire.json`).
+    /// unlike the paper's pretrained frozen ViT (see README, "Communication:
+    /// accuracy vs bytes").
     #[serde(default)]
     pub prompt_only: bool,
 }

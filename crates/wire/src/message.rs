@@ -4,7 +4,7 @@
 //! decoded union. Payload layouts are little-endian and length-prefixed;
 //! see the crate docs for the frame header wrapping every payload.
 
-use crate::compress::{topk_count, topk_positions, CompressionSpec, QuantValues, SparseIndex};
+use crate::compress::{sparsify, CompressionSpec, QuantValues, SparseIndex};
 use crate::frame::{
     bytes_len, open_frame, seal_frame, MessageKind, Reader, WireError, Writer, HEADER_LEN, MAGIC,
     SCHEMA_VERSION,
@@ -152,52 +152,38 @@ impl CompressedModelUpdate {
         base_round: u32,
     ) -> Self {
         assert_eq!(flat.len(), base.len(), "flat/base length mismatch");
-        let candidates: Vec<usize> = match mask {
-            Some(m) => m.iter().map(|&i| i as usize).collect(),
-            None => (0..flat.len()).collect(),
-        };
-        let vals: Vec<f32> = candidates
-            .iter()
-            .map(|&i| {
-                if spec.delta {
-                    flat[i] - base[i]
-                } else {
-                    flat[i]
-                }
-            })
-            .collect();
-        let k = topk_count(spec.topk_fraction, vals.len());
-        let keep = topk_positions(&vals, k);
-        let positions: Vec<usize> = keep.iter().map(|&p| candidates[p]).collect();
-        let kept: Vec<f32> = keep.iter().map(|&p| vals[p]).collect();
+        let total_len = u32::try_from(flat.len()).expect("model exceeds u32 framing");
+        let (index, values) = sparsify(spec, mask, flat, base);
         Self {
             client_id,
             weight,
             base_task,
             base_round,
             delta: spec.delta,
-            total_len: u32::try_from(flat.len()).expect("model exceeds u32 framing"),
-            index: SparseIndex::for_positions(&positions, flat.len()),
-            values: QuantValues::quantize(spec.quant, &kept),
+            total_len,
+            index,
+            values,
         }
     }
 
     /// Rebuilds the full flat update against `base` (the tagged broadcast):
     /// carried coordinates are dequantized (and added to the base under
     /// delta mode); everything else keeps its base value.
+    ///
+    /// An update whose index does not fit `base` (a list out of range or
+    /// not ascending, a bitmap of the wrong length or with pad bits set) or
+    /// whose value count disagrees with its index is [`WireError::Malformed`],
+    /// whether it was decoded or built in memory.
     pub fn reconstruct(&self, base: &[f32]) -> Result<Vec<f32>, WireError> {
         if base.len() != self.total_len as usize {
             return Err(WireError::Malformed("base length mismatch"));
         }
-        let positions = self.index.positions(base.len());
-        let vals = self.values.dequantize();
-        if positions.len() != vals.len() {
+        self.index.check(base.len())?;
+        if self.values.len() != self.index.count(base.len()) {
             return Err(WireError::Malformed("value count mismatch"));
         }
         let mut out = base.to_vec();
-        for (&i, &v) in positions.iter().zip(&vals) {
-            out[i] = if self.delta { base[i] + v } else { v };
-        }
+        self.index.apply(&self.values, self.delta, &mut out);
         Ok(out)
     }
 
@@ -1231,6 +1217,70 @@ mod tests {
         let msg = CompressedModelUpdate::compress(&spec, None, 0, 1.0, &[1.0; 3], &[0.0; 3], 0, 0);
         assert!(matches!(
             msg.reconstruct(&[0.0; 4]),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    /// A hand-built update over `total_len` coordinates carrying `index`
+    /// with one raw f32 per index entry the index claims.
+    fn hand_built(total_len: u32, index: SparseIndex, values: usize) -> CompressedModelUpdate {
+        CompressedModelUpdate {
+            client_id: 1,
+            weight: 1.0,
+            base_task: 0,
+            base_round: 0,
+            delta: true,
+            total_len,
+            index,
+            values: QuantValues::F32(vec![1.0; values]),
+        }
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_list_index_past_the_end() {
+        let msg = hand_built(4, SparseIndex::List(vec![1, 4]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 4]),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_list_index_out_of_order() {
+        let msg = hand_built(4, SparseIndex::List(vec![2, 1]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 4]),
+            Err(WireError::Malformed(_))
+        ));
+        let msg = hand_built(4, SparseIndex::List(vec![1, 1]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 4]),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_bitmap_of_the_wrong_length() {
+        // 9 coordinates need 2 bitmap bytes; one byte covers only 8.
+        let msg = hand_built(9, SparseIndex::Bitmap(vec![0b1000_0001]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 9]),
+            Err(WireError::Malformed(_))
+        ));
+        // Three bytes, with coordinate 16 set past the 9 that exist.
+        let msg = hand_built(9, SparseIndex::Bitmap(vec![1, 0, 1]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 9]),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_bitmap_with_pad_bits_set() {
+        // Coordinate 10 of 9: the second byte's bit 2 is padding.
+        let msg = hand_built(9, SparseIndex::Bitmap(vec![1, 0b0000_0100]), 2);
+        assert!(matches!(
+            msg.reconstruct(&[0.0; 9]),
             Err(WireError::Malformed(_))
         ));
     }

@@ -13,9 +13,10 @@
 
 use proptest::prelude::*;
 
+use crate::compress::oracle::{self, topk_positions_by_sort};
 use crate::compress::{
-    f16_from_f32, f16_to_f32, int8_dequantize_one, int8_quantize, topk_positions,
-    topk_positions_by_sort, CompressionSpec, QuantMode,
+    f16_from_f32, f16_to_f32, int8_dequantize_one, int8_quantize, topk_positions, CompressionSpec,
+    QuantMode,
 };
 use crate::frame::HEADER_LEN;
 use crate::message::{
@@ -547,6 +548,95 @@ proptest! {
         let fast = topk_positions(&values, k);
         prop_assert_eq!(&fast, &topk_positions_by_sort(&values, k), "n={} k={}", n, k);
         prop_assert_eq!(fast.len(), k.min(n));
+    }
+}
+
+/// A value from the tie-heavy palette: magnitude ties, ±0, ±Inf, NaN of
+/// both signs, a few grid-friendly reals, and raw bit patterns.
+fn palette(p: u32) -> f32 {
+    match p % 16 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        5 => -f32::NAN,
+        6 => 0.5,
+        7 => -0.5,
+        8 => 1.0,
+        9 => -1.5,
+        10 | 11 => ((p >> 4) % 64) as f32 * 0.125 - 4.0,
+        _ => f32::from_bits(p),
+    }
+}
+
+/// Cycles `picks` to length `n`, salting each lap so long vectors are not
+/// periodic.
+fn spread(picks: &[u32], n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let lap = (i / picks.len()) as u32;
+            palette(picks[i % picks.len()].wrapping_add(lap.wrapping_mul(0x9e37_79b9)))
+        })
+        .collect()
+}
+
+/// Equal bits, except that NaNs need only sit at the same coordinates: x86
+/// `addss` propagates whichever NaN operand codegen puts first.
+fn same_up_to_nan_payload(a: &[f32], b: &[f32]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        if x.is_nan() || y.is_nan() {
+            prop_assert!(x.is_nan() && y.is_nan(), "NaN at {} on one side only", i);
+        } else {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "coordinate {}", i);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn compress_frame_matches_the_unfused_reference_byte_for_byte(
+        picks in prop::collection::vec(0u32..=u32::MAX, 1..48),
+        base_picks in prop::collection::vec(0u32..=u32::MAX, 1..48),
+        n_sel in 0usize..5,
+        frac_sel in 0usize..5,
+        quant_sel in 0usize..3,
+        delta_sel in 0usize..2,
+        mask_sel in 0usize..3,
+    ) {
+        // Both sides of the bitmap/list switch: at topk 0.01 a 4099-long
+        // vector keeps 41 (list) and a 7-long one keeps 1 (bitmap).
+        let n = [1, 7, picks.len(), 300, 4099][n_sel];
+        let flat = spread(&picks, n);
+        let base = spread(&base_picks, n);
+        // No mask, every third coordinate, or a sparse salted subset.
+        let mask: Option<Vec<u32>> = match mask_sel {
+            0 => None,
+            1 => Some((0..n as u32).step_by(3).collect()),
+            _ => Some(
+                (0..n as u32)
+                    .filter(|&i| picks[i as usize % picks.len()].wrapping_add(i) % 5 < 2)
+                    .collect(),
+            ),
+        };
+        let spec = CompressionSpec {
+            delta: delta_sel == 1,
+            quant: [QuantMode::None, QuantMode::F16, QuantMode::Int8][quant_sel],
+            topk_fraction: [1.0f32, 0.9, 0.5, 0.25, 0.01][frac_sel],
+        };
+        let fused = CompressedModelUpdate::compress(&spec, mask.as_deref(), 0, 1.0, &flat, &base, 0, 0);
+        let reference = oracle::compress(&spec, mask.as_deref(), &flat, &base);
+        prop_assert_eq!(
+            WireMessage::CompressedModelUpdate(fused.clone()).encode(),
+            WireMessage::CompressedModelUpdate(reference.clone()).encode(),
+            "n={} spec={} mask={}", n, spec, mask_sel
+        );
+        let back = fused.reconstruct(&base).expect("consistent update");
+        same_up_to_nan_payload(&back, &oracle::reconstruct(&reference, &base))?;
     }
 }
 
