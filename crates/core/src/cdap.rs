@@ -50,7 +50,7 @@ impl Default for CdapConfig {
 }
 
 /// The CDAP generator `G` (Eq. 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CdapGenerator {
     ln: LayerNorm,
     mlp: Mlp,

@@ -679,8 +679,20 @@ impl FdilStrategy for RefFiL {
         message: WireMessage,
     ) {
         if let WireMessage::PromptUpload(upload) = message {
-            self.pending_uploads
-                .extend(upload.groups.into_iter().map(LocalPromptGroup::from_wire));
+            // The entries come from a peer: a class past the head or a
+            // prompt of the wrong length would panic `ingest` at round end,
+            // and a non-finite value would reach FINCH. Such an upload is
+            // dropped whole. Replicas merge the same `RoundSync` frames
+            // through this hook, so they drop the same uploads.
+            let classes = self.model.config().classes;
+            let dim = self.store.dim();
+            let admissible = upload.groups.iter().flat_map(|g| &g.prompts).all(|(k, v)| {
+                (*k as usize) < classes && v.len() == dim && v.iter().all(|x| x.is_finite())
+            });
+            if admissible {
+                self.pending_uploads
+                    .extend(upload.groups.into_iter().map(LocalPromptGroup::from_wire));
+            }
         }
     }
 
@@ -815,10 +827,7 @@ mod tests {
         let mask = strat.exchange_mask(1).expect("prompt-only mode masks");
         let total = strat.core.params.num_scalars();
         assert!(!mask.is_empty());
-        assert!(
-            (mask.len() as usize) < total,
-            "mask must be a strict subset"
-        );
+        assert!(mask.len() < total, "mask must be a strict subset");
         assert!(
             mask.windows(2).all(|w| w[0] < w[1]),
             "mask indices strictly ascending"
@@ -908,6 +917,40 @@ mod tests {
             let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
             assert_eq!(res.domain_acc.len(), 2, "flags {flags:?}");
         }
+    }
+
+    #[test]
+    fn hostile_prompt_uploads_are_dropped_whole() {
+        let mut strat = RefFiL::new(tiny_cfg());
+        let dim = strat.prompt_store().dim();
+        let upload = |prompts: Vec<(u32, Vec<f32>)>| {
+            WireMessage::PromptUpload(refil_fed::PromptUpload {
+                client_id: 1,
+                groups: vec![refil_fed::PromptGroup {
+                    client_id: 1,
+                    prompts,
+                }],
+            })
+        };
+        let good = (0u32, vec![0.5f32; dim]);
+        let mut nan = vec![0.5f32; dim];
+        nan[dim - 1] = f32::NAN;
+        for bad in [
+            (3u32, vec![0.5f32; dim]),
+            (u32::MAX, vec![0.5; dim]),
+            (1, vec![0.5; dim - 1]),
+            (1, vec![0.5; dim + 1]),
+            (1, nan),
+            (2, vec![f32::NEG_INFINITY; dim]),
+        ] {
+            let what = format!("class {} len {}", bad.0, bad.1.len());
+            strat.merge_client(0, 0, 1, upload(vec![good.clone(), bad]));
+            strat.on_round_end(0, 0, &[]);
+            assert!(strat.prompt_store().is_empty(), "{what} was ingested");
+        }
+        strat.merge_client(0, 0, 1, upload(vec![good]));
+        strat.on_round_end(0, 0, &[]);
+        assert_eq!(strat.prompt_store().total_reps(), 1);
     }
 
     #[test]

@@ -343,7 +343,7 @@ mod tests {
         assert_eq!(spec.domains.len(), 6);
         let ds = spec.generate(1);
         assert_eq!(ds.num_domains(), 6);
-        let mut seen = vec![false; 48];
+        let mut seen = [false; 48];
         for s in ds.domains[0].train.iter().chain(&ds.domains[0].test) {
             seen[s.label] = true;
         }

@@ -323,7 +323,7 @@ mod tests {
     fn all_classes_present() {
         let d = spec().generate(3);
         for dom in &d.domains {
-            let mut seen = vec![false; 3];
+            let mut seen = [false; 3];
             for s in dom.train.iter().chain(&dom.test) {
                 seen[s.label] = true;
             }

@@ -25,7 +25,6 @@ mod increment;
 mod net;
 mod pool;
 mod runner;
-pub mod secure;
 mod traffic;
 
 pub use aggregate::{balanced_mean, fedavg, WeightedUpdate};
@@ -51,7 +50,7 @@ pub use refil_telemetry::{
 };
 pub use refil_wire::{
     connect, ClientModelUpdate, CompressedModelUpdate, CompressionSpec, ConnectError, Endpoint,
-    GlobalPromptBroadcast, Interest, Link, Listener, Loopback, MaskedModelUpdate, MessageKind,
-    ModelBroadcast, NetLink, NetListener, PeerId, PollSet, PromptGroup, PromptUpload, QuantMode,
-    RecvError, RehearsalMemory, Resume, WireError, WireMessage, WireSample, SERVER_PEER,
+    GlobalPromptBroadcast, Interest, Link, Listener, Loopback, MessageKind, ModelBroadcast,
+    NetLink, NetListener, PeerId, PollSet, PromptGroup, PromptUpload, QuantMode, RecvError,
+    RehearsalMemory, Resume, WireError, WireMessage, WireSample, SERVER_PEER,
 };

@@ -83,13 +83,14 @@ use refil_wire::{
     ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, CompressionSpec,
     ConnectError, Hello, Interest, Link, Listener, PeerId, PollSet, RecvError, Resume, RoundStart,
     RoundSync, RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireError,
-    WireMessage, CODEC_REVISION,
+    WireMessage,
 };
 
 use crate::config::{NetConfig, RunConfig};
 use crate::increment::{build_schedule, ClientGroup, TaskSchedule};
 use crate::runner::{
-    carry_forward, collect_client_data, distribute_task_data, FdilStrategy, Holdings, TrainSetting,
+    carry_forward, collect_client_data, distribute_task_data, task_compression, FdilStrategy,
+    Holdings, TrainSetting,
 };
 
 /// How long a joining peer gets to complete the `Hello`/`Welcome` handshake.
@@ -132,7 +133,7 @@ fn group_from_code(code: u8) -> Option<ClientGroup> {
 /// compression-layer frame the server still has to reconstruct against its
 /// broadcast history.
 pub(crate) enum RemoteUpdate {
-    /// Dense `ClientModelUpdate` (legacy peers, or compression inactive).
+    /// Dense `ClientModelUpdate` (the run or this task does not compress).
     Plain(WireClientModelUpdate),
     /// `CompressedModelUpdate` awaiting reconstruction against the broadcast
     /// tagged `(base_task, base_round)`.
@@ -245,8 +246,8 @@ pub(crate) struct ServeState<'a> {
     listener: &'a dyn Listener,
     spec: String,
     net: NetConfig,
-    /// Compression spec offered to codec-aware peers in the `Welcome`
-    /// (`None` when the run exchanges plain dense updates).
+    /// Compression spec sent in every peer's `Welcome` (`None` when the
+    /// run exchanges plain dense updates).
     compression: Option<CompressionSpec>,
     telemetry: Telemetry,
     peers: Vec<Peer>,
@@ -485,13 +486,7 @@ impl<'a> ServeState<'a> {
             peer_id: self.peers[pi].peer_id,
             resume_token: token,
             spec: self.spec.clone(),
-            // Only codec-aware peers are offered the compression spec;
-            // legacy peers keep exchanging plain dense updates.
-            compression: if hello.codec >= CODEC_REVISION {
-                self.compression
-            } else {
-                None
-            },
+            compression: self.compression,
         })
         .encode();
         let ok = {
@@ -938,15 +933,8 @@ pub fn client_handshake(
     resume: Option<Resume>,
     deadline: Instant,
 ) -> Result<(PeerId, String, u64, Option<CompressionSpec>), ClientError> {
-    link.send(
-        &WireMessage::Hello(Hello {
-            nonce,
-            codec: CODEC_REVISION,
-            resume,
-        })
-        .encode(),
-    )
-    .map_err(ClientError::Wire)?;
+    link.send(&WireMessage::Hello(Hello { nonce, resume }).encode())
+        .map_err(ClientError::Wire)?;
     let frame = link.recv_deadline(deadline).map_err(ClientError::Recv)?;
     match WireMessage::decode(&frame).map_err(ClientError::Wire)? {
         WireMessage::Welcome(w) => Ok((w.peer_id, w.spec, w.resume_token, w.compression)),
@@ -1092,17 +1080,8 @@ impl<'a> ClientSession<'a> {
             None => None,
         };
         let mut results: Vec<Vec<u8>> = Vec::with_capacity(rs.sessions.len());
-        // Compressed uplinks are used only when the server negotiated a spec
-        // and either the spec is lossy/active or the strategy restricts the
-        // exchanged coordinates during this task (e.g. prompt-only RefFiL,
-        // whose mask is `None` for the warm-up task 0).
         let mask = self.strategy.exchange_mask(u64::from(rs.task));
-        let spec = self
-            .opts
-            .compression
-            .unwrap_or_else(CompressionSpec::identity);
-        let use_compressed =
-            self.opts.compression.is_some() && (spec.is_active() || mask.is_some());
+        let compression = task_compression(self.opts.compression, mask.as_deref());
         {
             let ctx = self
                 .strategy
@@ -1128,9 +1107,9 @@ impl<'a> ClientSession<'a> {
                 let start = Instant::now();
                 let out = ctx.train_client(&setting, self.telemetry);
                 let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let update = if use_compressed {
+                let update = if let Some(spec) = &compression {
                     WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
-                        &spec,
+                        spec,
                         mask.as_deref(),
                         a.client_id,
                         out.update.weight,
@@ -1524,7 +1503,6 @@ mod tests {
         let hello = |nonce| {
             WireMessage::Hello(Hello {
                 nonce,
-                codec: CODEC_REVISION,
                 resume: None,
             })
             .encode()

@@ -54,8 +54,8 @@ use refil_telemetry::{
 
 use crate::pool::WorkerPool;
 use refil_wire::{
-    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, Link, Listener, Loopback,
-    ModelBroadcast, SessionAssignment, WireMessage,
+    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, CompressionSpec, Link,
+    Listener, Loopback, ModelBroadcast, SessionAssignment, WireMessage,
 };
 
 use crate::aggregate::{fedavg, WeightedUpdate};
@@ -386,6 +386,33 @@ enum Exchange<'s, 'l> {
     /// Connected peer processes train the sessions; the reactor carries
     /// every frame.
     Serve(&'s mut ServeState<'l>),
+}
+
+/// The uplink compression a run negotiates, once, before its first task:
+/// the configured spec when it is lossy (delta, quantization or top-k) or
+/// when `strategy` exchanges only a subset of coordinates in some task;
+/// `None` (plain dense updates all run long) otherwise. The server sends it
+/// in every peer's `Welcome`.
+pub(crate) fn negotiated_compression(
+    spec: CompressionSpec,
+    strategy: &dyn FdilStrategy,
+    num_tasks: usize,
+) -> Option<CompressionSpec> {
+    let masks_any_task = (0..num_tasks).any(|t| strategy.exchange_mask(t as u64).is_some());
+    (spec.is_active() || masks_any_task).then_some(spec)
+}
+
+/// The spec a task's client updates are compressed with, or `None` to send
+/// plain dense updates: a negotiated spec applies only while it is lossy or
+/// the task's exchange `mask` restricts the coordinates (prompt-only
+/// RefFiL's mask is `None` for its warm-up task 0). The in-process driver
+/// and remote clients both decide through this, which keeps loopback and
+/// networked runs byte-identical.
+pub(crate) fn task_compression(
+    negotiated: Option<CompressionSpec>,
+    mask: Option<&[u32]>,
+) -> Option<CompressionSpec> {
+    negotiated.filter(|s| s.is_active() || mask.is_some())
 }
 
 /// Converts the nn crate's thread-local scratch accounting into the
@@ -772,7 +799,9 @@ impl FdilRunner {
             down: downlink,
             up: uplink,
         };
-        self.run_inner(dataset, strategy, exchange)
+        let compression =
+            negotiated_compression(self.cfg.wire.spec(), strategy, dataset.num_domains());
+        self.run_inner(dataset, strategy, exchange, compression)
     }
 
     /// Runs the full FDIL protocol as a long-lived federation server: client
@@ -806,13 +835,8 @@ impl FdilRunner {
         listener: &dyn Listener,
         spec: &str,
     ) -> RunResult {
-        // The serve path compresses when the run config asks for it or the
-        // strategy restricts the exchanged coordinates during any task; the
-        // negotiated spec goes out in every codec-aware peer's `Welcome`.
-        let wire_spec = self.cfg.wire.spec();
-        let masks_any_task =
-            (0..dataset.num_domains()).any(|t| strategy.exchange_mask(t as u64).is_some());
-        let compression = (wire_spec.is_active() || masks_any_task).then_some(wire_spec);
+        let compression =
+            negotiated_compression(self.cfg.wire.spec(), strategy, dataset.num_domains());
         let mut state = ServeState::new(
             listener,
             spec,
@@ -821,14 +845,18 @@ impl FdilRunner {
             self.telemetry.clone(),
         );
         state.wait_for_peers();
-        self.run_inner(dataset, strategy, Exchange::Serve(&mut state))
+        self.run_inner(dataset, strategy, Exchange::Serve(&mut state), compression)
     }
 
+    /// The round driver behind [`FdilRunner::run_with_links`] and
+    /// [`FdilRunner::serve`]; `compression` is the run's
+    /// [`negotiated_compression`].
     fn run_inner(
         &self,
         dataset: &FdilDataset,
         strategy: &mut dyn FdilStrategy,
         mut exchange: Exchange<'_, '_>,
+        compression: Option<CompressionSpec>,
     ) -> RunResult {
         let cfg = &self.cfg;
         let telemetry = &self.telemetry;
@@ -852,18 +880,9 @@ impl FdilRunner {
         ));
 
         let mut global = strategy.init_global();
-        // Uplink compression: active when the config asks for delta/quant/
-        // top-k or the strategy exchanges only a subset of coordinates in
-        // some task. The server reconstructs compressed updates against its
-        // own broadcast history, keyed by the (task, round) tag clients echo
-        // back. The mask itself is refreshed per task (it may be `None` for
-        // a warm-up task and restrictive afterwards); a round sends
-        // compressed frames only when the spec is lossy or the current
-        // task's mask restricts the exchange — the exact condition remote
-        // clients apply, keeping loopback and networked runs byte-identical.
-        let wire_spec = cfg.wire.spec();
-        let masks_any_task = (0..num_tasks).any(|t| strategy.exchange_mask(t as u64).is_some());
-        let round_compression = (wire_spec.is_active() || masks_any_task).then_some(wire_spec);
+        // With compression negotiated, the server reconstructs compressed
+        // updates against its own broadcast history, keyed by the
+        // (task, round) tag clients echo back.
         let mut broadcast_history: std::collections::VecDeque<((u32, u32), Vec<f32>)> =
             std::collections::VecDeque::new();
         let mut holdings: Vec<Holdings> = Vec::new();
@@ -877,8 +896,7 @@ impl FdilRunner {
             traffic.start_task(task);
             strategy.on_task_start(task, &global);
             let exchange_mask = strategy.exchange_mask(task as u64);
-            let task_compression =
-                round_compression.filter(|s| s.is_active() || exchange_mask.is_some());
+            let uplink_spec = task_compression(compression, exchange_mask.as_deref());
 
             // Distribute the new domain's training data among recipients.
             distribute_task_data(&mut holdings, schedule, dataset, cfg, task);
@@ -1013,7 +1031,7 @@ impl FdilRunner {
                         (model_out.model, broadcast, model_bytes, extra_bytes)
                     }
                 };
-                if round_compression.is_some() {
+                if compression.is_some() {
                     // Remember what this round's broadcast said, so client
                     // updates delta-encoded against it can be reconstructed.
                     // The codec is bit-exact for f32, so the server-side
@@ -1172,7 +1190,7 @@ impl FdilRunner {
                             // round's decoded broadcast when compression is
                             // on), moves it through the uplink, and consumes
                             // the decoded result below like a remote one.
-                            let update_msg = if let Some(spec) = task_compression {
+                            let update_msg = if let Some(spec) = uplink_spec {
                                 WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
                                     &spec,
                                     exchange_mask.as_deref(),
@@ -2241,7 +2259,6 @@ mod tests {
             .map(|i| {
                 let ep = endpoint.clone();
                 let ds = ds.clone();
-                let opts = opts.clone();
                 std::thread::spawn(move || {
                     let deadline = Instant::now() + Duration::from_secs(30);
                     let link = refil_wire::connect(&ep, deadline).expect("connect failed");

@@ -2545,13 +2545,13 @@ mod tests {
         let mut params = Params::new();
         let w = params.insert("w", Tensor::randn(&[4, 4], 0.7, &mut rng), true);
         let gain = params.insert("gain", Tensor::ones(&[4]), true);
-        let _bias = params.insert("bias", Tensor::zeros(&[4]), true);
+        let bias = params.insert("bias", Tensor::zeros(&[4]), true);
         let x = Tensor::randn(&[3, 4], 1.0, &mut rng);
 
         let build = |g: &Graph, params: &Params, x: &Tensor| -> Tensor {
-            let wv = g.param(params, params.id("w").unwrap());
-            let gv = g.param(params, params.id("gain").unwrap());
-            let bv = g.param(params, params.id("bias").unwrap());
+            let wv = g.param(params, w);
+            let gv = g.param(params, gain);
+            let bv = g.param(params, bias);
             let xv = g.input(x);
             let h = g.matmul(xv, wv);
             let h = g.layer_norm(h, gv, bv, 1e-5);
@@ -2568,7 +2568,7 @@ mod tests {
         for _ in 0..3 {
             let got = build(&g, &params, &x);
             assert_eq!(got.data(), reference.data());
-            assert_eq!(g.len() > 0, true);
+            assert!(!g.is_empty());
             g.reset();
             assert!(g.is_empty());
         }

@@ -1,7 +1,6 @@
 //! Multi-head self-attention and the transformer block of Appendix A (Eq. 13).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::Params;
@@ -11,7 +10,7 @@ use super::mlp::Mlp;
 use super::norm::LayerNorm;
 
 /// Multi-head self-attention over `[batch, tokens, dim]` sequences.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
@@ -100,7 +99,7 @@ impl MultiHeadAttention {
 
 /// One attention block per Appendix A Eq. 13:
 /// `I' = LN(MHSA(I, I, I))`, `I'' = MLP(I')`, `I_next = LN(I' + I'')`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransformerBlock {
     attn: MultiHeadAttention,
     ln_attn: LayerNorm,

@@ -1,7 +1,6 @@
 //! Classification head (Appendix A, Eq. 14).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::Params;
@@ -10,7 +9,7 @@ use super::linear::Linear;
 
 /// A single feed-forward layer mapping the `[CLS]` representation to class
 /// logits: `y = G([CLS]_B)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Classifier {
     head: Linear,
     classes: usize,

@@ -2,7 +2,6 @@
 //! ResNet10 backbone for 1-D feature inputs.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, Params};
@@ -16,7 +15,7 @@ use super::linear::Linear;
 /// Interchangeable with [`super::ResidualExtractor`] through
 /// [`crate::models::BackboneConfig::extractor`]; the `ablation_extractor`
 /// bench compares the two.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConvExtractor {
     w1: ParamId,
     b1: ParamId,

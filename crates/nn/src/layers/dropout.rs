@@ -1,14 +1,12 @@
 //! Dropout regularization layer.
 
-use serde::{Deserialize, Serialize};
-
 use rand::Rng;
 
 use crate::graph::{Graph, Var};
 
 /// Inverted dropout: active only when `training` is passed as `true`, so the
 /// same layer serves train and eval passes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Dropout {
     p: f32,
 }
@@ -63,7 +61,7 @@ mod tests {
         let x = g.constant(Tensor::ones(&[64]));
         let d = Dropout::new(0.5);
         let y = g.value(d.forward(&g, x, true, &mut rng));
-        assert!(y.data().iter().any(|&v| v == 0.0));
+        assert!(y.data().contains(&0.0));
         assert!(y.data().iter().any(|&v| v > 1.0));
     }
 

@@ -1,7 +1,6 @@
 //! Index-to-vector embedding table.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::init;
@@ -9,7 +8,7 @@ use crate::params::{ParamId, Params};
 
 /// A `[vocab, dim]` lookup table. RefFiL uses one as the task-specific key
 /// embedding layer that conditions the CDAP generator on the local task ID.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     weight: ParamId,
     vocab: usize,

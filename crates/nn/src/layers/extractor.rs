@@ -7,7 +7,6 @@
 //! evaluation shares this extractor, so relative comparisons are unaffected.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::Params;
@@ -15,7 +14,7 @@ use crate::params::Params;
 use super::linear::Linear;
 use super::norm::LayerNorm;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ResBlock {
     ln: LayerNorm,
     fc1: Linear,
@@ -40,7 +39,7 @@ impl ResBlock {
 }
 
 /// Residual MLP feature extractor `h(x)`: `[batch, in_dim] -> [batch, out_dim]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResidualExtractor {
     stem: Linear,
     blocks: Vec<ResBlock>,

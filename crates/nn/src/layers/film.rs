@@ -5,7 +5,6 @@
 //! embedding `v` by a linear layer `phi` (Eq. 1).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::Params;
@@ -17,7 +16,7 @@ use super::linear::Linear;
 ///
 /// `x` is `[batch, rows, channels]`; `v` is `[batch, cond_dim]`; the predicted
 /// `alpha_v`/`lambda_v` are `[batch, channels]`, broadcast over rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Film {
     phi: Linear,
     channels: usize,

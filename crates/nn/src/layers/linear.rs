@@ -1,7 +1,6 @@
 //! Fully-connected layer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::init;
@@ -27,7 +26,7 @@ use crate::tensor::Tensor;
 /// let y = lin.forward(&g, &params, x);
 /// assert_eq!(g.shape(y), vec![3, 2]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     weight: ParamId,
     bias: Option<ParamId>,

@@ -1,7 +1,6 @@
 //! Two-layer perceptron with GELU.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::params::Params;
@@ -10,7 +9,7 @@ use super::linear::Linear;
 
 /// `Linear -> GELU -> Linear`, the MLP used inside attention blocks and the
 /// CDAP generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     fc1: Linear,
     fc2: Linear,

@@ -1,14 +1,12 @@
 //! Layer normalization with learned gain/bias.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
 /// LayerNorm over the last axis (Ba et al., 2016), as used throughout the
 /// RefFiL backbone and CDAP generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerNorm {
     gain: ParamId,
     bias: ParamId,

@@ -7,7 +7,6 @@
 //! prepends a trainable `[CLS]` token.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Graph, Var};
 use crate::init;
@@ -17,7 +16,7 @@ use super::linear::Linear;
 
 /// Tokenizes a `[batch, n*d]` feature map into `[batch, n+1, d]` tokens
 /// (`[CLS]` first).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PatchTokenizer {
     embed: Linear,
     cls: ParamId,

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod checkpoint;
 mod conv;
 pub mod gemm;
 mod graph;

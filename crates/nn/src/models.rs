@@ -82,7 +82,7 @@ pub struct BackboneOutput {
 }
 
 /// Either extractor, behind one forward interface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Extractor {
     Residual(ResidualExtractor),
     Conv(ConvExtractor),
@@ -98,7 +98,7 @@ impl Extractor {
 }
 
 /// The full backbone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PromptedBackbone {
     extractor: Extractor,
     tokenizer: PatchTokenizer,

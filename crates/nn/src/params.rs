@@ -9,12 +9,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::Tensor;
 
 /// Handle to a parameter inside a [`Params`] store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
@@ -25,7 +23,7 @@ impl ParamId {
 }
 
 /// One named parameter: value, accumulated gradient, and trainability.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamEntry {
     /// Unique name, e.g. `"backbone.block0.linear1.weight"`.
     pub name: String,
@@ -49,10 +47,9 @@ pub struct ParamEntry {
 /// assert_eq!(params.value(w).shape(), &[2, 2]);
 /// assert_eq!(params.len(), 1);
 /// ```
-#[derive(Default, Clone, Serialize, Deserialize)]
+#[derive(Default, Clone)]
 pub struct Params {
     entries: Vec<ParamEntry>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -191,34 +188,6 @@ impl Params {
             e.value.data_mut().copy_from_slice(&flat[off..off + n]);
             off += n;
         }
-    }
-
-    /// Copies values from another store with identical structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the structures (names/shapes, in order) differ.
-    pub fn copy_values_from(&mut self, other: &Params) {
-        assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
-            "param count mismatch"
-        );
-        for (dst, src) in self.entries.iter_mut().zip(&other.entries) {
-            assert_eq!(dst.name, src.name, "param name mismatch");
-            assert_eq!(dst.value.shape(), src.value.shape(), "param shape mismatch");
-            dst.value = src.value.clone();
-        }
-    }
-
-    /// Rebuilds the name index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.name.clone(), i))
-            .collect();
     }
 
     /// Gradient L2 norm over trainable parameters (for clipping / diagnostics).

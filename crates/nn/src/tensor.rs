@@ -8,7 +8,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Maximum tensor rank. The models top out at 4-D (`[b, heads, t, t]`
 /// attention scores), so shapes live inline in the tensor header instead of
@@ -84,40 +83,6 @@ impl fmt::Debug for Shape {
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
-}
-
-// Hand-written serde impls preserving the data-model shape of the old
-// derived ones (when `shape` was a `Vec<usize>`): a 2-field map whose
-// `shape` entry is a sequence.
-impl Serialize for Tensor {
-    fn ser(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("shape".to_string(), self.shape.to_vec().ser()),
-            ("data".to_string(), self.data.ser()),
-        ])
-    }
-}
-
-impl Deserialize for Tensor {
-    fn de(v: &serde::Value) -> Result<Self, serde::Error> {
-        let shape: Vec<usize> = Deserialize::de(
-            v.get("shape")
-                .ok_or_else(|| serde::Error::missing_field("Tensor", "shape"))?,
-        )?;
-        let data: Vec<f32> = Deserialize::de(
-            v.get("data")
-                .ok_or_else(|| serde::Error::missing_field("Tensor", "data"))?,
-        )?;
-        let numel: usize = shape.iter().product();
-        if data.len() != numel {
-            return Err(serde::Error::custom(format!(
-                "tensor data length {} does not match shape {:?}",
-                data.len(),
-                shape
-            )));
-        }
-        Ok(Tensor::from_vec(data, &shape))
-    }
 }
 
 impl fmt::Debug for Tensor {

@@ -53,12 +53,6 @@ use std::fmt;
 
 use crate::frame::{bytes_len, Reader, WireError, Writer};
 
-/// Compression codec revision a client advertises in [`crate::Hello`].
-/// Revision 0 is the legacy protocol (no [`crate::CompressedModelUpdate`]
-/// support); revision 1 adds the delta/top-k/quant codecs in this module.
-/// The server never assigns a spec to a peer that advertised revision 0.
-pub const CODEC_REVISION: u8 = 1;
-
 /// Scalar codec applied to the values that survive delta + top-k.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]

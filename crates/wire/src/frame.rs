@@ -9,9 +9,14 @@ pub const MAGIC: [u8; 4] = *b"RFWL";
 /// Current schema version; decoders accept exactly this value. Bumped to 2
 /// when the handshake payloads grew session-resumption fields
 /// ([`crate::Hello::resume`], [`crate::Welcome::resume_token`]); bumped to 3
-/// when the handshake grew compression negotiation ([`crate::Hello::codec`],
-/// [`crate::Welcome::compression`]).
-pub const SCHEMA_VERSION: u16 = 3;
+/// when the handshake grew compression negotiation (a codec-revision byte in
+/// `Hello`, [`crate::Welcome::compression`]); bumped to 4 when `Hello`
+/// dropped that byte: decoders accept only their own version, so every peer
+/// that can connect speaks the one compression codec, and
+/// [`crate::Welcome::compression`] is the whole negotiation. Kind 5
+/// (secure-aggregation masked updates) was retired in the same revision and
+/// now decodes to [`WireError::UnknownKind`].
+pub const SCHEMA_VERSION: u16 = 4;
 
 /// Fixed header size preceding every payload.
 pub const HEADER_LEN: usize = 16;
@@ -110,8 +115,6 @@ pub enum MessageKind {
     PromptUpload = 3,
     /// Server → client: clustered prompt representatives + generalized prompt.
     GlobalPromptBroadcast = 4,
-    /// Client → server: secure-aggregation masked parameters.
-    MaskedModelUpdate = 5,
     /// Client-owned episodic memory in transit (rehearsal oracle).
     RehearsalMemory = 6,
     /// Client → server: first frame on a fresh connection.
@@ -138,13 +141,12 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
-    /// Every kind, in wire-id order (for exhaustive tests).
-    pub const ALL: [MessageKind; 15] = [
+    /// Every kind, in wire-id order (for exhaustive tests). Id 5 is retired.
+    pub const ALL: [MessageKind; 14] = [
         MessageKind::ModelBroadcast,
         MessageKind::ClientModelUpdate,
         MessageKind::PromptUpload,
         MessageKind::GlobalPromptBroadcast,
-        MessageKind::MaskedModelUpdate,
         MessageKind::RehearsalMemory,
         MessageKind::Hello,
         MessageKind::Welcome,
@@ -164,7 +166,6 @@ impl MessageKind {
             2 => Ok(Self::ClientModelUpdate),
             3 => Ok(Self::PromptUpload),
             4 => Ok(Self::GlobalPromptBroadcast),
-            5 => Ok(Self::MaskedModelUpdate),
             6 => Ok(Self::RehearsalMemory),
             7 => Ok(Self::Hello),
             8 => Ok(Self::Welcome),
@@ -187,7 +188,6 @@ impl MessageKind {
             Self::ClientModelUpdate => "client_model_update",
             Self::PromptUpload => "prompt_upload",
             Self::GlobalPromptBroadcast => "global_prompt_broadcast",
-            Self::MaskedModelUpdate => "masked_model_update",
             Self::RehearsalMemory => "rehearsal_memory",
             Self::Hello => "hello",
             Self::Welcome => "welcome",

@@ -18,7 +18,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"RFWL"
-//! 4       2     schema version (u16, currently 3)
+//! 4       2     schema version (u16, currently 4)
 //! 6       2     message kind (u16, see MessageKind)
 //! 8       4     payload length (u32)
 //! 12      4     CRC32 over header bytes 0..12 ++ payload
@@ -39,7 +39,6 @@
 //! | 2 | [`ClientModelUpdate`] | client → server | locally trained parameters + FedAvg weight |
 //! | 3 | [`PromptUpload`] | client → server | class-wise Local Prompt Groups (RefFiL Eq. 2–3) |
 //! | 4 | [`GlobalPromptBroadcast`] | server → client | post-FINCH prompt representatives + generalized prompt |
-//! | 5 | [`MaskedModelUpdate`] | client → server | secure-aggregation masked parameters |
 //! | 6 | [`RehearsalMemory`] | client → client (via server) | episodic-memory samples (rehearsal oracle only) |
 //! | 7 | [`Hello`] | client → server | connection handshake (client nonce, optional resume token) |
 //! | 8 | [`Welcome`] | server → client | assigned peer id + resume token + run spec string |
@@ -51,8 +50,10 @@
 //! | 14 | [`RunEnd`] | either | run / participation termination |
 //! | 15 | [`CompressedModelUpdate`] | client → server | delta/top-k/quantized parameters + FedAvg weight |
 //!
-//! Kinds 1–6 and 15 are the *payload* exchanges whose sizes define the
-//! paper's communication accounting; kinds 7–14 are the *control* protocol
+//! Kind 5 is retired: it carried secure-aggregation masked updates, which
+//! nothing sent, and it now decodes to [`WireError::UnknownKind`]. Kinds
+//! 1–4, 6 and 15 are the *payload* exchanges whose sizes define the paper's
+//! communication accounting; kinds 7–14 are the *control* protocol
 //! the networked server speaks, and they carry payload exchanges as nested
 //! encoded frames so accounting stays byte-identical to the loopback run.
 //!
@@ -65,8 +66,8 @@
 //! server assigned in [`Welcome`]. The frame is self-describing: the server
 //! reconstructs it with nothing but the matching broadcast from its own
 //! history (keyed by the `base_task`/`base_round` tag the client echoes
-//! back). Old clients advertise codec revision 0 in [`Hello`] and are never
-//! sent a spec, so mixed fleets interoperate. See [`compress`]'s module docs
+//! back). A run without compression sends no spec, and its peers upload
+//! plain [`ClientModelUpdate`] frames. See [`compress`]'s module docs
 //! for the deterministic rounding rules and reconstruction-error contracts.
 //!
 //! `f32` values are encoded as their IEEE-754 little-endian bit patterns,
@@ -112,13 +113,13 @@ mod message;
 mod net;
 mod poll;
 
-pub use compress::{CompressionSpec, QuantMode, QuantValues, SparseIndex, CODEC_REVISION};
+pub use compress::{CompressionSpec, QuantMode, QuantValues, SparseIndex};
 pub use frame::{crc32, MessageKind, WireError, HEADER_LEN, MAGIC, SCHEMA_VERSION};
 pub use link::{ConnectError, Link, Listener, Loopback, PeerId, RecvError, SERVER_PEER};
 pub use message::{
-    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, MaskedModelUpdate,
-    ModelBroadcast, PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync,
-    RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
+    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, ModelBroadcast,
+    PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync, RunEnd,
+    SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
 };
 pub use net::{connect, Endpoint, NetLink, NetListener, MAX_FRAME_LEN};
 pub use poll::{Interest, PollSet};

@@ -67,18 +67,6 @@ pub struct GlobalPromptBroadcast {
     pub generalized: Option<Vec<f32>>,
 }
 
-/// Client → server: a secure-aggregation masked update (Bonawitz-style
-/// pairwise masking; masks cancel in the server-side sum).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaskedModelUpdate {
-    /// Reporting client (defines mask pairing).
-    pub client_id: u64,
-    /// Aggregation weight (not hidden; only parameters are masked).
-    pub weight: f32,
-    /// Masked, weight-scaled parameters.
-    pub masked: Vec<f32>,
-}
-
 /// One raw sample in transit (rehearsal oracle only — the privacy
 /// violation rehearsal-free methods exist to avoid).
 #[derive(Debug, Clone, PartialEq)]
@@ -213,11 +201,6 @@ pub struct Resume {
 pub struct Hello {
     /// Client-chosen tag (e.g. a PID), for server-side logs only.
     pub nonce: u64,
-    /// Highest compression codec revision the client supports
-    /// ([`crate::compress::CODEC_REVISION`]); 0 means the legacy protocol
-    /// without [`CompressedModelUpdate`] support, and the server will not
-    /// assign such a peer a compression spec.
-    pub codec: u8,
     /// Resumption claim when the client is reconnecting with its replica
     /// state intact. The server then replays only the control frames past
     /// the claimed cursor instead of the full catch-up log.
@@ -238,8 +221,8 @@ pub struct Welcome {
     /// a bare client process can reconstruct the replicated state.
     pub spec: String,
     /// Compression spec this peer must apply to its uplink updates, when
-    /// the run compresses and the peer's [`Hello::codec`] supports it.
-    /// `None` keeps the peer on plain [`ClientModelUpdate`] frames.
+    /// the run compresses. `None` keeps the peer on plain
+    /// [`ClientModelUpdate`] frames.
     pub compression: Option<CompressionSpec>,
 }
 
@@ -353,8 +336,6 @@ pub enum WireMessage {
     PromptUpload(PromptUpload),
     /// Server → client clustered prompt state.
     GlobalPromptBroadcast(GlobalPromptBroadcast),
-    /// Client → server masked parameters.
-    MaskedModelUpdate(MaskedModelUpdate),
     /// Episodic memory in transit.
     RehearsalMemory(RehearsalMemory),
     /// Connection handshake, client side.
@@ -389,7 +370,6 @@ impl WireMessage {
             Self::ClientModelUpdate(_) => MessageKind::ClientModelUpdate,
             Self::PromptUpload(_) => MessageKind::PromptUpload,
             Self::GlobalPromptBroadcast(_) => MessageKind::GlobalPromptBroadcast,
-            Self::MaskedModelUpdate(_) => MessageKind::MaskedModelUpdate,
             Self::RehearsalMemory(_) => MessageKind::RehearsalMemory,
             Self::Hello(_) => MessageKind::Hello,
             Self::Welcome(_) => MessageKind::Welcome,
@@ -431,7 +411,6 @@ impl WireMessage {
                     .sum::<usize>()
                     + m.generalized.as_deref().map_or(0, f32s_len)
             }
-            Self::MaskedModelUpdate(m) => 12 + f32s_len(&m.masked),
             Self::RehearsalMemory(m) => {
                 20 + m
                     .samples
@@ -439,7 +418,7 @@ impl WireMessage {
                     .map(|s| 4 + f32s_len(&s.features))
                     .sum::<usize>()
             }
-            Self::Hello(m) => 10 + if m.resume.is_some() { 16 } else { 0 },
+            Self::Hello(m) => 9 + if m.resume.is_some() { 16 } else { 0 },
             Self::Welcome(m) => {
                 16 + bytes_len(m.spec.as_bytes())
                     + 1
@@ -522,11 +501,6 @@ impl WireMessage {
                     None => w.u8(0),
                 }
             }
-            Self::MaskedModelUpdate(m) => {
-                w.u64(m.client_id);
-                w.f32(m.weight);
-                w.f32s(&m.masked);
-            }
             Self::RehearsalMemory(m) => {
                 w.u64(m.client_id);
                 w.u64(m.seed);
@@ -538,7 +512,6 @@ impl WireMessage {
             }
             Self::Hello(m) => {
                 w.u64(m.nonce);
-                w.u8(m.codec);
                 match m.resume {
                     Some(resume) => {
                         w.u8(1);
@@ -683,11 +656,6 @@ impl WireMessage {
                     generalized,
                 })
             }
-            MessageKind::MaskedModelUpdate => Self::MaskedModelUpdate(MaskedModelUpdate {
-                client_id: r.u64("client_id")?,
-                weight: r.f32("weight")?,
-                masked: r.f32s("masked")?,
-            }),
             MessageKind::RehearsalMemory => {
                 let client_id = r.u64("client_id")?;
                 let seed = r.u64("seed")?;
@@ -708,7 +676,6 @@ impl WireMessage {
             }
             MessageKind::Hello => {
                 let nonce = r.u64("nonce")?;
-                let codec = r.u8("codec revision")?;
                 let resume = match r.u8("resume tag")? {
                     0 => None,
                     1 => Some(Resume {
@@ -717,11 +684,7 @@ impl WireMessage {
                     }),
                     _ => return Err(WireError::Malformed("resume tag")),
                 };
-                Self::Hello(Hello {
-                    nonce,
-                    codec,
-                    resume,
-                })
+                Self::Hello(Hello { nonce, resume })
             }
             MessageKind::Welcome => {
                 let peer_id = r.u64("peer_id")?;
@@ -849,7 +812,7 @@ impl WireMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{QuantMode, CODEC_REVISION};
+    use crate::compress::QuantMode;
 
     pub(crate) fn exemplars() -> Vec<WireMessage> {
         vec![
@@ -888,11 +851,6 @@ mod tests {
                 candidates: vec![(1, vec![1.5; 4])],
                 generalized: Some(vec![0.25; 4]),
             }),
-            WireMessage::MaskedModelUpdate(MaskedModelUpdate {
-                client_id: u64::MAX,
-                weight: 0.5,
-                masked: vec![9.75, -2.0],
-            }),
             WireMessage::RehearsalMemory(RehearsalMemory {
                 client_id: 11,
                 seed: 0xdead_beef,
@@ -909,12 +867,10 @@ mod tests {
             }),
             WireMessage::Hello(Hello {
                 nonce: 0x1234,
-                codec: 0,
                 resume: None,
             }),
             WireMessage::Hello(Hello {
                 nonce: 0x99,
-                codec: CODEC_REVISION,
                 resume: Some(Resume {
                     token: u64::MAX,
                     cursor: 17,
@@ -1151,19 +1107,34 @@ mod tests {
 
     #[test]
     fn kind_flips_between_identical_layouts_are_caught() {
-        // ClientModelUpdate and MaskedModelUpdate share a payload layout;
-        // only the header-covering checksum tells them apart.
+        // TaskBegin and TaskEnd share a payload layout; only the
+        // header-covering checksum tells them apart.
+        let msg = WireMessage::TaskBegin(TaskBegin {
+            task: 1,
+            global: vec![3.0],
+        });
+        let mut frame = msg.encode();
+        frame[6] = MessageKind::TaskEnd as u16 as u8;
+        assert!(matches!(
+            WireMessage::decode(&frame),
+            Err(WireError::ChecksumMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn a_sealed_frame_of_retired_kind_5_is_an_unknown_kind() {
+        // Kind 5 once carried secure-aggregation masked updates with the
+        // ClientModelUpdate layout. A well-formed, correctly sealed frame
+        // of that kind must be refused by kind, not by checksum.
         let msg = WireMessage::ClientModelUpdate(ClientModelUpdate {
             client_id: 1,
             weight: 2.0,
             model: vec![3.0],
         });
         let mut frame = msg.encode();
-        frame[6] = MessageKind::MaskedModelUpdate as u16 as u8;
-        assert!(matches!(
-            WireMessage::decode(&frame),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
+        frame[6..8].copy_from_slice(&5u16.to_le_bytes());
+        crate::frame::seal_frame(&mut frame);
+        assert_eq!(WireMessage::decode(&frame), Err(WireError::UnknownKind(5)));
     }
 
     #[test]

@@ -20,9 +20,9 @@ use crate::compress::{
 };
 use crate::frame::HEADER_LEN;
 use crate::message::{
-    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, MaskedModelUpdate,
-    ModelBroadcast, PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync,
-    RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
+    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, ModelBroadcast,
+    PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync, RunEnd,
+    SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
 };
 use crate::{WireError, MAGIC};
 
@@ -90,12 +90,7 @@ fn build_message(
                 None
             },
         }),
-        4 => WireMessage::MaskedModelUpdate(MaskedModelUpdate {
-            client_id: id,
-            weight: f32::from_bits(wbits),
-            masked: f32s(model_bits),
-        }),
-        5 => WireMessage::RehearsalMemory(RehearsalMemory {
+        4 => WireMessage::RehearsalMemory(RehearsalMemory {
             client_id: id,
             seed: aux,
             samples: nested
@@ -107,9 +102,8 @@ fn build_message(
                 })
                 .collect(),
         }),
-        6 => WireMessage::Hello(Hello {
+        5 => WireMessage::Hello(Hello {
             nonce: id,
-            codec: (wbits % 3) as u8,
             // Both handshake shapes: a fresh join and a resuming rejoin.
             resume: if flag == 1 {
                 Some(Resume {
@@ -120,7 +114,7 @@ fn build_message(
                 None
             },
         }),
-        7 => WireMessage::Welcome(Welcome {
+        6 => WireMessage::Welcome(Welcome {
             peer_id: id,
             resume_token: aux,
             // Arbitrary ASCII spec derived from the bit pool.
@@ -130,7 +124,7 @@ fn build_message(
                 .collect(),
             compression: if flag == 1 {
                 Some(CompressionSpec {
-                    delta: aux % 2 == 0,
+                    delta: aux.is_multiple_of(2),
                     quant: match wbits % 3 {
                         0 => QuantMode::None,
                         1 => QuantMode::F16,
@@ -142,7 +136,7 @@ fn build_message(
                 None
             },
         }),
-        8 => WireMessage::RoundStart(RoundStart {
+        7 => WireMessage::RoundStart(RoundStart {
             task: id as u32,
             round: aux as u32,
             model: raw_bytes(model_bits),
@@ -161,7 +155,7 @@ fn build_message(
                 })
                 .collect(),
         }),
-        9 => WireMessage::SessionResult(SessionResult {
+        8 => WireMessage::SessionResult(SessionResult {
             task: id as u32,
             round: aux as u32,
             client_id: id,
@@ -173,7 +167,7 @@ fn build_message(
                 None
             },
         }),
-        10 => WireMessage::RoundSync(RoundSync {
+        9 => WireMessage::RoundSync(RoundSync {
             task: id as u32,
             round: aux as u32,
             global: f32s(model_bits),
@@ -183,15 +177,15 @@ fn build_message(
                 .map(|(i, bits)| (id.wrapping_add(i as u64), raw_bytes(bits)))
                 .collect(),
         }),
-        11 => WireMessage::TaskBegin(TaskBegin {
+        10 => WireMessage::TaskBegin(TaskBegin {
             task: id as u32,
             global: f32s(model_bits),
         }),
-        12 => WireMessage::TaskEnd(TaskEnd {
+        11 => WireMessage::TaskEnd(TaskEnd {
             task: id as u32,
             global: f32s(model_bits),
         }),
-        13 => {
+        12 => {
             // Built through the real encoder so the index/values invariants
             // hold; NaNs, infinities, and subnormals stay in the pool.
             let flat = f32s(model_bits);
@@ -240,7 +234,7 @@ proptest! {
 
     #[test]
     fn every_kind_round_trips_across_random_shapes(
-        kind in 0usize..15,
+        kind in 0usize..14,
         id in 0u64..=u64::MAX,
         aux in 0u64..=u64::MAX,
         wbits in 0u32..=u32::MAX,
@@ -275,7 +269,7 @@ proptest! {
 
     #[test]
     fn corrupting_any_single_byte_yields_a_wire_error(
-        kind in 0usize..15,
+        kind in 0usize..14,
         id in 0u64..=u64::MAX,
         aux in 0u64..=u64::MAX,
         wbits in 0u32..=u32::MAX,
@@ -304,7 +298,7 @@ proptest! {
 
     #[test]
     fn control_frames_with_real_nested_payloads_round_trip(
-        inner_kind in 0usize..7,
+        inner_kind in 0usize..6,
         outer_sel in 0usize..3,
         id in 0u64..=u64::MAX,
         aux in 0u64..=u64::MAX,
@@ -318,9 +312,9 @@ proptest! {
         // The outer codec must hand those bytes back verbatim, and the
         // inner codec must accept them — for every payload kind, not just
         // the raw byte blobs the generic round-trip sweep uses.
-        // Selector 6 maps to the compressed payload kind (build_message 13);
-        // 0–5 are the classic payload kinds.
-        let inner_kind = if inner_kind == 6 { 13 } else { inner_kind };
+        // Selector 5 maps to the compressed payload kind (build_message 12);
+        // 0–4 are the classic payload kinds.
+        let inner_kind = if inner_kind == 5 { 12 } else { inner_kind };
         let inner = build_message(inner_kind, id, aux, wbits, &model_bits, &nested, flag);
         let inner_frame = inner.encode();
         let outer = match outer_sel {
@@ -368,7 +362,7 @@ proptest! {
 
     #[test]
     fn truncating_a_frame_is_always_detected(
-        kind in 0usize..15,
+        kind in 0usize..14,
         id in 0u64..=u64::MAX,
         aux in 0u64..=u64::MAX,
         wbits in 0u32..=u32::MAX,
@@ -389,7 +383,7 @@ proptest! {
 
     #[test]
     fn header_magic_and_length_match_constants(
-        kind in 0usize..15,
+        kind in 0usize..14,
         id in 0u64..=u64::MAX,
         aux in 0u64..=u64::MAX,
         wbits in 0u32..=u32::MAX,
@@ -659,7 +653,7 @@ mod socket {
 
         #[test]
         fn corrupt_frame_over_unix_socket_is_detected(
-            kind in 0usize..15,
+            kind in 0usize..14,
             id in 0u64..=u64::MAX,
             aux in 0u64..=u64::MAX,
             wbits in 0u32..=u32::MAX,
