@@ -675,20 +675,32 @@ impl FdilStrategy for RefFiL {
         &mut self,
         _task: usize,
         _round: usize,
-        _client_id: usize,
+        client_id: usize,
         message: WireMessage,
     ) {
         if let WireMessage::PromptUpload(upload) = message {
             // The entries come from a peer: a class past the head or a
             // prompt of the wrong length would panic `ingest` at round end,
-            // and a non-finite value would reach FINCH. Such an upload is
-            // dropped whole. Replicas merge the same `RoundSync` frames
-            // through this hook, so they drop the same uploads.
+            // and a non-finite value would reach FINCH. An upload or group
+            // claiming another client, or a group listing a class twice,
+            // would skew the prompt pool. Such an upload is dropped whole.
+            // Replicas merge the same `RoundSync` frames through this hook,
+            // so they drop the same uploads.
             let classes = self.model.config().classes;
             let dim = self.store.dim();
-            let admissible = upload.groups.iter().flat_map(|g| &g.prompts).all(|(k, v)| {
-                (*k as usize) < classes && v.len() == dim && v.iter().all(|x| x.is_finite())
-            });
+            let own = |id: u64| id == client_id as u64;
+            let admissible = own(upload.client_id)
+                && upload.groups.iter().all(|g| {
+                    let mut seen = vec![false; classes];
+                    own(g.client_id)
+                        && g.prompts.iter().all(|(k, v)| {
+                            let k = *k as usize;
+                            k < classes
+                                && !std::mem::replace(&mut seen[k], true)
+                                && v.len() == dim
+                                && v.iter().all(|x| x.is_finite())
+                        })
+                });
             if admissible {
                 self.pending_uploads
                     .extend(upload.groups.into_iter().map(LocalPromptGroup::from_wire));
@@ -923,28 +935,49 @@ mod tests {
     fn hostile_prompt_uploads_are_dropped_whole() {
         let mut strat = RefFiL::new(tiny_cfg());
         let dim = strat.prompt_store().dim();
-        let upload = |prompts: Vec<(u32, Vec<f32>)>| {
+        let upload_as = |upload_id: u64, group_id: u64, prompts: Vec<(u32, Vec<f32>)>| {
             WireMessage::PromptUpload(refil_fed::PromptUpload {
-                client_id: 1,
+                client_id: upload_id,
                 groups: vec![refil_fed::PromptGroup {
-                    client_id: 1,
+                    client_id: group_id,
                     prompts,
                 }],
             })
         };
+        let upload = |prompts| upload_as(1, 1, prompts);
         let good = (0u32, vec![0.5f32; dim]);
         let mut nan = vec![0.5f32; dim];
         nan[dim - 1] = f32::NAN;
-        for bad in [
+        let mut hostile: Vec<(String, WireMessage)> = [
             (3u32, vec![0.5f32; dim]),
             (u32::MAX, vec![0.5; dim]),
             (1, vec![0.5; dim - 1]),
             (1, vec![0.5; dim + 1]),
             (1, nan),
             (2, vec![f32::NEG_INFINITY; dim]),
-        ] {
+        ]
+        .into_iter()
+        .map(|bad| {
             let what = format!("class {} len {}", bad.0, bad.1.len());
-            strat.merge_client(0, 0, 1, upload(vec![good.clone(), bad]));
+            (what, upload(vec![good.clone(), bad]))
+        })
+        .collect();
+        hostile.extend([
+            (
+                "an upload claiming client 2".into(),
+                upload_as(2, 1, vec![good.clone()]),
+            ),
+            (
+                "a group claiming client 2".into(),
+                upload_as(1, 2, vec![good.clone()]),
+            ),
+            (
+                "a group listing class 0 twice".into(),
+                upload(vec![good.clone(), good.clone()]),
+            ),
+        ]);
+        for (what, message) in hostile {
+            strat.merge_client(0, 0, 1, message);
             strat.on_round_end(0, 0, &[]);
             assert!(strat.prompt_store().is_empty(), "{what} was ingested");
         }

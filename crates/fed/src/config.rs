@@ -1,11 +1,12 @@
-//! Run-level configuration: [`RunConfig`], its validating builder, and the
-//! typed errors the builder rejects with.
+//! Run-level configuration: [`RunConfig`], its validation, and the typed
+//! [`ConfigError`] it rejects with.
 //!
-//! Historically an invalid configuration (a zero batch size, a dropout
-//! probability of 1.7) surfaced as a panic deep inside the round loop —
-//! `minibatches` dividing by zero or a schedule with no rounds. The builder
-//! front-loads those checks into [`RunConfigBuilder::build`], which returns a
-//! [`ConfigError`] naming the offending field instead.
+//! An invalid configuration (a zero batch size, a dropout probability of
+//! 1.7) would otherwise surface as a panic deep inside the round loop —
+//! `minibatches` dividing by zero or a schedule with no rounds.
+//! [`RunConfig::validate`] front-loads those checks and names the offending
+//! field instead; the runner and every client replica call it before they
+//! start.
 
 use refil_wire::{CompressionSpec, QuantMode};
 use serde::{Deserialize, Serialize};
@@ -34,10 +35,8 @@ pub struct RunConfig {
     /// Worker threads for client fan-out and eval sweeps. `0` (the default,
     /// and what pre-existing serialized configs decode to) defers to the
     /// runner's `REFIL_THREADS` environment default; any other value is
-    /// taken as an explicit request. [`RunConfigBuilder::threads`] resolves
-    /// an explicit "auto" (`threads(0)`) to the machine's available
-    /// parallelism at build time. Thread count never changes results, only
-    /// wall time, so this field is inert for determinism.
+    /// taken as an explicit request. Thread count never changes results,
+    /// only wall time, so this field is inert for determinism.
     #[serde(default)]
     pub threads: usize,
     /// Networked-server options; inert on the in-process path, so adding
@@ -191,13 +190,25 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A validating builder starting from [`RunConfig::default`].
-    pub fn builder() -> RunConfigBuilder {
-        RunConfigBuilder::new()
-    }
-
     /// Checks every invariant the round loop relies on, returning the first
     /// violation as a typed error.
+    ///
+    /// ```
+    /// use refil_fed::{ConfigError, RunConfig};
+    ///
+    /// let cfg = RunConfig {
+    ///     batch_size: 16,
+    ///     dropout_prob: 0.1,
+    ///     ..RunConfig::default()
+    /// };
+    /// assert_eq!(cfg.validate(), Ok(()));
+    ///
+    /// let zero = RunConfig {
+    ///     batch_size: 0,
+    ///     ..cfg
+    /// };
+    /// assert_eq!(zero.validate(), Err(ConfigError::ZeroBatchSize));
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroBatchSize);
@@ -239,7 +250,7 @@ impl RunConfig {
     }
 }
 
-/// A [`RunConfig`] invariant violation, caught at build time.
+/// A [`RunConfig`] invariant violation, reported by [`RunConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `batch_size == 0` would make `minibatches` loop forever / divide by
@@ -305,177 +316,31 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`RunConfig`].
-///
-/// ```
-/// use refil_fed::RunConfig;
-///
-/// let cfg = RunConfig::builder()
-///     .batch_size(16)
-///     .local_epochs(1)
-///     .dropout_prob(0.1)
-///     .seed(7)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(cfg.batch_size, 16);
-///
-/// assert!(RunConfig::builder().batch_size(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RunConfigBuilder {
-    cfg: RunConfig,
-}
-
-impl RunConfigBuilder {
-    /// Starts from [`RunConfig::default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the client-increment protocol parameters.
-    pub fn increment(mut self, increment: IncrementConfig) -> Self {
-        self.cfg.increment = increment;
-        self
-    }
-
-    /// Sets the local epochs per selected client per round.
-    pub fn local_epochs(mut self, local_epochs: usize) -> Self {
-        self.cfg.local_epochs = local_epochs;
-        self
-    }
-
-    /// Sets the local minibatch size.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.cfg.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the log-normal sigma of the quantity-shift partition.
-    pub fn quantity_sigma(mut self, quantity_sigma: f32) -> Self {
-        self.cfg.quantity_sigma = quantity_sigma;
-        self
-    }
-
-    /// Sets the evaluation minibatch size.
-    pub fn eval_batch(mut self, eval_batch: usize) -> Self {
-        self.cfg.eval_batch = eval_batch;
-        self
-    }
-
-    /// Sets the per-round client dropout probability.
-    pub fn dropout_prob(mut self, dropout_prob: f32) -> Self {
-        self.cfg.dropout_prob = dropout_prob;
-        self
-    }
-
-    /// Sets the master seed for the run.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count. `0` means "auto": it resolves to the
-    /// machine's available parallelism right here, so the built config
-    /// carries a concrete count (the runner additionally clamps to
-    /// available cores at dispatch time — oversubscription never helps).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// Sets all networked-server options at once.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Sets the per-round collection deadline (milliseconds).
-    pub fn round_deadline_ms(mut self, ms: u64) -> Self {
-        self.cfg.net.round_deadline_ms = ms;
-        self
-    }
-
-    /// Sets how many peers the server waits for before starting.
-    pub fn min_peers(mut self, peers: usize) -> Self {
-        self.cfg.net.min_peers = peers;
-        self
-    }
-
-    /// Sets the startup / empty-round join grace period (milliseconds).
-    pub fn join_grace_ms(mut self, ms: u64) -> Self {
-        self.cfg.net.join_grace_ms = ms;
-        self
-    }
-
-    /// Sets the client-side idle patience (milliseconds).
-    pub fn client_idle_ms(mut self, ms: u64) -> Self {
-        self.cfg.net.client_idle_ms = ms;
-        self
-    }
-
-    /// Sets the sampled-participation fraction (`0.0` disables sampling).
-    pub fn sample_fraction(mut self, fraction: f32) -> Self {
-        self.cfg.net.sample_fraction = fraction;
-        self
-    }
-
-    /// Sets the floor on sessions kept per round while sampling.
-    pub fn min_sample(mut self, min_sample: usize) -> Self {
-        self.cfg.net.min_sample = min_sample;
-        self
-    }
-
-    /// Sets the per-peer outbound-queue cap in bytes (`0` = unbounded).
-    pub fn send_queue_max_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.net.send_queue_max_bytes = bytes;
-        self
-    }
-
-    /// Sets all uplink-compression options at once.
-    pub fn wire(mut self, wire: WireConfig) -> Self {
-        self.cfg.wire = wire;
-        self
-    }
-
-    /// Enables or disables delta encoding against the round broadcast.
-    pub fn wire_delta(mut self, delta: bool) -> Self {
-        self.cfg.wire.delta = delta;
-        self
-    }
-
-    /// Sets the uplink scalar quantization codec.
-    pub fn wire_quant(mut self, quant: WireQuant) -> Self {
-        self.cfg.wire.quant = quant;
-        self
-    }
-
-    /// Sets the top-k kept fraction (`1.0` keeps every coordinate).
-    pub fn wire_topk_fraction(mut self, fraction: f32) -> Self {
-        self.cfg.wire.topk_fraction = fraction;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<RunConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `RunConfig::default()` with `net` replaced.
+    fn with_net(net: NetConfig) -> RunConfig {
+        RunConfig {
+            net,
+            ..RunConfig::default()
+        }
+    }
+
+    /// `RunConfig::default()` with `wire` replaced.
+    fn with_wire(wire: WireConfig) -> RunConfig {
+        RunConfig {
+            wire,
+            ..RunConfig::default()
+        }
+    }
+
     #[test]
     fn default_config_is_valid() {
         assert_eq!(RunConfig::default().validate(), Ok(()));
-        assert!(RunConfig::builder().build().is_ok());
+        // Unset threads stay 0: the runner then falls back to REFIL_THREADS.
+        assert_eq!(RunConfig::default().threads, 0);
     }
 
     #[test]
@@ -487,36 +352,18 @@ mod tests {
             transition_fraction: 0.5,
             rounds_per_task: 4,
         };
-        let cfg = RunConfig::builder()
-            .increment(inc)
-            .local_epochs(3)
-            .batch_size(8)
-            .quantity_sigma(0.4)
-            .eval_batch(32)
-            .dropout_prob(0.25)
-            .seed(99)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.increment.initial_clients, 6);
-        assert_eq!(cfg.local_epochs, 3);
-        assert_eq!(cfg.batch_size, 8);
-        assert!((cfg.quantity_sigma - 0.4).abs() < f32::EPSILON);
-        assert_eq!(cfg.eval_batch, 32);
-        assert!((cfg.dropout_prob - 0.25).abs() < f32::EPSILON);
-        assert_eq!(cfg.seed, 99);
-    }
-
-    #[test]
-    fn builder_resolves_auto_threads_to_available_parallelism() {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let auto = RunConfig::builder().threads(0).build().expect("valid");
-        assert_eq!(auto.threads, cores, "threads(0) must mean all cores");
-        let explicit = RunConfig::builder().threads(3).build().expect("valid");
-        assert_eq!(explicit.threads, 3);
-        // Unset stays 0: the runner then falls back to REFIL_THREADS.
-        assert_eq!(RunConfig::default().threads, 0);
+        let cfg = RunConfig {
+            increment: inc,
+            local_epochs: 3,
+            batch_size: 8,
+            quantity_sigma: 0.4,
+            eval_batch: 32,
+            dropout_prob: 0.25,
+            seed: 99,
+            threads: 3,
+            ..RunConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -539,33 +386,42 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_batch_size() {
-        assert_eq!(
-            RunConfig::builder().batch_size(0).build(),
-            Err(ConfigError::ZeroBatchSize)
-        );
+        let cfg = RunConfig {
+            batch_size: 0,
+            ..RunConfig::default()
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroBatchSize));
     }
 
     #[test]
     fn builder_rejects_out_of_range_dropout() {
+        let with_dropout = |dropout_prob| RunConfig {
+            dropout_prob,
+            ..RunConfig::default()
+        };
         assert_eq!(
-            RunConfig::builder().dropout_prob(1.5).build(),
+            with_dropout(1.5).validate(),
             Err(ConfigError::DropoutOutOfRange(1.5))
         );
         assert_eq!(
-            RunConfig::builder().dropout_prob(-0.1).build(),
+            with_dropout(-0.1).validate(),
             Err(ConfigError::DropoutOutOfRange(-0.1))
         );
-        assert!(RunConfig::builder().dropout_prob(f32::NAN).build().is_err());
+        assert!(with_dropout(f32::NAN).validate().is_err());
     }
 
     #[test]
     fn builder_rejects_degenerate_increment() {
+        let with_increment = |increment| RunConfig {
+            increment,
+            ..RunConfig::default()
+        };
         let inc = IncrementConfig {
             rounds_per_task: 0,
             ..IncrementConfig::default()
         };
         assert_eq!(
-            RunConfig::builder().increment(inc).build(),
+            with_increment(inc).validate(),
             Err(ConfigError::ZeroRoundsPerTask)
         );
         let inc = IncrementConfig {
@@ -573,7 +429,7 @@ mod tests {
             ..IncrementConfig::default()
         };
         assert_eq!(
-            RunConfig::builder().increment(inc).build(),
+            with_increment(inc).validate(),
             Err(ConfigError::ZeroSelectPerRound)
         );
         let inc = IncrementConfig {
@@ -581,7 +437,7 @@ mod tests {
             ..IncrementConfig::default()
         };
         assert_eq!(
-            RunConfig::builder().increment(inc).build(),
+            with_increment(inc).validate(),
             Err(ConfigError::TransitionFractionOutOfRange(1.2))
         );
     }
@@ -594,56 +450,64 @@ mod tests {
 
     #[test]
     fn builder_sets_and_validates_net_options() {
-        let cfg = RunConfig::builder()
-            .round_deadline_ms(500)
-            .min_peers(3)
-            .join_grace_ms(250)
-            .client_idle_ms(9000)
-            .build()
-            .expect("valid net options");
-        assert_eq!(cfg.net.round_deadline_ms, 500);
-        assert_eq!(cfg.net.min_peers, 3);
-        assert_eq!(cfg.net.join_grace_ms, 250);
-        assert_eq!(cfg.net.client_idle_ms, 9000);
-        assert_eq!(
-            RunConfig::builder().round_deadline_ms(0).build(),
-            Err(ConfigError::ZeroRoundDeadline)
-        );
-        assert_eq!(
-            RunConfig::builder().min_peers(0).build(),
-            Err(ConfigError::ZeroMinPeers)
-        );
-        assert_eq!(
-            RunConfig::builder().client_idle_ms(0).build(),
-            Err(ConfigError::ZeroClientIdle)
-        );
+        let net = NetConfig {
+            round_deadline_ms: 500,
+            min_peers: 3,
+            join_grace_ms: 250,
+            client_idle_ms: 9000,
+            ..NetConfig::default()
+        };
+        assert_eq!(with_net(net).validate(), Ok(()));
+        let cases = [
+            (
+                NetConfig {
+                    round_deadline_ms: 0,
+                    ..net
+                },
+                ConfigError::ZeroRoundDeadline,
+            ),
+            (
+                NetConfig {
+                    min_peers: 0,
+                    ..net
+                },
+                ConfigError::ZeroMinPeers,
+            ),
+            (
+                NetConfig {
+                    client_idle_ms: 0,
+                    ..net
+                },
+                ConfigError::ZeroClientIdle,
+            ),
+        ];
+        for (net, err) in cases {
+            assert_eq!(with_net(net).validate(), Err(err));
+        }
     }
 
     #[test]
     fn builder_sets_and_validates_sampling_options() {
-        let cfg = RunConfig::builder()
-            .sample_fraction(0.5)
-            .min_sample(2)
-            .send_queue_max_bytes(1 << 20)
-            .build()
-            .expect("valid sampling options");
-        assert!((cfg.net.sample_fraction - 0.5).abs() < f32::EPSILON);
-        assert_eq!(cfg.net.min_sample, 2);
-        assert_eq!(cfg.net.send_queue_max_bytes, 1 << 20);
+        let sampled = |sample_fraction| {
+            with_net(NetConfig {
+                sample_fraction,
+                min_sample: 2,
+                send_queue_max_bytes: 1 << 20,
+                ..NetConfig::default()
+            })
+        };
+        assert_eq!(sampled(0.5).validate(), Ok(()));
         assert_eq!(
-            RunConfig::builder().sample_fraction(1.5).build(),
+            sampled(1.5).validate(),
             Err(ConfigError::SampleFractionOutOfRange(1.5))
         );
         assert_eq!(
-            RunConfig::builder().sample_fraction(-0.1).build(),
+            sampled(-0.1).validate(),
             Err(ConfigError::SampleFractionOutOfRange(-0.1))
         );
-        assert!(RunConfig::builder()
-            .sample_fraction(f32::NAN)
-            .build()
-            .is_err());
+        assert!(sampled(f32::NAN).validate().is_err());
         // 0.0 means "sampling disabled" and stays valid.
-        assert!(RunConfig::builder().sample_fraction(0.0).build().is_ok());
+        assert_eq!(sampled(0.0).validate(), Ok(()));
     }
 
     #[test]
@@ -719,30 +583,27 @@ mod tests {
 
     #[test]
     fn builder_sets_and_validates_wire_options() {
-        let cfg = RunConfig::builder()
-            .wire_delta(true)
-            .wire_quant(WireQuant::Int8)
-            .wire_topk_fraction(0.25)
-            .build()
-            .expect("valid wire options");
-        assert!(cfg.wire.delta);
-        assert_eq!(cfg.wire.quant, WireQuant::Int8);
-        assert!((cfg.wire.topk_fraction - 0.25).abs() < f32::EPSILON);
+        let topk = |topk_fraction| {
+            with_wire(WireConfig {
+                delta: true,
+                quant: WireQuant::Int8,
+                topk_fraction,
+            })
+        };
+        let cfg = topk(0.25);
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.wire.spec().to_string(), "delta+int8+topk0.25");
         assert!(cfg.wire.is_active());
         assert!(!WireConfig::default().is_active());
         assert_eq!(
-            RunConfig::builder().wire_topk_fraction(0.0).build(),
+            topk(0.0).validate(),
             Err(ConfigError::TopkFractionOutOfRange(0.0))
         );
         assert_eq!(
-            RunConfig::builder().wire_topk_fraction(1.5).build(),
+            topk(1.5).validate(),
             Err(ConfigError::TopkFractionOutOfRange(1.5))
         );
-        assert!(RunConfig::builder()
-            .wire_topk_fraction(f32::NAN)
-            .build()
-            .is_err());
+        assert!(topk(f32::NAN).validate().is_err());
         let msg = ConfigError::TopkFractionOutOfRange(1.5).to_string();
         assert!(
             msg.contains("topk_fraction") && msg.contains("1.5"),
@@ -765,11 +626,12 @@ mod tests {
         assert_eq!(cfg.wire, WireConfig::default());
         assert!(!cfg.wire.is_active());
         // And a config with the field round-trips it.
-        let active = RunConfig::builder()
-            .wire_delta(true)
-            .wire_quant(WireQuant::F16)
-            .build()
-            .expect("valid");
+        let active = with_wire(WireConfig {
+            delta: true,
+            quant: WireQuant::F16,
+            ..WireConfig::default()
+        });
+        assert_eq!(active.validate(), Ok(()));
         let json = serde_json::to_string(&active).expect("serialize");
         let back: RunConfig = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back.wire, active.wire);

@@ -28,7 +28,7 @@ mod runner;
 mod traffic;
 
 pub use aggregate::{balanced_mean, fedavg, WeightedUpdate};
-pub use config::{ConfigError, NetConfig, RunConfig, RunConfigBuilder, WireConfig, WireQuant};
+pub use config::{ConfigError, NetConfig, RunConfig, WireConfig, WireQuant};
 pub use increment::{
     build_schedule, select_clients, ClientGroup, ClientPlan, IncrementConfig, TaskSchedule,
 };

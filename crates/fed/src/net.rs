@@ -62,8 +62,11 @@
 //! compressed form `CompressedModelUpdate`, merge
 //! messages) ride *inside* control frames as nested encoded frames, so the
 //! per-logical-client traffic accounting of a networked run is
-//! byte-identical to the loopback run's. Physical per-peer socket traffic
-//! is reported separately through `net.*` telemetry counters.
+//! byte-identical to the loopback run's. Replicas build the nested update
+//! with the same `uplink_update` the in-process driver uses, and the server
+//! decodes it into the same `RemoteSession` the driver's echo uplink
+//! yields. Physical per-peer socket traffic is reported separately through
+//! `net.*` telemetry counters.
 //!
 //! # Deadline semantics
 //!
@@ -89,8 +92,8 @@ use refil_wire::{
 use crate::config::{NetConfig, RunConfig};
 use crate::increment::{build_schedule, ClientGroup, TaskSchedule};
 use crate::runner::{
-    carry_forward, collect_client_data, distribute_task_data, task_compression, FdilStrategy,
-    Holdings, TrainSetting,
+    carry_forward, collect_client_data, distribute_task_data, ClientUpdate, FdilStrategy, Holdings,
+    TrainSetting,
 };
 
 /// How long a joining peer gets to complete the `Hello`/`Welcome` handshake.
@@ -154,18 +157,60 @@ pub(crate) struct RemoteSession {
     pub(crate) stat: SessionStat,
 }
 
+impl RemoteUpdate {
+    /// The decoded uplink `msg` as a model update, or a `Malformed` error
+    /// when it is any other kind.
+    pub(crate) fn from_message(msg: WireMessage) -> Result<Self, WireError> {
+        match msg {
+            WireMessage::ClientModelUpdate(u) => Ok(Self::Plain(u)),
+            WireMessage::CompressedModelUpdate(c) => Ok(Self::Compressed(c)),
+            _ => Err(WireError::Malformed(
+                "nested update is not a model update frame",
+            )),
+        }
+    }
+}
+
+/// The uplink message for one trained session, built against the round's
+/// decoded broadcast `base` (tagged `task`/`round`). It is a
+/// `CompressedModelUpdate` while the `negotiated` spec is lossy or the
+/// task's exchange `mask` restricts the coordinates, and a dense
+/// `ClientModelUpdate` otherwise (prompt-only RefFiL's mask is `None` for
+/// its warm-up task 0). The in-process driver and remote clients both build
+/// their uplink here, which keeps loopback and networked runs
+/// byte-identical.
+pub(crate) fn uplink_update(
+    negotiated: Option<CompressionSpec>,
+    mask: Option<&[u32]>,
+    client_id: u64,
+    update: ClientUpdate,
+    base: &[f32],
+    task: u32,
+    round: u32,
+) -> WireMessage {
+    match negotiated.filter(|s| s.is_active() || mask.is_some()) {
+        Some(spec) => WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
+            &spec,
+            mask,
+            client_id,
+            update.weight,
+            &update.flat,
+            base,
+            task,
+            round,
+        )),
+        None => WireMessage::ClientModelUpdate(WireClientModelUpdate {
+            client_id,
+            weight: update.weight,
+            model: update.flat,
+        }),
+    }
+}
+
 /// Decodes a `SessionResult`'s nested frames into a [`RemoteSession`].
 fn remote_session(sr: SessionResult) -> Result<RemoteSession, WireError> {
     let update_bytes = sr.update.len() as u64;
-    let update = match WireMessage::decode(&sr.update)? {
-        WireMessage::ClientModelUpdate(u) => RemoteUpdate::Plain(u),
-        WireMessage::CompressedModelUpdate(c) => RemoteUpdate::Compressed(c),
-        _ => {
-            return Err(WireError::Malformed(
-                "nested update is not a model update frame",
-            ))
-        }
-    };
+    let update = RemoteUpdate::from_message(WireMessage::decode(&sr.update)?)?;
     let merge = match sr.merge {
         Some(frame) => {
             let bytes = frame.len() as u64;
@@ -1081,7 +1126,6 @@ impl<'a> ClientSession<'a> {
         };
         let mut results: Vec<Vec<u8>> = Vec::with_capacity(rs.sessions.len());
         let mask = self.strategy.exchange_mask(u64::from(rs.task));
-        let compression = task_compression(self.opts.compression, mask.as_deref());
         {
             let ctx = self
                 .strategy
@@ -1107,26 +1151,16 @@ impl<'a> ClientSession<'a> {
                 let start = Instant::now();
                 let out = ctx.train_client(&setting, self.telemetry);
                 let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let update = if let Some(spec) = &compression {
-                    WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
-                        spec,
-                        mask.as_deref(),
-                        a.client_id,
-                        out.update.weight,
-                        &out.update.flat,
-                        &model.model,
-                        model.task,
-                        model.round,
-                    ))
-                    .encode()
-                } else {
-                    WireMessage::ClientModelUpdate(WireClientModelUpdate {
-                        client_id: a.client_id,
-                        weight: out.update.weight,
-                        model: out.update.flat,
-                    })
-                    .encode()
-                };
+                let update = uplink_update(
+                    self.opts.compression,
+                    mask.as_deref(),
+                    a.client_id,
+                    out.update,
+                    &model.model,
+                    model.task,
+                    model.round,
+                )
+                .encode();
                 let merge = out.merge.map(|m| m.encode());
                 results.push(
                     WireMessage::SessionResult(SessionResult {

@@ -34,10 +34,13 @@
 //!
 //! [`FdilRunner::serve`] runs the same loop over real sockets: planned
 //! sessions are assigned to connected peer processes, trained remotely, and
-//! collected under a per-round deadline — see the `net` module. Because
-//! remote results ride inside control frames as the *same* nested payload
-//! frames, the per-client traffic accounting stays byte-identical to the
-//! loopback run.
+//! collected under a per-round deadline — see the `net` module. There is
+//! one uplink codec path: local sessions and remote clients build their
+//! update frame with the same function (dense, or compressed against the
+//! round's broadcast), and the aggregate step decodes both into the same
+//! per-session result, consumed in slot order. Because remote results ride
+//! inside control frames as the *same* nested payload frames, the
+//! per-client traffic accounting stays byte-identical to the loopback run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -54,14 +57,13 @@ use refil_telemetry::{
 
 use crate::pool::WorkerPool;
 use refil_wire::{
-    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, CompressionSpec, Link,
-    Listener, Loopback, ModelBroadcast, SessionAssignment, WireMessage,
+    CompressionSpec, Link, Listener, Loopback, ModelBroadcast, SessionAssignment, WireMessage,
 };
 
 use crate::aggregate::{fedavg, WeightedUpdate};
 use crate::config::RunConfig;
 use crate::increment::{build_schedule, select_clients, ClientGroup, TaskSchedule};
-use crate::net::{group_code, RemoteSession, RemoteUpdate, ServeState};
+use crate::net::{group_code, uplink_update, RemoteSession, RemoteUpdate, ServeState};
 use crate::traffic::TrafficStats;
 
 /// Everything a strategy needs to run one local training session.
@@ -358,22 +360,6 @@ impl RunResult {
     }
 }
 
-/// Session outputs paired with their timing stats, indexed by session slot
-/// (`None` until the slot's worker completes it).
-type SessionSlots = Vec<Option<(SessionOutput, SessionStat)>>;
-
-/// One round's session results, indexed by planned-session slot: trained
-/// locally on the worker pool (with the echo uplink their frames travel
-/// through), or collected from remote peers (`None` = the result missed the
-/// round deadline).
-enum RoundOutputs<'l> {
-    Local {
-        slots: SessionSlots,
-        uplink: &'l dyn Link,
-    },
-    Remote(Vec<Option<RemoteSession>>),
-}
-
 /// How [`FdilRunner::run_inner`] moves a round's frames.
 enum Exchange<'s, 'l> {
     /// The driver plays both ends: every frame goes out on an echo link and
@@ -400,19 +386,6 @@ pub(crate) fn negotiated_compression(
 ) -> Option<CompressionSpec> {
     let masks_any_task = (0..num_tasks).any(|t| strategy.exchange_mask(t as u64).is_some());
     (spec.is_active() || masks_any_task).then_some(spec)
-}
-
-/// The spec a task's client updates are compressed with, or `None` to send
-/// plain dense updates: a negotiated spec applies only while it is lossy or
-/// the task's exchange `mask` restricts the coordinates (prompt-only
-/// RefFiL's mask is `None` for its warm-up task 0). The in-process driver
-/// and remote clients both decide through this, which keeps loopback and
-/// networked runs byte-identical.
-pub(crate) fn task_compression(
-    negotiated: Option<CompressionSpec>,
-    mask: Option<&[u32]>,
-) -> Option<CompressionSpec> {
-    negotiated.filter(|s| s.is_active() || mask.is_some())
 }
 
 /// Converts the nn crate's thread-local scratch accounting into the
@@ -640,7 +613,6 @@ pub struct FdilRunner {
     cfg: RunConfig,
     telemetry: Telemetry,
     threads: usize,
-    clamp: bool,
     /// Lazily-created persistent worker pool, sized to
     /// [`FdilRunner::effective_threads`] on the first dispatch that wants
     /// more than one worker and reused for every round and eval sweep after.
@@ -656,7 +628,6 @@ impl Clone for FdilRunner {
             cfg: self.cfg,
             telemetry: self.telemetry.clone(),
             threads: self.threads,
-            clamp: self.clamp,
             pool: OnceLock::new(),
         }
     }
@@ -676,7 +647,6 @@ impl FdilRunner {
             cfg,
             telemetry: Telemetry::disabled(),
             threads,
-            clamp: true,
             pool: OnceLock::new(),
         }
     }
@@ -699,40 +669,17 @@ impl FdilRunner {
         self
     }
 
-    /// Controls whether the worker count is clamped to the machine's
-    /// available parallelism (default `true`). Oversubscribing threads past
-    /// physical cores only adds spawn and contention cost — the clamp is
-    /// what lets callers say `.threads(16)` portably. Disable it only to
-    /// deliberately oversubscribe (e.g. pool-scheduling tests that need
-    /// more workers than this machine has cores).
-    #[must_use]
-    pub fn clamp_threads(mut self, clamp: bool) -> Self {
-        self.clamp = clamp;
-        self.pool = OnceLock::new();
-        self
-    }
-
     /// The run configuration this runner was built with.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
     }
 
-    /// The requested worker-thread count (`0` already resolved to all
-    /// cores). See [`FdilRunner::effective_threads`] for the count actually
-    /// dispatched.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// The worker count dispatches actually use: the requested count clamped
-    /// to available parallelism (unless [`FdilRunner::clamp_threads`]
-    /// disabled the clamp).
+    /// to available parallelism. Oversubscribing threads past the cores
+    /// only adds spawn and contention cost, so callers may say
+    /// `.threads(16)` portably.
     pub fn effective_threads(&self) -> usize {
-        if self.clamp {
-            self.threads.min(resolve_threads(0))
-        } else {
-            self.threads
-        }
+        self.threads.min(resolve_threads(0))
     }
 
     /// The persistent worker pool, created on first use at the effective
@@ -766,10 +713,9 @@ impl FdilRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`RunConfig::validate`] (construct configs via
-    /// [`RunConfig::builder`] to catch this early as a typed
-    /// [`crate::ConfigError`]), if the dataset has no domains, or if a
-    /// domain has no test data.
+    /// Panics if `cfg` fails [`RunConfig::validate`] (call it first to get
+    /// the typed [`crate::ConfigError`] instead), if the dataset has no
+    /// domains, or if a domain has no test data.
     pub fn run(&self, dataset: &FdilDataset, strategy: &mut dyn FdilStrategy) -> RunResult {
         self.run_with_links(dataset, strategy, &Loopback::new(), &Loopback::new())
     }
@@ -896,7 +842,6 @@ impl FdilRunner {
             traffic.start_task(task);
             strategy.on_task_start(task, &global);
             let exchange_mask = strategy.exchange_mask(task as u64);
-            let uplink_spec = task_compression(compression, exchange_mask.as_deref());
 
             // Distribute the new domain's training data among recipients.
             distribute_task_data(&mut holdings, schedule, dataset, cfg, task);
@@ -1050,19 +995,13 @@ impl FdilRunner {
                 // Dispatch sessions against the shared read-only context;
                 // outputs are indexed by session slot so completion order is
                 // irrelevant. `select_clients` returns ids ascending, so slot
-                // order == client-id order.
-                //
-                // Profiling rides along without touching scheduling: each
-                // worker owns a preallocated timeline lane (ticks only, no
-                // allocation per item) and harvests its thread's scratch
-                // stats; lanes merge into per-worker busy/idle/steal
-                // accounting after the join, off the hot path.
-                let round_path = telemetry.current_path();
-                let timeline = telemetry.timeline();
+                // order == client-id order. Either exchange yields one
+                // `Option<RemoteSession>` per slot (`None` = the result missed
+                // the round deadline, remote path only).
                 let train_start = std::time::Instant::now();
                 let train_t0 = telemetry.now_ns();
-                let (mut outputs, train_pool, train_scratch): (
-                    RoundOutputs<'_>,
+                let (slots, train_pool, train_scratch): (
+                    Box<dyn Iterator<Item = Option<RemoteSession>> + '_>,
                     Option<PoolStats>,
                     ArenaStats,
                 ) = match &mut exchange {
@@ -1073,93 +1012,53 @@ impl FdilRunner {
                         let deadline = std::time::Instant::now()
                             + std::time::Duration::from_millis(cfg.net.round_deadline_ms);
                         let slots = srv.collect(deadline);
-                        (RoundOutputs::Remote(slots), None, ArenaStats::default())
+                        (Box::new(slots.into_iter()), None, ArenaStats::default())
                     }
                     Exchange::Echo { up, .. } => {
-                        let uplink = *up;
                         let ctx = strategy.round_ctx(task, round, &round_model, broadcast.as_ref());
-                        let workers = self.effective_threads().min(sessions.len());
-                        if workers <= 1 {
-                            let t = telemetry.scoped(&round_path);
-                            let mut lane = timeline.lane(0);
-                            let _ = refil_nn::take_scratch_stats();
-                            let outputs: SessionSlots = sessions
-                                .iter()
-                                .map(|s| {
-                                    let start = lane.tick();
-                                    let (out, duration_ns) = run_session(&*ctx, s, cfg, &t);
-                                    lane.record("client", Some(s.cid as u64), start);
-                                    let stat = SessionStat {
-                                        client_id: s.cid as u64,
-                                        track: 1,
-                                        duration_ns,
-                                    };
-                                    Some((out, stat))
-                                })
-                                .collect();
-                            let scratch = arena_stats(refil_nn::take_scratch_stats());
-                            let wall = timeline.tick().saturating_sub(train_t0);
-                            (
-                                RoundOutputs::Local {
-                                    slots: outputs,
-                                    uplink,
-                                },
-                                timeline.merge(&[&lane], wall),
-                                scratch,
-                            )
-                        } else {
-                            let pool = self.pool();
-                            let _dispatch = pool.serialize();
-                            let next = AtomicUsize::new(0);
-                            let slots: Mutex<SessionSlots> =
-                                Mutex::new(sessions.iter().map(|_| None).collect());
-                            let worker_scratch: Mutex<Vec<ArenaStats>> =
-                                Mutex::new(vec![ArenaStats::default(); workers]);
-                            pool.run(workers, &|slot| {
-                                let t = telemetry.scoped(&round_path);
-                                let mut lane = pool.lane(slot);
-                                timeline.rearm(&mut lane, slot);
-                                let track = slot as u32 + 1;
-                                let ctx = &*ctx;
-                                let _ = refil_nn::take_scratch_stats();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    let Some(session) = sessions.get(i) else {
-                                        break;
-                                    };
-                                    let start = lane.tick();
-                                    let (out, duration_ns) = run_session(ctx, session, cfg, &t);
-                                    lane.record("client", Some(session.cid as u64), start);
-                                    let stat = SessionStat {
-                                        client_id: session.cid as u64,
-                                        track,
-                                        duration_ns,
-                                    };
-                                    slots.lock().expect("session slots poisoned")[i] =
-                                        Some((out, stat));
-                                }
-                                worker_scratch.lock().expect("scratch slots poisoned")[slot] =
-                                    arena_stats(refil_nn::take_scratch_stats());
-                            });
-                            let mut scratch = ArenaStats::default();
-                            for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
-                                scratch.merge(&s);
-                            }
-                            let wall = timeline.tick().saturating_sub(train_t0);
-                            let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
-                            let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
-                            let pool_stats = timeline.merge(&lanes, wall);
-                            drop(lanes);
-                            drop(guards);
-                            (
-                                RoundOutputs::Local {
-                                    slots: slots.into_inner().expect("session slots poisoned"),
-                                    uplink,
-                                },
-                                pool_stats,
-                                scratch,
-                            )
-                        }
+                        let (outputs, pool, scratch) = self.fan_out(
+                            &sessions,
+                            "client",
+                            |_, s| s.cid as u64,
+                            |slot| slot as u32 + 1,
+                            |&mut track, s, t| {
+                                let (out, duration_ns) = run_session(&*ctx, s, cfg, t);
+                                let stat = SessionStat {
+                                    client_id: s.cid as u64,
+                                    track,
+                                    duration_ns,
+                                };
+                                (out, stat)
+                            },
+                        );
+                        // The driver plays the client's part of the uplink
+                        // too: it builds exactly the frame a remote client
+                        // would, moves it (and any merge message) through
+                        // the uplink, and hands on the decoded result. The
+                        // iterator is lazy, so that work runs one session at
+                        // a time inside the aggregate phase below.
+                        let uplink = *up;
+                        let (mask, base) = (exchange_mask.as_deref(), &round_model);
+                        let slots = outputs.into_iter().map(move |(out, stat)| {
+                            let update = uplink_update(
+                                compression,
+                                mask,
+                                stat.client_id,
+                                out.update,
+                                base,
+                                task as u32,
+                                round as u32,
+                            );
+                            let (update, update_bytes) = roundtrip(uplink, update);
+                            Some(RemoteSession {
+                                update: RemoteUpdate::from_message(update)
+                                    .expect("uplink delivered a non-model-update frame"),
+                                update_bytes,
+                                merge: out.merge.map(|msg| roundtrip(uplink, msg)),
+                                stat,
+                            })
+                        });
+                        (Box::new(slots), pool, scratch)
                     }
                 };
                 report.phases.train = elapsed_ns(train_start);
@@ -1168,62 +1067,22 @@ impl FdilRunner {
                 report.scratch.merge(&train_scratch);
 
                 // Clients → server: each update (and optional merge message)
-                // is encoded, sent up the uplink, decoded, and consumed in
-                // session (= client-id) order, so FedAvg inputs, traffic
-                // accounting, and merges are deterministic.
+                // is decoded and consumed in session (= client-id) order, so
+                // FedAvg inputs, traffic accounting, and merges are
+                // deterministic.
                 let aggregate_start = std::time::Instant::now();
                 let aggregate_t0 = telemetry.now_ns();
                 let mut updates = Vec::with_capacity(sessions.len());
                 let mut total_weight = 0.0f32;
                 let mut merges: Vec<(usize, WireMessage)> = Vec::new();
-                for (i, session) in sessions.iter().enumerate() {
-                    // Normalize both paths to the same shape: the decoded
-                    // update, its frame bytes, the optional decoded merge
-                    // with its frame bytes, and the session stat. `None`
-                    // means the result never arrived (remote path only).
-                    let collected = match &mut outputs {
-                        RoundOutputs::Local { slots, uplink } => {
-                            let (out, stat) = slots[i].take().expect("planned session never ran");
-                            // On the in-process paths the driver plays both
-                            // roles: it builds exactly the uplink frame a
-                            // remote client would (compressed against the
-                            // round's decoded broadcast when compression is
-                            // on), moves it through the uplink, and consumes
-                            // the decoded result below like a remote one.
-                            let update_msg = if let Some(spec) = uplink_spec {
-                                WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
-                                    &spec,
-                                    exchange_mask.as_deref(),
-                                    session.cid as u64,
-                                    out.update.weight,
-                                    &out.update.flat,
-                                    &round_model,
-                                    task as u32,
-                                    round as u32,
-                                ))
-                            } else {
-                                WireMessage::ClientModelUpdate(WireClientModelUpdate {
-                                    client_id: session.cid as u64,
-                                    weight: out.update.weight,
-                                    model: out.update.flat,
-                                })
-                            };
-                            let (update_out, update_bytes) = roundtrip(*uplink, update_msg);
-                            let update_out = match update_out {
-                                WireMessage::ClientModelUpdate(u) => RemoteUpdate::Plain(u),
-                                WireMessage::CompressedModelUpdate(c) => {
-                                    RemoteUpdate::Compressed(c)
-                                }
-                                _ => panic!("uplink delivered a non-model-update frame"),
-                            };
-                            let merge = out.merge.map(|msg| roundtrip(*uplink, msg));
-                            Some((update_out, update_bytes, merge, stat))
-                        }
-                        RoundOutputs::Remote(slots) => slots[i]
-                            .take()
-                            .map(|r| (r.update, r.update_bytes, r.merge, r.stat)),
-                    };
-                    let Some((update_out, update_bytes, merge, stat)) = collected else {
+                for (session, collected) in sessions.iter().zip(slots) {
+                    let Some(RemoteSession {
+                        update: update_out,
+                        update_bytes,
+                        merge,
+                        stat,
+                    }) = collected
+                    else {
                         // Straggler or dead peer: the round proceeds without
                         // this session and no bytes are accounted for it.
                         telemetry.counter("clients.late", 1);
@@ -1344,8 +1203,7 @@ impl FdilRunner {
             // attributed to the round that closed the task.
             let eval_start = std::time::Instant::now();
             let eval_t0 = telemetry.now_ns();
-            let (row, eval_pool, eval_scratch) =
-                self.evaluate_task_profiled(strategy, &global, dataset, task);
+            let (row, eval_pool, eval_scratch) = self.eval_sweep(strategy, &global, dataset, task);
             let eval_ns = elapsed_ns(eval_start);
             telemetry.timeline_span(0, "eval", eval_t0, eval_ns);
             if let Some(last) = rounds_reports.last_mut() {
@@ -1392,7 +1250,7 @@ impl FdilRunner {
     /// (inclusive), returning one accuracy (%) per domain.
     ///
     /// Work is chunked at *domain* granularity: each item walks one
-    /// domain's test split in [`EVAL_BLOCK`]-row `[n, dim]` tensors, so the
+    /// domain's test split in `EVAL_BLOCK`-row `[n, dim]` tensors, so the
     /// kernel layer sees wide multi-RHS GEMMs that stay cache-resident
     /// instead of dozens of thin per-batch ones (or one domain-wide forward
     /// whose activations spill L1). Because every forward op is
@@ -1419,109 +1277,124 @@ impl FdilRunner {
         dataset: &FdilDataset,
         task: usize,
     ) -> Vec<f32> {
-        self.evaluate_task_profiled(strategy, global, dataset, task)
-            .0
+        self.eval_sweep(strategy, global, dataset, task).0
     }
 
-    /// Like [`FdilRunner::evaluate_task`], but also returns the sweep's
-    /// per-worker [`PoolStats`] (None when telemetry is disabled — lanes
-    /// record nothing) and the scratch-arena accounting harvested from the
-    /// eval workers. This is the utilization report behind the parallel-eval
-    /// diagnosis: busy/idle/steal per worker over the sweep's wall time.
-    pub fn evaluate_task_profiled(
+    /// The sweep behind [`FdilRunner::evaluate_task`], also returning its
+    /// per-worker [`PoolStats`] (`None` when telemetry is disabled) and the
+    /// scratch-arena accounting harvested from the eval workers, which the
+    /// round driver attributes to the round that closed the task.
+    fn eval_sweep(
         &self,
         strategy: &dyn FdilStrategy,
         global: &[f32],
         dataset: &FdilDataset,
         task: usize,
     ) -> (Vec<f32>, Option<PoolStats>, ArenaStats) {
-        let telemetry = &self.telemetry;
-        let mut items: Vec<EvalItem<'_>> = Vec::with_capacity(task + 1);
-        for domain in 0..=task {
-            let test = &dataset.domains[domain].test;
-            assert!(!test.is_empty(), "domain {domain} has no test data");
-            items.push(EvalItem {
-                domain,
-                chunk: test,
-            });
-        }
-        let eval_path = telemetry.current_path();
-        let timeline = telemetry.timeline();
-        let sweep_t0 = timeline.tick();
+        let items: Vec<EvalItem<'_>> = (0..=task)
+            .map(|domain| {
+                let chunk = &dataset.domains[domain].test;
+                assert!(!chunk.is_empty(), "domain {domain} has no test data");
+                EvalItem { domain, chunk }
+            })
+            .collect();
         let ctx = strategy.eval_ctx(global);
-        let workers = self.effective_threads().min(items.len());
-        let (counts, pool_stats, scratch): (Vec<usize>, Option<PoolStats>, ArenaStats) =
-            if workers <= 1 {
-                let t = telemetry.scoped(&eval_path);
-                let mut lane = timeline.lane(0);
-                let _ = refil_nn::take_scratch_stats();
-                let mut evaluator = ctx.evaluator();
-                let mut staging = Vec::new();
-                let counts = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        let start = lane.tick();
-                        let correct = eval_item(&mut *evaluator, item, &mut staging, &t);
-                        lane.record("eval", Some(i as u64), start);
-                        correct
-                    })
-                    .collect();
-                let scratch = arena_stats(refil_nn::take_scratch_stats());
-                let wall = timeline.tick().saturating_sub(sweep_t0);
-                (counts, timeline.merge(&[&lane], wall), scratch)
-            } else {
-                let pool = self.pool();
-                let _dispatch = pool.serialize();
-                let next = AtomicUsize::new(0);
-                let slots: Mutex<Vec<Option<usize>>> = Mutex::new(vec![None; items.len()]);
-                let worker_scratch: Mutex<Vec<ArenaStats>> =
-                    Mutex::new(vec![ArenaStats::default(); workers]);
-                pool.run(workers, &|slot| {
-                    let t = telemetry.scoped(&eval_path);
-                    let mut lane = pool.lane(slot);
-                    timeline.rearm(&mut lane, slot);
-                    let ctx = &*ctx;
-                    let _ = refil_nn::take_scratch_stats();
-                    let mut evaluator = ctx.evaluator();
-                    let mut staging = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        let start = lane.tick();
-                        let correct = eval_item(&mut *evaluator, item, &mut staging, &t);
-                        lane.record("eval", Some(i as u64), start);
-                        slots.lock().expect("eval slots poisoned")[i] = Some(correct);
-                    }
-                    worker_scratch.lock().expect("scratch slots poisoned")[slot] =
-                        arena_stats(refil_nn::take_scratch_stats());
-                });
-                let mut scratch = ArenaStats::default();
-                for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
-                    scratch.merge(&s);
-                }
-                let wall = timeline.tick().saturating_sub(sweep_t0);
-                let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
-                let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
-                let pool_stats = timeline.merge(&lanes, wall);
-                drop(lanes);
-                drop(guards);
-                let counts = slots
-                    .into_inner()
-                    .expect("eval slots poisoned")
-                    .into_iter()
-                    .map(|c| c.expect("planned eval item never ran"))
-                    .collect();
-                (counts, pool_stats, scratch)
-            };
+        let (counts, pool_stats, scratch) = self.fan_out(
+            &items,
+            "eval",
+            |i, _| i as u64,
+            |_| (ctx.evaluator(), Vec::new()),
+            |(evaluator, staging), item, t| eval_item(&mut **evaluator, item, staging, t),
+        );
         let row = items
             .iter()
             .zip(&counts)
             .map(|(item, &correct)| 100.0 * correct as f32 / item.chunk.len() as f32)
             .collect();
         (row, pool_stats, scratch)
+    }
+
+    /// Runs `work` once per item on up to [`FdilRunner::effective_threads`]
+    /// workers and returns the results in item order, with the dispatch's
+    /// per-worker [`PoolStats`] and the scratch-arena stats harvested from
+    /// every worker.
+    ///
+    /// Workers pull items off a shared counter. Each one calls `init` with
+    /// its slot once, before its first item, and threads the state through
+    /// its `work` calls, along with a telemetry handle scoped under the
+    /// caller's current span. Every item is timed on the worker's lane as a
+    /// `kind` slice named by `id(index, item)`. With one worker (or none)
+    /// everything runs inline on the calling thread and the pool is never
+    /// started.
+    fn fan_out<T, S, R>(
+        &self,
+        items: &[T],
+        kind: &'static str,
+        id: impl Fn(usize, &T) -> u64 + Sync,
+        init: impl Fn(usize) -> S + Sync,
+        work: impl Fn(&mut S, &T, &Telemetry) -> R + Sync,
+    ) -> (Vec<R>, Option<PoolStats>, ArenaStats)
+    where
+        T: Sync,
+        R: Send,
+    {
+        let telemetry = &self.telemetry;
+        let path = telemetry.current_path();
+        let timeline = telemetry.timeline();
+        let t0 = timeline.tick();
+        let next = AtomicUsize::new(0);
+        let drain = |slot: usize, lane: &mut Lane, emit: &mut dyn FnMut(usize, R)| {
+            let t = telemetry.scoped(&path);
+            let _ = refil_nn::take_scratch_stats();
+            let mut state = None;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let state = state.get_or_insert_with(|| init(slot));
+                let start = lane.tick();
+                let out = work(state, item, &t);
+                lane.record(kind, Some(id(i, item)), start);
+                emit(i, out);
+            }
+            arena_stats(refil_nn::take_scratch_stats())
+        };
+        let workers = self.effective_threads().min(items.len());
+        if workers <= 1 {
+            let mut lane = timeline.lane(0);
+            let mut results = Vec::with_capacity(items.len());
+            let scratch = drain(0, &mut lane, &mut |_, out| results.push(out));
+            let wall = timeline.tick().saturating_sub(t0);
+            return (results, timeline.merge(&[&lane], wall), scratch);
+        }
+        let pool = self.pool();
+        let _dispatch = pool.serialize();
+        let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+        let worker_scratch = Mutex::new(vec![ArenaStats::default(); workers]);
+        pool.run(workers, &|slot| {
+            let mut lane = pool.lane(slot);
+            timeline.rearm(&mut lane, slot);
+            let scratch = drain(slot, &mut lane, &mut |i, out| {
+                slots.lock().expect("fan-out slots poisoned")[i] = Some(out);
+            });
+            worker_scratch.lock().expect("scratch slots poisoned")[slot] = scratch;
+        });
+        let mut scratch = ArenaStats::default();
+        for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
+            scratch.merge(&s);
+        }
+        let wall = timeline.tick().saturating_sub(t0);
+        let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
+        let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
+        let pool_stats = timeline.merge(&lanes, wall);
+        let results = slots
+            .into_inner()
+            .expect("fan-out slots poisoned")
+            .into_iter()
+            .map(|r| r.expect("fan-out item never ran"))
+            .collect();
+        (results, pool_stats, scratch)
     }
 }
 
@@ -1667,7 +1540,7 @@ mod tests {
     use refil_data::{DatasetSpec, DomainSpec};
     use std::time::{Duration, Instant};
 
-    use refil_wire::{PromptGroup, PromptUpload};
+    use refil_wire::{ClientModelUpdate as WireClientModelUpdate, PromptGroup, PromptUpload};
 
     /// A trivial strategy: nearest-class-mean in input space, "trained" by
     /// moving stored class means toward local data. Parameters = flat class
@@ -2495,5 +2368,51 @@ mod tests {
         let cap = h.both.capacity();
         h.rebuild_both();
         assert_eq!(h.both.capacity(), cap, "rebuild must reuse the buffer");
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_and_inits_each_worker_at_most_once() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            for n in [0usize, 1, 7] {
+                let runner = FdilRunner::new(RunConfig::default()).threads(threads);
+                let workers = runner.effective_threads().min(n);
+                let items: Vec<usize> = (0..n).map(|i| 10 * i).collect();
+                let inits: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+                let (results, _, _) = runner.fan_out(
+                    &items,
+                    "item",
+                    |i, _| i as u64,
+                    |slot| {
+                        inits[slot].fetch_add(1, Ordering::SeqCst);
+                        slot
+                    },
+                    |&mut slot, &item, _| (item + 1, slot, std::thread::current().id()),
+                );
+                let what = format!("{threads} threads, {n} items");
+                let values: Vec<usize> = results.iter().map(|r| r.0).collect();
+                let expected: Vec<usize> = items.iter().map(|x| x + 1).collect();
+                assert_eq!(values, expected, "{what}: results out of item order");
+                for (slot, count) in inits.iter().enumerate() {
+                    let count = count.load(Ordering::SeqCst);
+                    assert!(count <= 1, "{what}: slot {slot} initialised {count} times");
+                    if slot >= workers {
+                        assert_eq!(count, 0, "{what}: slot {slot} never participates");
+                    }
+                }
+                for &(_, slot, _) in &results {
+                    assert_eq!(inits[slot].load(Ordering::SeqCst), 1, "{what}");
+                }
+                if workers <= 1 {
+                    assert!(runner.pool.get().is_none(), "{what}: pool started");
+                    assert!(
+                        results.iter().all(|r| r.2 == caller),
+                        "{what}: left the calling thread"
+                    );
+                } else {
+                    assert!(runner.pool.get().is_some(), "{what}: pool never started");
+                }
+            }
+        }
     }
 }

@@ -154,7 +154,15 @@ fn served_thread_shape(n_clients: usize) -> (RunResult, Vec<ClientReport>, (usiz
     let reports = pump.join().expect("pump thread");
     stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler thread");
-    let after = process_thread_count().expect("/proc/self/task readable");
+    // A just-joined thread can linger in /proc/self/task for a moment, so
+    // give the count up to 2 s to settle; a thread that really stays alive
+    // still fails the leak assertion.
+    let settle_by = Instant::now() + Duration::from_secs(2);
+    let mut after = process_thread_count().expect("/proc/self/task readable");
+    while after > before && Instant::now() < settle_by {
+        std::thread::sleep(Duration::from_millis(1));
+        after = process_thread_count().expect("/proc/self/task readable");
+    }
     (
         result,
         reports,
