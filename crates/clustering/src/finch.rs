@@ -9,7 +9,7 @@
 //! parameter — which is what makes it suitable for the dynamic federated
 //! setting.
 
-use crate::similarity::{cosine_similarity, first_neighbor};
+use crate::similarity::{cosine_similarity, first_neighbors};
 
 /// One level of the FINCH hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +65,19 @@ pub fn finch(points: &[Vec<f32>]) -> FinchResult {
 /// input size and resulting hierarchy depth as histogram observations.
 pub fn finch_traced(points: &[Vec<f32>], telemetry: &refil_telemetry::Telemetry) -> FinchResult {
     let _span = telemetry.span("finch_cluster");
-    let result = finch_inner(points);
+    let result = finch_inner(points, first_neighbors);
     telemetry.observe("finch.points", points.len() as f64);
     telemetry.observe("finch.levels", result.partitions.len() as f64);
     telemetry.observe("finch.finest_clusters", result.finest().num_clusters as f64);
     result
 }
 
-fn finch_inner(points: &[Vec<f32>]) -> FinchResult {
+/// Each point's first neighbour (index `i`'s entry for `points[i]`).
+type Neighbors = fn(&[Vec<f32>]) -> Vec<usize>;
+
+/// FINCH with first neighbours from `neighbors` ([`first_neighbors`]
+/// outside the tests, which also run the per-point reference).
+fn finch_inner(points: &[Vec<f32>], neighbors: Neighbors) -> FinchResult {
     let n = points.len();
     if n == 0 {
         return FinchResult {
@@ -102,7 +107,7 @@ fn finch_inner(points: &[Vec<f32>]) -> FinchResult {
     let mut mapping: Vec<usize> = (0..n).collect();
 
     loop {
-        let level = cluster_once(&current);
+        let level = cluster_once(&current, neighbors);
         let labels: Vec<usize> = mapping.iter().map(|&m| level.labels[m]).collect();
         let num_clusters = level.num_clusters;
         partitions.push(Partition {
@@ -123,7 +128,7 @@ fn finch_inner(points: &[Vec<f32>]) -> FinchResult {
 
 /// One round of first-neighbour clustering: adjacency per Eq. 4, then
 /// connected components.
-fn cluster_once(points: &[Vec<f32>]) -> Partition {
+fn cluster_once(points: &[Vec<f32>], neighbors: Neighbors) -> Partition {
     let n = points.len();
     if n == 1 {
         return Partition {
@@ -131,7 +136,7 @@ fn cluster_once(points: &[Vec<f32>]) -> Partition {
             num_clusters: 1,
         };
     }
-    let neighbors: Vec<usize> = (0..n).map(|i| first_neighbor(points, i)).collect();
+    let neighbors = neighbors(points);
 
     // Union-find over the Eq. 4 links.
     let mut parent: Vec<usize> = (0..n).collect();
@@ -219,6 +224,54 @@ pub fn representatives(points: &[Vec<f32>], labels: &[usize], num_clusters: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-point scan the one-pass [`first_neighbors`] replaced.
+    fn first_neighbors_per_point(points: &[Vec<f32>]) -> Vec<usize> {
+        (0..points.len())
+            .map(|i| crate::similarity::first_neighbor(points, i))
+            .collect()
+    }
+
+    /// Points of dimension `dim` cut from `values`, then for each
+    /// `(at, kind)` an inserted exact duplicate (kind 0), all-zero point
+    /// (kind 1: zero norm, so similarity 0 to everything) or scaled
+    /// opposite (kind 2) of an existing point.
+    fn awkward_points(dim: usize, values: &[f32], at: &[usize], kind: &[u8]) -> Vec<Vec<f32>> {
+        let mut pts: Vec<Vec<f32>> = values.chunks_exact(dim).map(<[f32]>::to_vec).collect();
+        for (&at, &kind) in at.iter().zip(kind) {
+            if pts.is_empty() {
+                break;
+            }
+            let p = match kind {
+                0 => pts[at % pts.len()].clone(),
+                1 => vec![0.0; dim],
+                _ => pts[at % pts.len()].iter().map(|x| -0.5 * x).collect(),
+            };
+            pts.insert(at % (pts.len() + 1), p);
+        }
+        pts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn one_pass_neighbours_match_the_per_point_scan(
+            dim in 1usize..40,
+            values in prop::collection::vec(-3.0f32..3.0, 0..1600usize),
+            at in prop::collection::vec(0usize..64, 0..20usize),
+            kind in prop::collection::vec(0u8..3, 0..20usize),
+        ) {
+            let points = awkward_points(dim, &values, &at, &kind);
+            if points.len() >= 2 {
+                prop_assert_eq!(first_neighbors(&points), first_neighbors_per_point(&points));
+            }
+            let fast = finch_inner(&points, first_neighbors);
+            let reference = finch_inner(&points, first_neighbors_per_point);
+            prop_assert_eq!(fast.partitions, reference.partitions);
+        }
+    }
 
     fn two_blobs() -> Vec<Vec<f32>> {
         vec![

@@ -28,7 +28,7 @@ mod similarity;
 
 pub use finch::{cluster_means, finch, finch_traced, representatives, FinchResult, Partition};
 pub use kmeans::{kmeans, KmeansResult};
-pub use similarity::{cosine_similarity, first_neighbor, squared_distance};
+pub use similarity::{cosine_similarity, squared_distance};
 
 #[cfg(test)]
 mod proptests {

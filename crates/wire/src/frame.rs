@@ -238,10 +238,25 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
+/// Advances the (pre-inverted) CRC state over `data`: through the
+/// carry-less-multiply kernel ([`clmul::update`]) when the CPU reports
+/// PCLMULQDQ and SSE4.1 at run time, otherwise through the slice-by-16
+/// tables. Both compute the same state.
+fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::detected() {
+        // SAFETY: `clmul::detected` has just reported PCLMULQDQ and SSE4.1
+        // on this CPU, the only features `clmul::update` enables.
+        return unsafe { clmul::update(state, data) };
+    }
+    crc32_update_table(state, data)
+}
+
 /// Advances the (pre-inverted) CRC state over `data`: sixteen bytes per
 /// step through the slice-by-16 tables, then one byte per step over the
-/// tail.
-fn crc32_update(state: u32, data: &[u8]) -> u32 {
+/// tail. The path for short inputs, non-x86 hosts and CPUs without
+/// PCLMULQDQ, and the tail of the folded kernel.
+fn crc32_update_table(state: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = state;
     let mut blocks = data.chunks_exact(16);
@@ -270,8 +285,118 @@ fn crc32_update(state: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// The one-byte-per-step loop [`crc32_update`] replaced, kept as the
-/// reference its slice-by-16 body is property-tested against.
+/// CRC32 by folding with carry-less multiplies (Gopal et al., Intel, "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction"), in the bit-reflected form the IEEE CRC uses.
+///
+/// The message is read as four 128-bit lanes, 64 bytes apart. Each step
+/// multiplies a lane's two 64-bit halves by `x^(512±32) mod P` and XORs
+/// the products into the lane 64 bytes on, which keeps the lane congruent
+/// to the message so far modulo `P`. The four lanes are then folded into
+/// one (`x^(128±32) mod P`), whole 16-byte blocks are folded into that,
+/// the 128-bit remainder is narrowed to 64 bits and Barrett-reduced to the
+/// 32-bit state, and the last `len % 16` bytes go through the tables.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold constants: `reflect32(x^n mod P) << 1` for the `n` named, as in
+    /// the Linux and zlib kernels. `K1`/`K2` fold a lane 512 bits on, `K3`/
+    /// `K4` 128 bits on, `K5` narrows 96 bits to 64.
+    pub(super) const K1: i64 = 0x1_5444_2bd4; // n = 512 + 32
+    pub(super) const K2: i64 = 0x1_c6e4_1596; // n = 512 − 32
+    pub(super) const K3: i64 = 0x1_7519_97d0; // n = 128 + 32
+    pub(super) const K4: i64 = 0x0_ccaa_009e; // n = 128 − 32
+    pub(super) const K5: i64 = 0x1_63cd_6124; // n = 64
+    /// The reflected polynomial with its `x^32` term, and Barrett's
+    /// `μ = reflect33(x^64 div P)`.
+    pub(super) const P_X: i64 = 0x1_db71_0641;
+    pub(super) const MU: i64 = 0x1_f701_1641;
+
+    /// Whether the CPU has what [`update`] enables (std caches the probe).
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Bytes `0..16` of `b` as one little-endian 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn lane(b: &[u8]) -> __m128i {
+        let half = |at: usize| i64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// `a · k` folded onto `b`: the low half of `a` times the low key plus
+    /// the high half times the high key, XORed into `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Advances the pre-inverted CRC state over `data`, exactly as
+    /// [`super::crc32_update_table`] does. Inputs shorter than one 64-byte
+    /// block cannot fill the four lanes and go to the tables whole, such
+    /// as the 12-byte header prefix; at 64 bytes the kernel already takes
+    /// about a quarter of the tables' time. Code built without these
+    /// target features may call it only after [`detected`] returns true.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    pub(super) fn update(state: u32, data: &[u8]) -> u32 {
+        let mut blocks = data.chunks_exact(64);
+        let Some(first) = blocks.next() else {
+            return super::crc32_update_table(state, data);
+        };
+        let mut x = [
+            lane(&first[..16]),
+            lane(&first[16..32]),
+            lane(&first[32..48]),
+            lane(&first[48..]),
+        ];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for b in &mut blocks {
+            for (l, xl) in x.iter_mut().enumerate() {
+                *xl = fold(*xl, lane(&b[16 * l..]), k1k2);
+            }
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        let mut singles = blocks.remainder().chunks_exact(16);
+        for b in &mut singles {
+            acc = fold(acc, lane(b), k3k4);
+        }
+
+        // 128 → 96 bits: the low half times x^96, XORed onto the high half.
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+            _mm_srli_si128::<8>(acc),
+        );
+        // 96 → 64 bits: the low word times x^64, XORed onto the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and in the
+        // reflected form the state is the upper word of R ⊕ T2.
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let folded = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t2)) as u32;
+        super::crc32_update_table(folded, singles.remainder())
+    }
+}
+
+/// The one-byte-per-step loop the slice-by-16 tables replaced, kept as the
+/// reference both the tables and the folded kernel are tested against.
 #[cfg(test)]
 fn crc32_update_bytewise(state: u32, data: &[u8]) -> u32 {
     let mut c = state;
@@ -343,10 +468,6 @@ impl Writer<'_> {
         self.0.push(v);
     }
 
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
@@ -359,30 +480,34 @@ impl Writer<'_> {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Length-prefixed vector of `N`-byte words: `u32` count, then each
+    /// word's little-endian bytes. One `resize` makes room for the whole
+    /// vector and a chunked store fills it, which LLVM turns into wide
+    /// moves; the bytes are those of one `le(x)` append per element.
+    fn words<T: Copy, const N: usize>(&mut self, v: &[T], le: impl Fn(T) -> [u8; N]) {
+        self.u32(u32::try_from(v.len()).expect("vector exceeds u32 framing"));
+        let start = self.0.len();
+        self.0.resize(start + N * v.len(), 0);
+        for (dst, &x) in self.0[start..].chunks_exact_mut(N).zip(v) {
+            dst.copy_from_slice(&le(x));
+        }
+    }
+
     /// Length-prefixed `f32` vector: `u32` count followed by raw LE floats.
     pub fn f32s(&mut self, v: &[f32]) {
-        self.u32(u32::try_from(v.len()).expect("vector exceeds u32 framing"));
-        for &x in v {
-            self.f32(x);
-        }
+        self.words(v, f32::to_le_bytes);
     }
 
     /// Length-prefixed `u16` vector: `u32` count followed by raw LE words
     /// (used for f16-quantized payloads).
     pub fn u16s(&mut self, v: &[u16]) {
-        self.u32(u32::try_from(v.len()).expect("vector exceeds u32 framing"));
-        for &x in v {
-            self.u16(x);
-        }
+        self.words(v, u16::to_le_bytes);
     }
 
     /// Length-prefixed `u32` vector: `u32` count followed by raw LE words
     /// (used for sparse index lists).
     pub fn u32s(&mut self, v: &[u32]) {
-        self.u32(u32::try_from(v.len()).expect("vector exceeds u32 framing"));
-        for &x in v {
-            self.u32(x);
-        }
+        self.words(v, u32::to_le_bytes);
     }
 
     /// Length-prefixed byte string: `u32` length followed by the raw bytes
@@ -541,6 +666,45 @@ mod tests {
         assert_eq!(crc32_two(b"", b"123456789"), crc32(b"123456789"));
     }
 
+    /// The folded kernel called directly, or `None` on a CPU without it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn folded(state: u32, data: &[u8]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        if clmul::detected() {
+            // SAFETY: `clmul::detected` has just reported the features
+            // `clmul::update` enables.
+            return Some(unsafe { clmul::update(state, data) });
+        }
+        None
+    }
+
+    /// Checks the table arm, the folded kernel and the dispatched update
+    /// against the bytewise reference on one input.
+    fn assert_every_arm_matches(state: u32, data: &[u8]) {
+        let reference = crc32_update_bytewise(state, data);
+        let len = data.len();
+        assert_eq!(
+            crc32_update_table(state, data),
+            reference,
+            "table, len {len}"
+        );
+        if let Some(f) = folded(state, data) {
+            assert_eq!(f, reference, "folded, len {len}, state {state:08x}");
+        }
+        assert_eq!(
+            crc32_update(state, data),
+            reference,
+            "dispatched, len {len}"
+        );
+    }
+
+    /// `len` pseudo-random bytes from `seed`.
+    fn noise(len: usize, seed: u32) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -550,12 +714,33 @@ mod tests {
             state in 0u32..=u32::MAX,
             split in 0usize..=4099,
         ) {
-            prop_assert_eq!(crc32_update(state, &data), crc32_update_bytewise(state, &data));
+            prop_assert_eq!(crc32_update_table(state, &data), crc32_update_bytewise(state, &data));
             let at = split % (data.len() + 1);
             let (head, tail) = data.split_at(at);
             let reference = crc32_update_bytewise(
                 crc32_update_bytewise(0xffff_ffff, head), tail) ^ 0xffff_ffff;
             prop_assert_eq!(crc32_two(head, tail), reference);
+        }
+
+        #[test]
+        fn folded_kernel_matches_bytewise_reference(
+            data in prop::collection::vec(0u8..=u8::MAX, 0..=4099usize),
+            state in 0u32..=u32::MAX,
+            split in 0usize..=4099,
+        ) {
+            let reference = crc32_update_bytewise(state, &data);
+            if let Some(f) = folded(state, &data) {
+                prop_assert_eq!(f, reference);
+            }
+            prop_assert_eq!(crc32_update(state, &data), reference);
+            // A frame seal's shape: a head, then the rest folded from the
+            // head's state.
+            let at = split % (data.len() + 1);
+            let (head, tail) = data.split_at(at);
+            let mid = crc32_update_bytewise(state, head);
+            if let Some(f) = folded(mid, tail) {
+                prop_assert_eq!(f, reference);
+            }
         }
     }
 
@@ -563,15 +748,116 @@ mod tests {
     fn slice_by_16_matches_bytewise_at_every_length() {
         // Every length through 4099 — each residue mod 16, each block count
         // up to 256 — over one fixed pseudo-random buffer.
-        let data: Vec<u8> = (0u32..4099)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
+        let data = noise(4099, 0);
         for len in 0..=data.len() {
             assert_eq!(
-                crc32_update(0xffff_ffff, &data[..len]),
+                crc32_update_table(0xffff_ffff, &data[..len]),
                 crc32_update_bytewise(0xffff_ffff, &data[..len]),
                 "len {len}"
             );
+        }
+    }
+
+    #[test]
+    fn every_arm_matches_bytewise_at_every_length_and_offset() {
+        // Lengths 0..=1024 cover every residue mod 64 and mod 16 on both
+        // sides of the kernel's 64-byte minimum; start offsets 0..16 make
+        // the 16-byte lane loads misaligned; the states include the frame's
+        // initial all-ones state, zero and pseudo-random ones.
+        let data = noise(1024 + 16, 7);
+        for state in [0xffff_ffff, 0, 0x1234_5678, 0x9e37_79b9] {
+            for offset in 0..16 {
+                for len in 0..=1024 {
+                    assert_every_arm_matches(state, &data[offset..offset + len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_matches_bytewise_on_one_mebibyte() {
+        let data = noise(1 << 20, 99);
+        assert_every_arm_matches(0xffff_ffff, &data);
+        assert_every_arm_matches(0xdead_beef, &data[3..]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_powers_of_x_modulo_the_polynomial() {
+        // The IEEE polynomial in normal form, with its x^32 term.
+        const P: u64 = 0x1_04c1_1db7;
+        let x_pow_mod_p = |n: u32| -> u64 {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= P;
+                }
+            }
+            r
+        };
+        let key = |n: u32| i64::from((x_pow_mod_p(n) as u32).reverse_bits()) << 1;
+        assert_eq!(clmul::K1, key(512 + 32));
+        assert_eq!(clmul::K2, key(512 - 32));
+        assert_eq!(clmul::K3, key(128 + 32));
+        assert_eq!(clmul::K4, key(128 - 32));
+        assert_eq!(clmul::K5, key(64));
+        assert_eq!(clmul::P_X, (P.reverse_bits() >> 31) as i64);
+        // μ = floor(x^64 / P) by long division, reflected over 33 bits.
+        let (mut rem, mut mu) = (1u128 << 64, 0u64);
+        for bit in (32..=64).rev() {
+            if rem >> bit & 1 != 0 {
+                mu |= 1 << (bit - 32);
+                rem ^= u128::from(P) << (bit - 32);
+            }
+        }
+        assert_eq!(clmul::MU, (mu.reverse_bits() >> 31) as i64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bulk writers against one append per element, after a prefix
+        /// so the store starts unaligned. `f32` inputs come from raw bits,
+        /// so NaN payloads, −0.0 and subnormals all occur.
+        #[test]
+        fn bulk_writers_match_per_element_appends(
+            prefix in prop::collection::vec(0u8..=u8::MAX, 0..8usize),
+            bits in prop::collection::vec(0u32..=u32::MAX, 0..300usize),
+            halves in prop::collection::vec(0u16..=u16::MAX, 0..300usize),
+        ) {
+            let specials = [
+                f32::NAN.to_bits() | 0x1234, // quiet NaN with a payload
+                0x7f80_0001,                 // signalling NaN
+                0xffc0_0000,                 // negative quiet NaN
+                (-0.0f32).to_bits(),
+                1,                           // smallest subnormal
+                0x007f_ffff,                 // largest subnormal
+                0x8000_0001,                 // negative subnormal
+            ];
+            let floats: Vec<f32> =
+                bits.iter().chain(&specials).map(|&b| f32::from_bits(b)).collect();
+
+            let mut bulk = prefix.clone();
+            let mut w = Writer(&mut bulk);
+            w.f32s(&floats);
+            w.u16s(&halves);
+            w.u32s(&bits);
+
+            let mut each = prefix;
+            each.extend_from_slice(&(floats.len() as u32).to_le_bytes());
+            for x in &floats {
+                each.extend_from_slice(&x.to_le_bytes());
+            }
+            each.extend_from_slice(&(halves.len() as u32).to_le_bytes());
+            for x in &halves {
+                each.extend_from_slice(&x.to_le_bytes());
+            }
+            each.extend_from_slice(&(bits.len() as u32).to_le_bytes());
+            for x in &bits {
+                each.extend_from_slice(&x.to_le_bytes());
+            }
+            prop_assert_eq!(bulk, each);
         }
     }
 
