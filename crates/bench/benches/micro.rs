@@ -302,7 +302,7 @@ fn bench_round_parallel(c: &mut Criterion) {
 
 fn bench_domain_eval(c: &mut Criterion) {
     // The per-domain eval sweep of a trained RefFiL model, serial vs
-    // parallel. Both are byte-identical (enforced by tests/inference.rs);
+    // parallel. Both are byte-identical (enforced by tests/contracts.rs);
     // only wall time differs.
     let dataset = DatasetSpec {
         name: "eval".into(),

@@ -44,8 +44,8 @@
 use refil_bench::methods::method_by_name;
 use refil_bench::netcli::{self, parse_wire_arg, scale_name_from_env, NetOverrides, NetSpec};
 use refil_bench::{
-    dataset_by_name, run_experiment_with_wire, DatasetChoice, ExperimentSpec, MethodChoice,
-    MethodResult, Scale,
+    dataset_by_name, run_experiment, DatasetChoice, ExperimentSpec, MethodChoice, MethodResult,
+    Scale,
 };
 use refil_fed::ClientOptions;
 use refil_telemetry::{ChromeTraceSink, JsonlSink, PrometheusSink, Sink, TeeSink, Telemetry};
@@ -316,7 +316,7 @@ fn main() {
             new_order: args.new_order,
             seed: args.seed,
         };
-        run_experiment_with_wire(&spec, method, &telemetry, args.threads, args.overrides.wire)
+        run_experiment(&spec, method, &telemetry, args.threads, args.overrides.wire)
     };
     telemetry.flush();
     print_result(&args, &r, &status, start.elapsed());

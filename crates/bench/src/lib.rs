@@ -27,7 +27,4 @@ pub use gate::{check_report, compare, extract_metrics, Comparison, GateError, Me
 pub use meta::BenchMeta;
 pub use methods::{build_method, method_names, MethodChoice};
 pub use netcli::{scale_by_name, scale_name_from_env, NetOverrides, NetSpec, ResolvedSpec};
-pub use runner::{
-    run_all_methods, run_experiment, run_experiment_traced, run_experiment_with_threads,
-    run_experiment_with_wire, ExperimentSpec, MethodResult,
-};
+pub use runner::{run_all_methods, run_experiment, ExperimentSpec, MethodResult};

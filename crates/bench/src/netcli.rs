@@ -372,7 +372,13 @@ mod tests {
             new_order: false,
             seed: 5,
         };
-        let local = crate::runner::run_experiment(&local_spec, resolved.method);
+        let local = crate::runner::run_experiment(
+            &local_spec,
+            resolved.method,
+            &refil_telemetry::Telemetry::disabled(),
+            None,
+            None,
+        );
 
         let dir = std::env::temp_dir().join(format!("refil-netcli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

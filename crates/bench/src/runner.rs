@@ -49,42 +49,15 @@ pub struct MethodResult {
     pub scores: Scores,
 }
 
-/// Runs one method on an experiment (telemetry disabled).
-pub fn run_experiment(spec: &ExperimentSpec, method: MethodChoice) -> MethodResult {
-    run_experiment_traced(spec, method, &Telemetry::disabled())
-}
-
 /// Runs one method on an experiment, recording the federated loop into
 /// `telemetry` (see [`refil_fed::FdilRunner`] for the span hierarchy).
 ///
-/// The worker-thread count follows `REFIL_THREADS` (the [`FdilRunner`]
-/// default); results are byte-identical at any thread count.
-pub fn run_experiment_traced(
-    spec: &ExperimentSpec,
-    method: MethodChoice,
-    telemetry: &Telemetry,
-) -> MethodResult {
-    run_experiment_with_threads(spec, method, telemetry, None)
-}
-
-/// Like [`run_experiment_traced`], with an explicit worker-thread count.
-///
 /// `threads = None` keeps the `REFIL_THREADS` default; `Some(0)` uses all
-/// available cores; any other value is the exact worker count.
-pub fn run_experiment_with_threads(
-    spec: &ExperimentSpec,
-    method: MethodChoice,
-    telemetry: &Telemetry,
-    threads: Option<usize>,
-) -> MethodResult {
-    run_experiment_with_wire(spec, method, telemetry, threads, None)
-}
-
-/// Like [`run_experiment_with_threads`], additionally overriding the uplink
-/// compression spec (`wire = None` keeps the dataset default, i.e. the
-/// identity spec). This is the loopback counterpart of the networked
-/// `--wire` flag: same config knob, same byte accounting.
-pub fn run_experiment_with_wire(
+/// available cores; any other value is the exact worker count. Results are
+/// byte-identical at any thread count. `wire = None` keeps the dataset's
+/// uplink spec (the identity spec); `Some` overrides it, the loopback
+/// counterpart of the networked `--wire` flag with the same byte accounting.
+pub fn run_experiment(
     spec: &ExperimentSpec,
     method: MethodChoice,
     telemetry: &Telemetry,
@@ -124,7 +97,7 @@ pub fn run_all_methods(spec: &ExperimentSpec) -> Vec<MethodResult> {
         .map(|m| {
             let telemetry = Telemetry::stderr();
             let start = std::time::Instant::now();
-            let r = run_experiment_traced(spec, m, &telemetry);
+            let r = run_experiment(spec, m, &telemetry, None, None);
             telemetry.info(format!(
                 "{}: Avg {:.2}%  Last {:.2}%  ({:.1?})",
                 r.name,
@@ -149,7 +122,13 @@ mod tests {
             new_order: false,
             seed: 1,
         };
-        let r = run_experiment(&spec, MethodChoice::Finetune);
+        let r = run_experiment(
+            &spec,
+            MethodChoice::Finetune,
+            &Telemetry::disabled(),
+            None,
+            None,
+        );
         assert_eq!(r.result.domain_acc.len(), 4);
         assert!(r.scores.avg > 0.0);
     }

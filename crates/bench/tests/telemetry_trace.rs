@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use refil_bench::{run_experiment_traced, DatasetChoice, ExperimentSpec, MethodChoice, Scale};
+use refil_bench::{run_experiment, DatasetChoice, ExperimentSpec, MethodChoice, Scale};
 use refil_telemetry::{Telemetry, TraceEvent};
 
 fn smoke_spec(dataset: DatasetChoice) -> ExperimentSpec {
@@ -26,7 +26,7 @@ fn jsonl_trace_covers_every_task_round_and_client_session() {
     let path = temp_trace_path("structure");
     let telemetry = Telemetry::jsonl(&path).expect("create trace sink");
     let spec = smoke_spec(DatasetChoice::OfficeCaltech10);
-    let r = run_experiment_traced(&spec, MethodChoice::Finetune, &telemetry);
+    let r = run_experiment(&spec, MethodChoice::Finetune, &telemetry, None, None);
     telemetry.flush();
 
     let text = std::fs::read_to_string(&path).expect("read trace");
@@ -124,7 +124,7 @@ fn reffil_trace_records_prompt_and_clustering_activity() {
     let path = temp_trace_path("reffil");
     let telemetry = Telemetry::jsonl(&path).expect("create trace sink");
     let spec = smoke_spec(DatasetChoice::OfficeCaltech10);
-    let r = run_experiment_traced(&spec, MethodChoice::RefFiL, &telemetry);
+    let r = run_experiment(&spec, MethodChoice::RefFiL, &telemetry, None, None);
     telemetry.flush();
 
     let summary = &r.result.telemetry;
@@ -186,8 +186,8 @@ fn reffil_trace_records_prompt_and_clustering_activity() {
 fn telemetry_does_not_perturb_results() {
     let spec = smoke_spec(DatasetChoice::OfficeCaltech10);
     for method in [MethodChoice::Finetune, MethodChoice::RefFiL] {
-        let r_disabled = run_experiment_traced(&spec, method, &Telemetry::disabled());
-        let r_collecting = run_experiment_traced(&spec, method, &Telemetry::collecting());
+        let r_disabled = run_experiment(&spec, method, &Telemetry::disabled(), None, None);
+        let r_collecting = run_experiment(&spec, method, &Telemetry::collecting(), None, None);
         assert_eq!(
             r_disabled.result.domain_acc, r_collecting.result.domain_acc,
             "telemetry changed {method:?} results"
@@ -207,7 +207,13 @@ fn telemetry_does_not_perturb_results() {
 #[test]
 fn per_task_traffic_breakdown_sums_to_totals() {
     let spec = smoke_spec(DatasetChoice::OfficeCaltech10);
-    let r = run_experiment_traced(&spec, MethodChoice::RefFiL, &Telemetry::disabled());
+    let r = run_experiment(
+        &spec,
+        MethodChoice::RefFiL,
+        &Telemetry::disabled(),
+        None,
+        None,
+    );
     let t = &r.result.traffic;
     assert_eq!(
         t.per_task.len(),

@@ -10,7 +10,7 @@
 //! aggregation, so it is compared with itself, not with dense RefFiL.)
 
 use refil_bench::{
-    run_experiment_with_wire, DatasetChoice, ExperimentSpec, MethodChoice, MethodResult, Scale,
+    run_experiment, DatasetChoice, ExperimentSpec, MethodChoice, MethodResult, Scale,
 };
 use refil_fed::{WireConfig, WireQuant};
 use refil_telemetry::Telemetry;
@@ -22,7 +22,7 @@ fn run(method: MethodChoice, wire: WireConfig) -> MethodResult {
         new_order: false,
         seed: 42,
     };
-    run_experiment_with_wire(&spec, method, &Telemetry::disabled(), Some(1), Some(wire))
+    run_experiment(&spec, method, &Telemetry::disabled(), Some(1), Some(wire))
 }
 
 /// Encoded and dense-frame uplink bytes over the run, after checking that

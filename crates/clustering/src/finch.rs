@@ -154,6 +154,11 @@ fn cluster_once(points: &[Vec<f32>], neighbors: Neighbors) -> Partition {
         }
     };
     for (i, &nb) in neighbors.iter().enumerate() {
+        // A point with no first neighbour (every similarity NaN) links to
+        // nothing and stays its own cluster.
+        if nb == usize::MAX {
+            continue;
+        }
         // j = c_i and i = c_j are both covered by linking i with c_i.
         union(&mut parent, i, nb);
         // c_i = c_j: linking every i to c_i already places all points sharing
@@ -206,7 +211,9 @@ pub fn cluster_means(points: &[Vec<f32>], labels: &[usize], num_clusters: usize)
 }
 
 /// For each cluster, the index of the member closest (by cosine) to the
-/// cluster mean — the cluster's representative ("medoid-to-mean").
+/// cluster mean — the cluster's representative ("medoid-to-mean"). A
+/// cluster whose every similarity is NaN is represented by its first
+/// member; a cluster with no member keeps `usize::MAX`.
 pub fn representatives(points: &[Vec<f32>], labels: &[usize], num_clusters: usize) -> Vec<usize> {
     let means = cluster_means(points, labels, num_clusters);
     let mut best = vec![usize::MAX; num_clusters];
@@ -215,6 +222,8 @@ pub fn representatives(points: &[Vec<f32>], labels: &[usize], num_clusters: usiz
         let s = cosine_similarity(p, &means[l]);
         if s > best_sim[l] {
             best_sim[l] = s;
+            best[l] = i;
+        } else if best[l] == usize::MAX {
             best[l] = i;
         }
     }
@@ -341,6 +350,22 @@ mod tests {
         let p = r.finest();
         let reps = representatives(&pts, &p.labels, p.num_clusters);
         for (cluster, &rep) in reps.iter().enumerate() {
+            assert_eq!(p.labels[rep], cluster);
+        }
+    }
+
+    #[test]
+    fn nan_point_stays_its_own_cluster() {
+        // Every similarity involving the NaN point is NaN, so it has no
+        // first neighbour; it must not be linked (or index out of range).
+        let pts = vec![vec![f32::NAN, 1.0], vec![0.5, 1.0], vec![1.0, 0.0]];
+        let r = finch(&pts);
+        let p = r.finest();
+        assert_eq!(p.labels, vec![0, 1, 1]);
+        assert_eq!(p.num_clusters, 2);
+        let reps = representatives(&pts, &p.labels, p.num_clusters);
+        for (cluster, &rep) in reps.iter().enumerate() {
+            assert!(rep < pts.len(), "cluster {cluster} has no member");
             assert_eq!(p.labels[rep], cluster);
         }
     }

@@ -170,12 +170,6 @@ impl ModelCore {
         params
     }
 
-    /// Predicts labels under `flat` with no prompts.
-    pub fn predict_plain(&mut self, flat: &[f32], features: &Tensor) -> Vec<usize> {
-        self.load(flat);
-        self.model.predict(&self.params, features)
-    }
-
     /// Final `[CLS]` representations under `flat` with the given prompts.
     pub fn cls_with_prompts(
         &mut self,

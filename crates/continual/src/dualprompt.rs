@@ -264,12 +264,6 @@ impl FdilStrategy for FedDualPrompt {
         })
     }
 
-    fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
-        let ctx = self.eval_ctx(global);
-        let mut evaluator = ctx.evaluator();
-        evaluator.predict_domain(features, 0)
-    }
-
     fn eval_ctx<'a>(&'a self, global: &'a [f32]) -> Box<dyn EvalContext + 'a> {
         Box::new(DualPromptEvalContext {
             strat: self,

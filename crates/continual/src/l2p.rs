@@ -244,12 +244,6 @@ impl FdilStrategy for FedL2p {
         })
     }
 
-    fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
-        let ctx = self.eval_ctx(global);
-        let mut evaluator = ctx.evaluator();
-        evaluator.predict_domain(features, 0)
-    }
-
     fn eval_ctx<'a>(&'a self, global: &'a [f32]) -> Box<dyn EvalContext + 'a> {
         Box::new(L2pEvalContext {
             strat: self,

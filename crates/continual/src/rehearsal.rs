@@ -193,10 +193,6 @@ impl FdilStrategy for RehearsalOracle {
         }
     }
 
-    fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
-        self.core.predict_plain(global, features)
-    }
-
     fn eval_ctx<'a>(&'a self, global: &'a [f32]) -> Box<dyn EvalContext + 'a> {
         Box::new(PlainEvalContext::new(&self.core, global))
     }

@@ -270,8 +270,12 @@ pub trait FdilStrategy {
     }
 
     /// Predicts class labels for a `[batch, dim]` feature tensor under the
-    /// given global parameters.
-    fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize>;
+    /// given global parameters: by default [`FdilStrategy::predict_domain`]
+    /// for domain 0, which ignores the domain unless the strategy's
+    /// evaluator consumes it.
+    fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
+        self.predict_domain(global, features, 0)
+    }
 
     /// Returns the model's final `[CLS]` representation for each row of
     /// `features` — the embedding the paper's t-SNE figures visualize.
@@ -1638,15 +1642,6 @@ mod tests {
             };
             let samples = upload.groups[0].prompts[0].1.len();
             self.merged.push((round, client_id, samples));
-        }
-
-        fn predict(&mut self, global: &[f32], features: &Tensor) -> Vec<usize> {
-            CentroidEval {
-                classes: self.classes,
-                dim: self.dim,
-                global,
-            }
-            .predict_domain(features, 0)
         }
 
         fn eval_ctx<'a>(&'a self, global: &'a [f32]) -> Box<dyn EvalContext + 'a> {

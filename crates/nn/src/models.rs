@@ -246,16 +246,6 @@ impl PromptedBackbone {
         }
     }
 
-    /// Predicted labels for a batch (no prompts), used by simple baselines.
-    ///
-    /// Convenience wrapper that spins up a one-shot [`InferenceSession`];
-    /// hot loops should hold a session and call
-    /// [`PromptedBackbone::predict_in`] instead so forward buffers are
-    /// recycled across batches.
-    pub fn predict(&self, params: &Params, x: &Tensor) -> Vec<usize> {
-        self.predict_in(&mut InferenceSession::new(), params, x)
-    }
-
     /// Predicted labels for a batch (no prompts) through a reusable
     /// [`InferenceSession`].
     pub fn predict_in(
@@ -359,7 +349,7 @@ mod tests {
             opt.step(&mut params);
         }
         assert!(last < 0.3, "backbone failed to fit, loss {last}");
-        let preds = model.predict(&params, &x);
+        let preds = model.predict_in(&mut InferenceSession::new(), &params, &x);
         let correct = preds.iter().zip(&ys).filter(|(a, b)| a == b).count();
         assert!(correct >= 20, "only {correct}/24 correct");
     }

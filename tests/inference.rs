@@ -1,246 +1,39 @@
-//! Bit-exactness of the tape-free inference engine.
+//! Tape-free inference equivalence for Finetune and RefFiL.
 //!
-//! Evaluation runs through reusable [`refil::nn::InferenceSession`]s that
-//! record no backward closures and recycle forward buffers across batches.
-//! The contract is that this is purely an execution detail: for every
-//! strategy, predictions and end-to-end accuracies under the tape-free path
-//! must be *byte-identical* to the taped path (`force_taped`), and the
-//! parallel evaluation sweep inside `FdilRunner` must match the serial one
-//! at any thread count.
+//! Evaluation runs on the tape-free inference graph; `force_taped` routes
+//! it through the training tape instead. Both must predict identically on
+//! the final global model of a class whose cells hold its golden digest
+//! (`common::GOLDEN`). The other strategies' checks run in their classes in
+//! `tests/contracts.rs`.
 
-use std::sync::Mutex;
+mod common;
 
-use refil::continual::{
-    FedDualPrompt, FedEwc, FedL2p, FedLwf, FedProx, Finetune, MethodConfig, RehearsalOracle,
+use common::{
+    assert_taped_matches_tape_free, assert_task_free_taped_matches_tape_free, thread_class,
 };
-use refil::core::{RefFiL, RefFiLConfig};
-use refil::data::{DatasetSpec, DomainSpec, FdilDataset};
-use refil::fed::{
-    evaluate_domain, FdilRunner, FdilStrategy, IncrementConfig, RunConfig, RunResult,
-};
-use refil::nn::models::{BackboneConfig, ExtractorKind};
-use refil::nn::{force_taped, Tensor};
-
-/// `force_taped` is process-global; tests that flip it hold this lock so a
-/// concurrently running test never observes a half-toggled state.
-static TAPED_FLAG: Mutex<()> = Mutex::new(());
-
-fn dataset() -> FdilDataset {
-    DatasetSpec {
-        name: "infer".into(),
-        classes: 3,
-        feature_dim: 8,
-        proto_scale: 2.5,
-        within_std: 0.4,
-        test_fraction: 0.3,
-        signature_dim: 2,
-        signature_scale: 0.6,
-        domains: vec![
-            DomainSpec::new("d0", 120, 0.15, 0.05),
-            DomainSpec::new("d1", 120, 0.3, 0.4),
-        ],
-    }
-    .generate(17)
-}
-
-fn method() -> MethodConfig {
-    MethodConfig {
-        backbone: BackboneConfig {
-            in_dim: 8,
-            extractor_width: 16,
-            extractor_depth: 1,
-            n_patches: 2,
-            token_dim: 8,
-            heads: 2,
-            blocks: 1,
-            classes: 3,
-            extractor: ExtractorKind::ResidualMlp,
-        },
-        lr: 0.05,
-        prompt_len: 2,
-        max_tasks: 2,
-        ..MethodConfig::default()
-    }
-}
-
-fn run_cfg(seed: u64) -> RunConfig {
-    RunConfig {
-        increment: IncrementConfig {
-            initial_clients: 4,
-            select_per_round: 3,
-            increment_per_task: 1,
-            transition_fraction: 0.8,
-            rounds_per_task: 2,
-        },
-        local_epochs: 1,
-        batch_size: 16,
-        quantity_sigma: 0.5,
-        eval_batch: 32,
-        dropout_prob: 0.0,
-        seed,
-        threads: 0,
-        net: Default::default(),
-        wire: Default::default(),
-    }
-}
-
-/// Everything evaluation produces: raw predictions for every (domain, batch)
-/// plus the per-domain accuracies computed through `evaluate_domain`.
-#[derive(Debug, PartialEq)]
-struct EvalSnapshot {
-    preds: Vec<Vec<usize>>,
-    accs: Vec<f32>,
-}
-
-fn snapshot(
-    strategy: &dyn FdilStrategy,
-    global: &[f32],
-    ds: &FdilDataset,
-    batch: usize,
-) -> EvalSnapshot {
-    let ctx = strategy.eval_ctx(global);
-    let mut evaluator = ctx.evaluator();
-    let mut preds = Vec::new();
-    for d in 0..ds.num_domains() {
-        for chunk in ds.domains[d].test.chunks(batch) {
-            let dim = chunk[0].features.len();
-            let mut data = Vec::with_capacity(chunk.len() * dim);
-            for s in chunk {
-                data.extend_from_slice(&s.features);
-            }
-            let x = Tensor::from_vec(data, &[chunk.len(), dim]);
-            preds.push(evaluator.predict_domain(&x, d));
-        }
-    }
-    let accs = (0..ds.num_domains())
-        .map(|d| evaluate_domain(strategy, global, ds, d, batch))
-        .collect();
-    EvalSnapshot { preds, accs }
-}
-
-/// Trains one tiny run per seed, then evaluates the final global model twice
-/// — taped and tape-free — and asserts both paths agree exactly.
-fn assert_taped_matches_tape_free<F>(name: &str, mk: F)
-where
-    F: Fn() -> Box<dyn FdilStrategy>,
-{
-    let ds = dataset();
-    for seed in [13u64, 29] {
-        let cfg = run_cfg(seed);
-        let mut strat = mk();
-        let res: RunResult = FdilRunner::new(cfg).run(&ds, strat.as_mut());
-
-        let _guard = TAPED_FLAG.lock().expect("taped-flag lock poisoned");
-        force_taped(true);
-        let taped = snapshot(strat.as_ref(), &res.final_global, &ds, cfg.eval_batch);
-        force_taped(false);
-        let free = snapshot(strat.as_ref(), &res.final_global, &ds, cfg.eval_batch);
-
-        assert_eq!(
-            taped.preds, free.preds,
-            "{name} seed {seed}: predictions diverged between taped and tape-free"
-        );
-        assert_eq!(
-            taped.accs, free.accs,
-            "{name} seed {seed}: accuracies diverged between taped and tape-free"
-        );
-    }
-}
 
 #[test]
 fn finetune_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("Finetune", || Box::new(Finetune::new(method())));
-}
-
-#[test]
-fn fedprox_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("FedProx", || Box::new(FedProx::new(method(), 0.1)));
-}
-
-#[test]
-fn lwf_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("FedLwF", || Box::new(FedLwf::new(method())));
-}
-
-#[test]
-fn ewc_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("FedEWC", || Box::new(FedEwc::new(method())));
-}
-
-#[test]
-fn rehearsal_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("Rehearsal", || Box::new(RehearsalOracle::new(method(), 8)));
-}
-
-#[test]
-fn l2p_taped_matches_tape_free() {
-    // The pooled (†) variant exercises query building + top-N selection on
-    // the inference graph.
-    assert_taped_matches_tape_free("FedL2P+pool", || Box::new(FedL2p::new(method(), true)));
-}
-
-#[test]
-fn dualprompt_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("FedDualPrompt+pool", || {
-        Box::new(FedDualPrompt::new(method(), true))
-    });
+    for seed in [13u64, 29] {
+        let (res, strat) = thread_class("finetune", seed);
+        assert_taped_matches_tape_free(&format!("finetune/{seed}"), &strat, &res);
+    }
 }
 
 #[test]
 fn reffil_taped_matches_tape_free() {
-    assert_taped_matches_tape_free("RefFiL", || {
-        Box::new(RefFiL::new(RefFiLConfig::new(method())))
-    });
+    for seed in [13u64, 29] {
+        let (res, strat) = thread_class("reffil", seed);
+        assert_taped_matches_tape_free(&format!("reffil/{seed}"), &strat, &res);
+    }
 }
 
 #[test]
 fn reffil_task_free_inference_taped_matches_tape_free() {
     // The confidence-max sweep runs one forward per task key through the
     // same reused session; both paths must pick identical predictions.
-    let ds = dataset();
-    let cfg = run_cfg(13);
-    let mut strat = RefFiL::new(RefFiLConfig::new(method()));
-    let res = FdilRunner::new(cfg).run(&ds, &mut strat);
-    let test = &ds.domains[1].test;
-    let dim = test[0].features.len();
-    let mut data = Vec::with_capacity(test.len() * dim);
-    for s in test {
-        data.extend_from_slice(&s.features);
+    for seed in [13u64, 29] {
+        let (res, strat) = thread_class("reffil", seed);
+        assert_task_free_taped_matches_tape_free(&format!("reffil/{seed}"), &strat, &res);
     }
-    let x = Tensor::from_vec(data, &[test.len(), dim]);
-
-    let _guard = TAPED_FLAG.lock().expect("taped-flag lock poisoned");
-    force_taped(true);
-    let taped = strat.predict_task_free(&res.final_global, &x);
-    force_taped(false);
-    let free = strat.predict_task_free(&res.final_global, &x);
-    assert_eq!(taped, free, "task-free predictions diverged");
-}
-
-#[test]
-fn parallel_eval_matches_serial_at_any_thread_count() {
-    let ds = dataset();
-    let cfg = run_cfg(13);
-    let mut strat = RefFiL::new(RefFiLConfig::new(method()));
-    let res = FdilRunner::new(cfg).run(&ds, &mut strat);
-    let last = ds.num_domains() - 1;
-    let serial =
-        FdilRunner::new(cfg)
-            .threads(1)
-            .evaluate_task(&strat, &res.final_global, &ds, last);
-    for threads in [2usize, 4] {
-        let par = FdilRunner::new(cfg).threads(threads).evaluate_task(
-            &strat,
-            &res.final_global,
-            &ds,
-            last,
-        );
-        assert_eq!(serial, par, "eval diverged at threads={threads}");
-    }
-    // The sweep also reproduces the row the run itself recorded.
-    assert_eq!(
-        &serial,
-        res.domain_acc.last().expect("at least one task"),
-        "evaluate_task disagrees with the run's recorded accuracies"
-    );
 }

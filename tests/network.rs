@@ -1,454 +1,75 @@
 //! Networked federation equivalence: a server driving real client
-//! *processes* over TCP and Unix sockets must be byte-identical, in every
-//! semantic `RunResult` field, to the same-seed in-process loopback run.
+//! *processes* over TCP and Unix sockets must hold the same golden digest
+//! (`common::GOLDEN`) as the same-seed in-process run.
 //!
 //! Client processes are spawned by re-executing this test binary: the
 //! `net_client_child` test below is a no-op under a normal `cargo test`,
 //! but becomes a federation client when `REFIL_NET_CHILD_ADDR` is set.
-//! The straggler tests pin the failure paths: a crashed client's sessions
-//! are reassigned to surviving peers (and a rejoining process catches up
-//! from the replay log); only when no live peer remains — or a client
-//! trains slower than the round deadline — are sessions stranded as
-//! `clients_late`, and the run still completes deterministically.
+//! Net options do not change the in-process run, so the crash-and-rejoin
+//! cell holds the plain `finetune/13` golden. The straggler and
+//! slow-client cells are in `tests/contracts.rs`.
 
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-use refil::continual::{Finetune, MethodConfig};
-use refil::core::{RefFiL, RefFiLConfig};
-use refil::data::{DatasetSpec, DomainSpec, FdilDataset};
-use refil::fed::{
-    client_handshake, connect, run_client, ClientOptions, Endpoint, FdilRunner, FdilStrategy,
-    IncrementConfig, NetListener, RunConfig, RunResult, Telemetry, WireConfig, WireQuant,
-};
-use refil::nn::models::{BackboneConfig, ExtractorKind};
+use common::net::{client_child, serve_crash_and_rejoin, serve_run, tcp};
+use common::{assert_codec_engaged, cell, check_class, lossy_wire, run_cfg};
+#[cfg(unix)]
+use refil::fed::Endpoint;
 
-fn dataset() -> FdilDataset {
-    DatasetSpec {
-        name: "net".into(),
-        classes: 3,
-        feature_dim: 8,
-        proto_scale: 2.5,
-        within_std: 0.4,
-        test_fraction: 0.3,
-        signature_dim: 2,
-        signature_scale: 0.6,
-        domains: vec![
-            DomainSpec::new("d0", 150, 0.15, 0.05),
-            DomainSpec::new("d1", 150, 0.3, 0.4).with_collision(1.0),
-        ],
-    }
-    .generate(11)
-}
-
-fn method_cfg() -> MethodConfig {
-    MethodConfig {
-        backbone: BackboneConfig {
-            in_dim: 8,
-            extractor_width: 16,
-            extractor_depth: 1,
-            n_patches: 2,
-            token_dim: 8,
-            heads: 2,
-            blocks: 1,
-            classes: 3,
-            extractor: ExtractorKind::ResidualMlp,
-        },
-        lr: 0.05,
-        prompt_len: 2,
-        max_tasks: 2,
-        ..MethodConfig::default()
-    }
-}
-
-fn build_strategy(name: &str) -> Box<dyn FdilStrategy> {
-    match name {
-        "reffil" => Box::new(RefFiL::new(RefFiLConfig::new(method_cfg()))),
-        "reffil+prompt" => Box::new(RefFiL::new(
-            RefFiLConfig::new(method_cfg()).with_prompt_only(true),
-        )),
-        "finetune" => Box::new(Finetune::new(method_cfg())),
-        other => panic!("unknown strategy {other:?}"),
-    }
-}
-
-fn run_cfg(seed: u64) -> RunConfig {
-    RunConfig {
-        increment: IncrementConfig {
-            initial_clients: 4,
-            select_per_round: 3,
-            increment_per_task: 1,
-            transition_fraction: 0.8,
-            rounds_per_task: 3,
-        },
-        local_epochs: 1,
-        batch_size: 16,
-        quantity_sigma: 0.5,
-        eval_batch: 128,
-        dropout_prob: 0.0,
-        seed,
-        threads: 0,
-        net: Default::default(),
-        wire: Default::default(),
-    }
-}
-
-/// Spawns a client process by re-executing this test binary with the
-/// child-mode environment set. `extra` adds straggler knobs.
-fn spawn_client(addr: &str, method: &str, seed: u64, extra: &[(&str, String)]) -> Child {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = Command::new(exe);
-    cmd.args(["net_client_child", "--exact"])
-        .env("REFIL_NET_CHILD_ADDR", addr)
-        .env("REFIL_NET_CHILD_METHOD", method)
-        .env("REFIL_NET_CHILD_SEED", seed.to_string())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (k, v) in extra {
-        cmd.env(k, v);
-    }
-    cmd.spawn().expect("spawn client process")
-}
-
-/// Serves one full run on `endpoint` with `clients` freshly spawned client
-/// processes, waits for them to exit, and returns the server's result.
-fn serve_run(
-    endpoint: &Endpoint,
-    method: &str,
-    mut cfg: RunConfig,
-    clients: usize,
-    extra: &[(&str, String)],
-    require_client_success: bool,
-) -> RunResult {
-    let ds = dataset();
-    cfg.net.min_peers = clients;
-    let listener = NetListener::bind(endpoint).expect("bind");
-    let addr = listener.local_endpoint().to_string();
-    let children: Vec<Child> = (0..clients)
-        .map(|_| spawn_client(&addr, method, cfg.seed, extra))
-        .collect();
-    let mut strat = build_strategy(method);
-    let result = FdilRunner::new(cfg).serve(&ds, strat.as_mut(), &listener, "net-test");
-    for mut child in children {
-        let status = child.wait().expect("wait for client");
-        if require_client_success {
-            assert!(status.success(), "client process failed: {status}");
-        }
-    }
-    result
-}
-
-fn assert_semantically_identical(a: &RunResult, b: &RunResult) {
-    assert_eq!(a.final_global, b.final_global, "final_global diverged");
-    assert_eq!(a.domain_acc, b.domain_acc, "domain_acc diverged");
-    assert_eq!(a.traffic, b.traffic, "traffic stats diverged");
-    assert_eq!(a.rounds.len(), b.rounds.len());
-    for (x, y) in a.rounds.iter().zip(&b.rounds) {
-        assert_eq!(x.wire_bytes, y.wire_bytes, "per-round wire bytes diverged");
-        assert_eq!(x.clients_trained, y.clients_trained);
-        assert_eq!(x.clients_dropped, y.clients_dropped);
-        assert_eq!(x.clients_late, y.clients_late);
-        assert_eq!(x.clients_sampled_out, y.clients_sampled_out);
-        assert_eq!(x.uplink_raw_bytes, y.uplink_raw_bytes);
-        assert_eq!(x.uplink_encoded_bytes, y.uplink_encoded_bytes);
-    }
+/// Child-mode entry point: a no-op test normally, a federation client when
+/// re-executed by `common::net::spawn_client` with `REFIL_NET_CHILD_ADDR`
+/// set.
+#[test]
+fn net_client_child() {
+    client_child();
 }
 
 #[test]
 fn reffil_over_tcp_matches_loopback_across_seeds() {
-    let ds = dataset();
     for seed in [13u64, 29] {
-        let mut local_strat = build_strategy("reffil");
-        let local = FdilRunner::new(run_cfg(seed)).run(&ds, local_strat.as_mut());
-        let served = serve_run(
-            &Endpoint::Tcp("127.0.0.1:0".into()),
-            "reffil",
-            run_cfg(seed),
-            2,
-            &[],
-            true,
-        );
-        assert_semantically_identical(&local, &served);
+        let (res, strat) = serve_run(&tcp(), "reffil", run_cfg(seed), 2, &[], true);
         assert!(
-            served.rounds.iter().all(|r| r.clients_late == 0),
-            "healthy run reported late sessions at seed {seed}"
+            res.rounds.iter().all(|r| r.clients_late == 0),
+            "reffil/{seed}: healthy run reported late sessions"
         );
+        check_class(&format!("reffil/{seed}"), &[cell("tcp", &res, &strat)]);
     }
 }
 
 #[test]
 fn compressed_reffil_over_tcp_matches_loopback() {
-    // A lossy spec (delta + int8 + top-k) negotiated through `Hello`/
-    // `Welcome`: remote clients compress against the broadcast they decoded,
-    // the server reconstructs from its history, and the whole run must stay
-    // byte-identical to the in-process loopback run under the same spec —
-    // including the per-kind wire ledger and raw-vs-encoded columns.
-    let ds = dataset();
+    // Over TCP the wire spec is negotiated through `Hello`/`Welcome`, remote
+    // clients compress against the broadcast they decoded and the server
+    // reconstructs from its history: the run matches the in-process one.
     let mut cfg = run_cfg(13);
-    cfg.wire = WireConfig {
-        delta: true,
-        quant: WireQuant::Int8,
-        topk_fraction: 0.5,
-    };
-    let mut local_strat = build_strategy("reffil");
-    let local = FdilRunner::new(cfg).run(&ds, local_strat.as_mut());
-    let served = serve_run(
-        &Endpoint::Tcp("127.0.0.1:0".into()),
-        "reffil",
-        cfg,
-        2,
-        &[],
-        true,
-    );
-    assert_semantically_identical(&local, &served);
-    // The codec genuinely ran: every round's updates travelled as
-    // `CompressedModelUpdate` frames at well under the dense cost.
-    let raw: u64 = served.rounds.iter().map(|r| r.uplink_raw_bytes).sum();
-    let encoded: u64 = served.rounds.iter().map(|r| r.uplink_encoded_bytes).sum();
-    assert!(raw > 0 && encoded * 2 < raw, "raw {raw}, encoded {encoded}");
-    for r in &served.rounds {
-        assert!(r.wire_bytes.contains_key("compressed_model_update"));
-        assert!(!r.wire_bytes.contains_key("client_model_update"));
-    }
-}
-
-#[test]
-fn prompt_only_reffil_over_tcp_matches_loopback() {
-    // Masked (prompt-only) exchange under the *identity* spec: task 0 goes
-    // up dense, later tasks as sparse frames — and remote clients must make
-    // exactly the same per-task compressed-or-plain choice as the loopback
-    // driver, or the byte ledgers diverge.
-    let ds = dataset();
-    let cfg = run_cfg(13);
-    let mut local_strat = build_strategy("reffil+prompt");
-    let local = FdilRunner::new(cfg).run(&ds, local_strat.as_mut());
-    let served = serve_run(
-        &Endpoint::Tcp("127.0.0.1:0".into()),
-        "reffil+prompt",
-        cfg,
-        2,
-        &[],
-        true,
-    );
-    assert_semantically_identical(&local, &served);
-    for r in &served.rounds {
-        if r.task == 0 {
-            assert!(!r.wire_bytes.contains_key("compressed_model_update"));
-            assert_eq!(r.uplink_raw_bytes, r.uplink_encoded_bytes);
-        } else {
-            assert!(r.wire_bytes.contains_key("compressed_model_update"));
-            assert!(r.uplink_encoded_bytes < r.uplink_raw_bytes);
-        }
-    }
+    cfg.wire = lossy_wire();
+    let (res, strat) = serve_run(&tcp(), "reffil", cfg, 2, &[], true);
+    assert_codec_engaged("tcp", &res);
+    check_class("reffil+delta+int8+topk0.5/13", &[cell("tcp", &res, &strat)]);
 }
 
 #[cfg(unix)]
 #[test]
 fn finetune_over_unix_socket_matches_loopback_across_seeds() {
-    let ds = dataset();
-    let dir = std::env::temp_dir().join(format!("refil-net-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create socket dir");
     for seed in [13u64, 29] {
-        let sock = dir.join(format!("run-{seed}.sock"));
-        let mut local_strat = build_strategy("finetune");
-        let local = FdilRunner::new(run_cfg(seed)).run(&ds, local_strat.as_mut());
-        let served = serve_run(
-            &Endpoint::Unix(sock),
+        let sock = common::unique_tmp(&format!("{seed}.sock"));
+        let (res, strat) = serve_run(
+            &Endpoint::Unix(sock.clone()),
             "finetune",
             run_cfg(seed),
             2,
             &[],
             true,
         );
-        assert_semantically_identical(&local, &served);
+        std::fs::remove_file(&sock).ok();
+        check_class(&format!("finetune/{seed}"), &[cell("unix", &res, &strat)]);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sampled_participation_matches_loopback() {
-    // Per-round client sampling draws from its own seeded RNG stream on the
-    // shared planning path, so a networked run samples exactly the sessions
-    // the loopback run samples — and stays byte-identical.
-    let ds = dataset();
-    let mut cfg = run_cfg(29);
-    cfg.net.sample_fraction = 0.5;
-    cfg.net.min_sample = 1;
-    let mut local_strat = build_strategy("finetune");
-    let local = FdilRunner::new(cfg).run(&ds, local_strat.as_mut());
-    let sampled_out: u64 = local.rounds.iter().map(|r| r.clients_sampled_out).sum();
-    assert!(
-        sampled_out > 0,
-        "half sampling must leave some sessions out"
-    );
-    let served = serve_run(
-        &Endpoint::Tcp("127.0.0.1:0".into()),
-        "finetune",
-        cfg,
-        2,
-        &[],
-        true,
-    );
-    assert_semantically_identical(&local, &served);
 }
 
 #[test]
 fn crashed_client_is_reassigned_and_a_rejoiner_catches_up() {
-    // One client crashes (drops its connection without notice) on its second
-    // RoundStart. The reactor reassigns the stranded sessions to the
-    // surviving peer, so nothing goes late and the run stays byte-identical
-    // to the loopback run. A replacement process then joins mid-run, catches
-    // up from the server's full replay log, and finishes COMPLETE.
-    let ds = dataset();
-    let mut cfg = run_cfg(13);
-    cfg.net.min_peers = 2;
-    cfg.net.round_deadline_ms = 4_000;
-    let mut local_strat = build_strategy("finetune");
-    let local = FdilRunner::new(cfg).run(&ds, local_strat.as_mut());
-
-    let listener = NetListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
-    let addr = listener.local_endpoint().to_string();
-    let crash = [("REFIL_NET_CHILD_ABORT", "2".to_string())];
-    // The stayer trains with a small delay so the run is still in flight
-    // when the replacement process connects.
-    let slow = [("REFIL_NET_CHILD_DELAY", "200".to_string())];
-    let mut crasher = spawn_client(&addr, "finetune", 13, &crash);
-    let mut stayer = spawn_client(&addr, "finetune", 13, &slow);
-    let rejoin_addr = addr.clone();
-    let rejoiner = std::thread::spawn(move || {
-        let status = crasher.wait().expect("wait for crasher");
-        assert!(status.success(), "crasher child failed: {status}");
-        let mut child = spawn_client(&rejoin_addr, "finetune", 13, &[]);
-        child.wait().expect("wait for rejoiner")
-    });
-    let mut strat = build_strategy("finetune");
-    let served = FdilRunner::new(cfg).serve(&ds, strat.as_mut(), &listener, "net-test");
-    let rejoin_status = rejoiner.join().expect("rejoiner thread");
-    assert!(rejoin_status.success(), "rejoiner child failed");
-    let stayer_status = stayer.wait().expect("wait for stayer");
-    assert!(stayer_status.success(), "stayer child failed");
-
-    assert_semantically_identical(&local, &served);
-    assert!(
-        served.rounds.iter().all(|r| r.clients_late == 0),
-        "crashed peer's sessions must be reassigned, not stranded"
-    );
-}
-
-#[test]
-fn straggler_dropout_completes_deterministically() {
-    // Both clients crash (drop the connection without notice) on their
-    // third RoundStart. Every round from then on completes all-late via
-    // the deadline/disconnect path — and because session results depend
-    // only on the replicated state, not on which peer trains them, two
-    // such runs are byte-identical in every semantic field.
-    let abort = [("REFIL_NET_CHILD_ABORT", "3".to_string())];
-    let run = || {
-        let mut cfg = run_cfg(13);
-        cfg.net.round_deadline_ms = 2_000;
-        cfg.net.join_grace_ms = 100;
-        serve_run(
-            &Endpoint::Tcp("127.0.0.1:0".into()),
-            "finetune",
-            cfg,
-            2,
-            &abort,
-            true,
-        )
-    };
-    let a = run();
-    let b = run();
-    assert_semantically_identical(&a, &b);
-
-    // The run completed every planned round and task despite losing every
-    // peer mid-run...
-    assert_eq!(a.traffic.rounds, 6);
-    assert_eq!(a.domain_acc.len(), 2);
-    // ...with the stranded sessions recorded as late, not lost.
-    let late: u64 = a.rounds.iter().map(|r| r.clients_late).sum();
-    let trained: u64 = a.rounds.iter().map(|r| r.clients_trained).sum();
-    assert!(late > 0, "aborting both clients must strand sessions");
-    assert!(trained > 0, "rounds before the abort must train normally");
-    // Once both peers are gone nothing mixes trained and late sessions:
-    // each round is either fully trained (before the crash) or fully late.
-    assert!(a
-        .rounds
-        .iter()
-        .all(|r| r.clients_trained == 0 || r.clients_late == 0));
-}
-
-#[test]
-fn slow_client_misses_deadline_but_run_completes() {
-    // A single client that sleeps longer than the round deadline: its
-    // results always arrive after the server sealed the round (and are
-    // discarded as stale), so every session is late — but the server
-    // never hangs and still walks the full task schedule.
-    let delay = [("REFIL_NET_CHILD_DELAY", "700".to_string())];
-    let mut cfg = run_cfg(13);
-    cfg.increment.rounds_per_task = 2;
-    cfg.net.round_deadline_ms = 150;
-    cfg.net.join_grace_ms = 100;
-    let started = Instant::now();
-    // The slow client may die on a send into the closed socket after the
-    // server finishes; its exit status is not part of the contract.
-    let result = serve_run(
-        &Endpoint::Tcp("127.0.0.1:0".into()),
-        "finetune",
-        cfg,
-        1,
-        &delay,
-        false,
-    );
-    assert_eq!(result.traffic.rounds, 4, "run must complete all rounds");
-    assert_eq!(result.domain_acc.len(), 2);
-    let late: u64 = result.rounds.iter().map(|r| r.clients_late).sum();
-    let planned: u64 = result
-        .rounds
-        .iter()
-        .map(|r| r.clients_trained + r.clients_late)
-        .sum();
-    assert_eq!(late, planned, "every session should miss the deadline");
-    assert!(
-        started.elapsed() < Duration::from_secs(60),
-        "deadline path must not hang"
-    );
-}
-
-/// Child-mode entry point: a no-op test normally, a federation client when
-/// re-executed by the tests above with `REFIL_NET_CHILD_ADDR` set.
-#[test]
-fn net_client_child() {
-    let Ok(addr) = std::env::var("REFIL_NET_CHILD_ADDR") else {
-        return;
-    };
-    let method = std::env::var("REFIL_NET_CHILD_METHOD").expect("child method");
-    let seed: u64 = std::env::var("REFIL_NET_CHILD_SEED")
-        .expect("child seed")
-        .parse()
-        .expect("child seed parses");
-    let mut opts = ClientOptions::default();
-    if let Ok(n) = std::env::var("REFIL_NET_CHILD_ABORT") {
-        opts.abort_after_round_starts = Some(n.parse().expect("abort count"));
-    }
-    if let Ok(ms) = std::env::var("REFIL_NET_CHILD_DELAY") {
-        opts.train_delay_ms = ms.parse().expect("delay ms");
-    }
-    let endpoint = Endpoint::parse(&addr).expect("child address");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let link = connect(&endpoint, deadline).expect("child connect");
-    let (peer_id, _spec, _token, compression) =
-        client_handshake(&link, seed, None, deadline).expect("child handshake");
-    opts.compression = compression;
-    let ds = dataset();
-    let mut strat = build_strategy(&method);
-    run_client(
-        &link,
-        peer_id,
-        &ds,
-        strat.as_mut(),
-        &run_cfg(seed),
-        &opts,
-        &Telemetry::disabled(),
-    )
-    .expect("child replica loop");
+    // The crashed peer's sessions are reassigned (no late sessions) and
+    // every child exits successfully; both are asserted while serving.
+    let (res, strat) = serve_crash_and_rejoin(13);
+    check_class("finetune/13", &[cell("tcp+crash+rejoin", &res, &strat)]);
 }

@@ -13,78 +13,34 @@
 //!    serving 4.
 //!
 //! Both runs fold into one `#[test]` so the harness contributes a constant
-//! number of its own threads to every measurement.
+//! number of its own threads to every measurement. This file is its own
+//! test binary for the same reason: no other test may start threads while
+//! it counts them. Both runs are the `finetune/13` cell of the shared
+//! contract matrix (`common`) and must hold its golden digest.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use refil::continual::{Finetune, MethodConfig};
-use refil::data::{DatasetSpec, DomainSpec, FdilDataset};
+use common::{check_class, dataset, digest, run_cfg, Strategy};
 use refil::fed::{
     client_handshake, connect, process_thread_count, run_clients_pumped, ClientOptions,
-    ClientReport, Endpoint, FdilRunner, FdilStrategy, IncrementConfig, Link, NetListener,
-    RunConfig, RunResult, Telemetry,
+    ClientReport, Endpoint, FdilRunner, FdilStrategy, Link, NetListener, RunConfig, RunResult,
+    Telemetry,
 };
-use refil::nn::models::{BackboneConfig, ExtractorKind};
 
-fn dataset() -> FdilDataset {
-    DatasetSpec {
-        name: "reactor".into(),
-        classes: 3,
-        feature_dim: 6,
-        proto_scale: 2.5,
-        within_std: 0.4,
-        test_fraction: 0.3,
-        signature_dim: 2,
-        signature_scale: 0.6,
-        domains: vec![
-            DomainSpec::new("d0", 60, 0.15, 0.05),
-            DomainSpec::new("d1", 60, 0.3, 0.4),
-        ],
+/// The `finetune/13` class's run on one worker thread.
+fn cfg() -> RunConfig {
+    RunConfig {
+        threads: 1,
+        ..run_cfg(13)
     }
-    .generate(7)
 }
 
 fn build_strategy() -> Box<dyn FdilStrategy> {
-    Box::new(Finetune::new(MethodConfig {
-        backbone: BackboneConfig {
-            in_dim: 6,
-            extractor_width: 8,
-            extractor_depth: 1,
-            n_patches: 2,
-            token_dim: 8,
-            heads: 2,
-            blocks: 1,
-            classes: 3,
-            extractor: ExtractorKind::ResidualMlp,
-        },
-        lr: 0.05,
-        prompt_len: 2,
-        max_tasks: 2,
-        ..MethodConfig::default()
-    }))
-}
-
-fn run_cfg() -> RunConfig {
-    RunConfig {
-        increment: IncrementConfig {
-            initial_clients: 6,
-            select_per_round: 4,
-            increment_per_task: 1,
-            transition_fraction: 0.8,
-            rounds_per_task: 2,
-        },
-        local_epochs: 1,
-        batch_size: 16,
-        quantity_sigma: 0.5,
-        eval_batch: 128,
-        dropout_prob: 0.0,
-        seed: 41,
-        threads: 1,
-        net: Default::default(),
-        wire: Default::default(),
-    }
+    Strategy::build("finetune").into_boxed()
 }
 
 /// Serves one run with `n_clients` in-process clients all pumped from a
@@ -115,7 +71,7 @@ fn served_thread_shape(n_clients: usize) -> (RunResult, Vec<ClientReport>, (usiz
     // their replica loops from one reactor of its own.
     let pump = std::thread::spawn(move || {
         let ds = dataset();
-        let cfg = run_cfg();
+        let cfg = cfg();
         let endpoint = Endpoint::parse(&addr).expect("pump address");
         let deadline = Instant::now() + Duration::from_secs(120);
         let mut links: Vec<Box<dyn Link>> = Vec::with_capacity(n_clients);
@@ -144,7 +100,7 @@ fn served_thread_shape(n_clients: usize) -> (RunResult, Vec<ClientReport>, (usiz
     });
 
     let ds = dataset();
-    let mut cfg = run_cfg();
+    let mut cfg = cfg();
     cfg.net.min_peers = n_clients;
     let mut strat = build_strategy();
     let result =
@@ -172,12 +128,6 @@ fn served_thread_shape(n_clients: usize) -> (RunResult, Vec<ClientReport>, (usiz
 
 #[test]
 fn reactor_thread_shape_is_flat_and_leak_free() {
-    let ds = dataset();
-    let mut local_strat = build_strategy();
-    let local = FdilRunner::new(run_cfg())
-        .threads(1)
-        .run(&ds, local_strat.as_mut());
-
     let (small, small_reports, (small_before, small_peak, small_after)) = served_thread_shape(4);
     let (big, big_reports, (big_before, big_peak, big_after)) = served_thread_shape(256);
 
@@ -203,8 +153,8 @@ fn reactor_thread_shape_is_flat_and_leak_free() {
     );
     assert_eq!(small_delta, 2, "expected exactly pump + sampler threads");
 
-    // Every client finished COMPLETE, and both served runs match the
-    // loopback run byte-for-byte.
+    // Every client finished COMPLETE, and both served runs hold the
+    // in-process run's golden digest.
     assert_eq!(small_reports.len(), 4);
     assert_eq!(big_reports.len(), 256);
     for report in small_reports.iter().chain(&big_reports) {
@@ -214,12 +164,11 @@ fn reactor_thread_shape_is_flat_and_leak_free() {
             report.peer_id
         );
     }
-    for served in [&small, &big] {
-        assert_eq!(
-            served.final_global, local.final_global,
-            "final_global diverged"
-        );
-        assert_eq!(served.domain_acc, local.domain_acc, "domain_acc diverged");
-        assert_eq!(served.traffic, local.traffic, "traffic diverged");
-    }
+    check_class(
+        "finetune/13",
+        &[
+            ("pumped4".to_string(), digest(&small, None)),
+            ("pumped256".to_string(), digest(&big, None)),
+        ],
+    );
 }
