@@ -1,10 +1,10 @@
-//! Regression gate over `BENCH_*.json` reports.
+//! `refil-bench bench_gate`: regression gate over `BENCH_*.json` reports.
 //!
 //! Two modes:
 //!
 //! ```text
-//! bench_gate --check FILE...                     # schema-validate reports
-//! bench_gate BASELINE CANDIDATE [--tolerance PCT] [--force]
+//! refil-bench bench_gate --check FILE...         # schema-validate reports
+//! refil-bench bench_gate BASELINE CANDIDATE [--tolerance PCT] [--force]
 //! ```
 //!
 //! The diff mode compares every shared `*_ns` median plus every shared
@@ -20,21 +20,20 @@
 
 use std::process::ExitCode;
 
-use refil_bench::gate::{check_report, compare, GateError, MetricKind};
+use refil_bench::gate::{check_report, compare, MetricKind};
 
-const USAGE: &str = "usage:
-  bench_gate --check FILE...
-  bench_gate BASELINE CANDIDATE [--tolerance PCT] [--force]";
+use crate::Args;
+
+/// Usage text of `refil-bench bench_gate`.
+pub const USAGE: &str = "usage:
+  refil-bench bench_gate --check FILE...
+  refil-bench bench_gate BASELINE CANDIDATE [--tolerance PCT] [--force]";
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn run_check(files: &[String]) -> ExitCode {
-    if files.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
     let mut ok = true;
     for path in files {
         match read(path).and_then(|text| check_report(path, &text).map_err(|e| e.to_string())) {
@@ -62,10 +61,6 @@ fn run_diff(baseline: &str, candidate: &str, tolerance_pct: f64, force: bool) ->
     };
     let cmp = match compare(&base_text, &cand_text, tolerance_pct / 100.0, force) {
         Ok(cmp) => cmp,
-        Err(e @ GateError::Incomparable(_)) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::from(2);
-        }
         Err(e) => {
             eprintln!("bench_gate: {e}");
             return ExitCode::from(2);
@@ -115,41 +110,24 @@ fn run_diff(baseline: &str, candidate: &str, tolerance_pct: f64, force: bool) ->
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--check") {
-        return run_check(&args[1..]);
-    }
-    let mut positional: Vec<&str> = Vec::new();
+/// Entry point of `refil-bench bench_gate`.
+pub fn main(mut args: Args) -> ExitCode {
+    let mut positional = Vec::new();
+    let mut check = false;
     let mut tolerance_pct = 10.0_f64;
     let mut force = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("bench_gate: --tolerance needs a numeric percent\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                tolerance_pct = v;
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--tolerance" => tolerance_pct = args.num(),
             "--force" => force = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("bench_gate: unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path => positional.push(path),
+            flag if flag.starts_with("--") => args.fail(format!("unknown flag {flag}")),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
-    let [baseline, candidate] = positional[..] else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    run_diff(baseline, candidate, tolerance_pct, force)
+    match (check, &positional[..]) {
+        (true, [_, ..]) => run_check(&positional),
+        (false, [baseline, candidate]) => run_diff(baseline, candidate, tolerance_pct, force),
+        _ => args.usage(),
+    }
 }

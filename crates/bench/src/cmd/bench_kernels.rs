@@ -1,11 +1,10 @@
-//! Kernel perf recorder: times the GEMM, GELU and conv kernels, then writes
-//! `BENCH_kernels.json` (median ns per kernel shape, plus the bit-exact
-//! GELU's speedup over the libm formula) to the repo root so the perf
-//! trajectory is recorded in-tree.
-//!
-//! Run with `cargo run --release --bin bench_kernels`.
+//! `refil-bench bench_kernels`: times the GEMM, GELU and conv kernels,
+//! then writes `BENCH_kernels.json` (median ns per kernel shape, plus the
+//! bit-exact GELU's speedup over the libm formula) to the repo root, or to
+//! `--out PATH`, so the perf trajectory is recorded in-tree.
 
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -13,6 +12,11 @@ use rand::SeedableRng;
 
 use refil_nn::gemm::{gemm, gemm_nt, gemm_tn};
 use refil_nn::{Graph, Params, Tensor};
+
+use crate::Args;
+
+/// Usage text of `refil-bench bench_kernels`.
+pub const USAGE: &str = "usage: refil-bench bench_kernels [--out PATH]";
 
 #[derive(serde::Serialize)]
 struct KernelRecord {
@@ -81,37 +85,12 @@ fn duel_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (u64, u64
     (best_f, best_g)
 }
 
-fn out_path_from_args(args: &[String]) -> String {
-    let default = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string();
-    let mut out = default;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out = path.clone(),
-                    None => {
-                        eprintln!("bench_kernels: --out needs a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!(
-                    "bench_kernels: unknown argument {other}\nusage: bench_kernels [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = out_path_from_args(&args);
+/// Entry point of `refil-bench bench_kernels`.
+pub fn main(args: Args) -> ExitCode {
+    let out_path = args.out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_kernels.json"
+    ));
 
     let reps = 200usize;
     let mut rng = StdRng::seed_from_u64(42);
@@ -250,7 +229,7 @@ fn main() {
     }
 
     let report = Report {
-        generated_by: "cargo run --release --bin bench_kernels".into(),
+        generated_by: "cargo run --release -p refil-bench -- bench_kernels".into(),
         meta: refil_bench::BenchMeta::capture(),
         reps,
         kernels,
@@ -262,4 +241,5 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, json + "\n").expect("write kernels report");
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

@@ -1,17 +1,17 @@
-//! Reactor scaling recorder: times full served federation runs with the
+//! `refil-bench bench_net`: times full served federation runs with the
 //! clients simulated in-process (all pumped from a single thread), at
 //! growing peer counts, then writes `BENCH_net.json` (median ns per run,
-//! rounds/sec, and the observed peak thread count) to the repo root so the
-//! networking trajectory is recorded in-tree.
+//! rounds/sec, and the observed peak thread count) to the repo root, or to
+//! `--out PATH`, so the networking trajectory is recorded in-tree.
 //!
-//! Run with `cargo run --release -p refil-bench --bin bench_net`. The
-//! server side is the single-threaded poll reactor: every peer count is
+//! The server side is the single-threaded poll reactor: every peer count is
 //! served by the same one accept/collect loop, so `peak_threads` stays
 //! constant across the sweep — that flatness (pinned hard in
 //! `tests/reactor.rs`) is the property this report tracks over time, next
 //! to the raw round throughput.
 
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,6 +24,11 @@ use refil_fed::{
     FdilRunner, FdilStrategy, IncrementConfig, Link, NetListener, RunConfig, Telemetry,
 };
 use refil_nn::models::{BackboneConfig, ExtractorKind};
+
+use crate::Args;
+
+/// Usage text of `refil-bench bench_net`.
+pub const USAGE: &str = "usage: refil-bench bench_net [--out PATH]";
 
 #[derive(serde::Serialize)]
 struct NetRecord {
@@ -182,30 +187,9 @@ fn served_run(n_clients: usize) -> (u64, u64, usize) {
     )
 }
 
-fn out_path_from_args() -> String {
-    let default = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json").to_string();
-    let mut out = default;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(path) => out = path,
-                None => {
-                    eprintln!("bench_net: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench_net: unknown argument {other}\nusage: bench_net [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
-
-fn main() {
-    let out_path = out_path_from_args();
+/// Entry point of `refil-bench bench_net`.
+pub fn main(args: Args) -> ExitCode {
+    let out_path = args.out_path(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json"));
     let reps = 5usize;
     let mut records = Vec::new();
     let mut runs = Vec::new();
@@ -236,7 +220,7 @@ fn main() {
     }
 
     let report = Report {
-        generated_by: "cargo run --release -p refil-bench --bin bench_net".into(),
+        generated_by: "cargo run --release -p refil-bench -- bench_net".into(),
         meta: BenchMeta::capture(),
         reps,
         records,
@@ -251,4 +235,5 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, json + "\n").expect("write net report");
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

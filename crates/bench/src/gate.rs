@@ -19,7 +19,8 @@ use serde_json::Value;
 
 use crate::meta::BenchMeta;
 
-/// Why a gate run could not produce a verdict (exit code 2 in the bin).
+/// Why a gate run could not produce a verdict (exit code 2 from
+/// `refil-bench bench_gate`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GateError {
     /// A report failed to parse or failed schema validation.

@@ -1,9 +1,10 @@
 //! # refil-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper (see the `DESIGN.md` per-experiment index). Each table/figure has a
-//! binary (`table1` … `fig6_tsne`) that prints the same rows/series the paper
-//! reports, on the synthetic dataset analogues.
+//! paper (see the `DESIGN.md` per-experiment index). Each table/figure is a
+//! subcommand of the one `refil-bench` executable (`table1` … `fig6_tsne`)
+//! that prints the same rows/series the paper reports, on the synthetic
+//! dataset analogues.
 //!
 //! The harness scales the paper's protocol (R=30 rounds, E=20 local epochs,
 //! full-size datasets) down to CPU-tractable settings via [`Scale`];

@@ -1,5 +1,5 @@
-//! Shared plumbing for networked runs: the `serve`/`client` binaries and
-//! `run --listen`/`run --connect` all route through this module.
+//! Shared plumbing for networked runs: `refil-bench run --listen` and
+//! `run --connect` route through this module.
 //!
 //! A networked run is described by a [`NetSpec`] — dataset, method, scale,
 //! seed, and domain order. The server serializes the spec into the

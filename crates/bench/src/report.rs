@@ -1,4 +1,4 @@
-//! Output handling for the table/figure binaries: print to stdout and save
+//! Output handling for the table/figure subcommands: print to stdout and save
 //! under `results/`.
 
 use std::fs;

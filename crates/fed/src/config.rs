@@ -24,7 +24,10 @@ pub struct RunConfig {
     pub batch_size: usize,
     /// Log-normal sigma of the quantity-shift partition.
     pub quantity_sigma: f32,
-    /// Evaluation minibatch size.
+    /// Unused by the runner: its evaluation walks each test split in fixed
+    /// 64-row blocks whatever this holds, so the value never changes a
+    /// result. Kept only because existing configs set it; standalone
+    /// [`crate::evaluate_domain`] takes its batch size as an argument.
     pub eval_batch: usize,
     /// Probability that a selected client drops out of a round before
     /// reporting (straggler/failure simulation; the paper's setting has
@@ -118,8 +121,12 @@ pub struct NetConfig {
     pub round_deadline_ms: u64,
     /// Peers the server waits for before the first round starts.
     pub min_peers: usize,
-    /// How long the server waits for `min_peers` at startup (and for a
-    /// first peer when a round opens with none connected).
+    /// How long the server waits for a first (re)joiner once a round has
+    /// opened with no peer connected, and for a peer to reappear while a
+    /// round collects with the peer set empty; after that the round's
+    /// sessions go late. It does not bound the startup wait: before round
+    /// one the server waits for `min_peers` without a time limit, so a run
+    /// never begins short of its quorum.
     pub join_grace_ms: u64,
     /// Client-side patience between server frames before a client gives
     /// up on an idle link.

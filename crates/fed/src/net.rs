@@ -723,7 +723,8 @@ impl<'a> ServeState<'a> {
     }
 
     /// Pumps the reactor until at least `net.min_peers` peers have
-    /// handshaked.
+    /// handshaked, with no time limit: `net.join_grace_ms` bounds only the
+    /// waits after a round has opened.
     pub(crate) fn wait_for_peers(&mut self) {
         while self.handshaked() < self.net.min_peers {
             self.pump(PUMP_SLICE);

@@ -767,7 +767,8 @@ impl FdilRunner {
     /// method, and seed so the peer can build its replica).
     ///
     /// The server blocks until at least [`crate::NetConfig::min_peers`] peers
-    /// have joined, then admits further joiners at round boundaries; a peer
+    /// have joined, however long that takes ([`crate::NetConfig::join_grace_ms`]
+    /// bounds only waits inside a round), then admits further joiners at round boundaries; a peer
     /// joining mid-run is caught up from a replay log of task/round sync
     /// frames. When every peer stays connected and on time, the run's
     /// semantic outputs (accuracies, traffic, per-kind wire bytes) are
@@ -2222,6 +2223,57 @@ mod tests {
         assert_eq!(local.domain_acc, served.domain_acc);
         assert_eq!(local.traffic, served.traffic);
         assert_eq!(s_local.merged, s_srv.merged);
+    }
+
+    #[test]
+    fn serve_waits_for_min_peers_past_join_grace() {
+        // `join_grace_ms` bounds only waits inside a round: the startup wait
+        // for `min_peers` has no limit, so a second peer that connects long
+        // after the grace still makes the quorum before round one.
+        let ds = tiny_dataset();
+        let mut cfg = tiny_config();
+        cfg.net.min_peers = 2;
+        cfg.net.join_grace_ms = 20;
+        let join_delay = Duration::from_millis(300);
+        let mut s_local = CentroidStrategy::new(3, 6);
+        let local = FdilRunner::new(cfg).run(&ds, &mut s_local);
+
+        let listener =
+            refil_wire::NetListener::bind(&refil_wire::Endpoint::Tcp("127.0.0.1:0".into()))
+                .expect("bind failed");
+        let endpoint = listener.local_endpoint();
+        let early = spawn_clients(&endpoint, &ds, cfg, 1, crate::net::ClientOptions::default());
+        let late = {
+            let (endpoint, ds) = (endpoint.clone(), ds.clone());
+            std::thread::spawn(move || {
+                std::thread::sleep(join_delay);
+                spawn_clients(&endpoint, &ds, cfg, 1, crate::net::ClientOptions::default())
+            })
+        };
+        let start = Instant::now();
+        let mut s_srv = CentroidStrategy::new(3, 6);
+        let served = FdilRunner::new(cfg).serve(&ds, &mut s_srv, &listener, "tiny-spec");
+        assert!(start.elapsed() >= join_delay);
+        let late = late.join().expect("late joiner thread panicked");
+        let reports: Vec<_> = early
+            .into_iter()
+            .chain(late)
+            .map(|c| c.join().expect("client thread panicked"))
+            .collect();
+
+        // Three sessions per round split over two peers: a peer present
+        // from round one trains in every round.
+        let rounds = served.traffic.rounds as usize;
+        assert_eq!(rounds, 6);
+        for report in &reports {
+            assert_eq!(report.reason, 0, "client should end with COMPLETE");
+            assert!(report.sessions >= rounds, "{report:?} missed a round");
+        }
+        let late_sessions: u64 = served.rounds.iter().map(|r| r.clients_late).sum();
+        assert_eq!(late_sessions, 0);
+        assert_eq!(local.final_global, served.final_global);
+        assert_eq!(local.domain_acc, served.domain_acc);
+        assert_eq!(local.traffic, served.traffic);
     }
 
     #[test]
