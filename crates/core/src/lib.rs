@@ -38,6 +38,6 @@ mod temperature;
 
 pub use cdap::{CdapConfig, CdapGenerator};
 pub use dpcl::dpcl_loss;
-pub use prompts::{ClusterMode, GlobalPromptStore, LocalPromptGroup};
+pub use prompts::{ClusterMode, GlobalPromptStore, LocalPromptGroup, PromptError};
 pub use strategy::{RefFiL, RefFiLConfig, RefFiLFlags};
 pub use temperature::TemperatureSchedule;

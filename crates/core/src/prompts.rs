@@ -72,6 +72,55 @@ impl LocalPromptGroup {
     }
 }
 
+/// Why a [`GlobalPromptStore`] refuses a prompt group. Groups arrive from
+/// peers, so each rule is a typed error rather than a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PromptError {
+    /// The class index is not below the store's class count.
+    ClassOutOfRange {
+        /// The class the group names.
+        class: usize,
+        /// The store's class count.
+        classes: usize,
+    },
+    /// The prompt does not hold the store's `p·d` floats.
+    WrongLength {
+        /// The class the prompt is for.
+        class: usize,
+        /// Floats the prompt holds.
+        len: usize,
+        /// Floats the store expects.
+        dim: usize,
+    },
+    /// The prompt holds a NaN or an infinity, which would reach FINCH.
+    NonFinite {
+        /// The class the prompt is for.
+        class: usize,
+    },
+    /// The group lists a class twice, which would skew that class's pool.
+    DuplicateClass {
+        /// The repeated class.
+        class: usize,
+    },
+}
+
+impl std::fmt::Display for PromptError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::ClassOutOfRange { class, classes } => {
+                write!(f, "class {class} out of range (store has {classes})")
+            }
+            Self::WrongLength { class, len, dim } => {
+                write!(f, "class {class} prompt has {len} floats, expected {dim}")
+            }
+            Self::NonFinite { class } => write!(f, "class {class} prompt is not finite"),
+            Self::DuplicateClass { class } => write!(f, "class {class} listed twice"),
+        }
+    }
+}
+
+impl std::error::Error for PromptError {}
+
 /// Server-side global prompt state: a bounded per-class history of uploaded
 /// LPGs, FINCH-clustered into representatives after every round.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -143,6 +192,39 @@ impl GlobalPromptStore {
         &self.reps[k]
     }
 
+    /// Checks one group against the store's rules: every class in range
+    /// and listed once, every prompt `p·d` finite floats.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the group breaks, in entry order.
+    pub fn check(&self, group: &LocalPromptGroup) -> Result<(), PromptError> {
+        let mut seen = vec![false; self.classes];
+        for (k, v) in &group.prompts {
+            let class = *k;
+            if class >= self.classes {
+                return Err(PromptError::ClassOutOfRange {
+                    class,
+                    classes: self.classes,
+                });
+            }
+            if std::mem::replace(&mut seen[class], true) {
+                return Err(PromptError::DuplicateClass { class });
+            }
+            if v.len() != self.dim {
+                return Err(PromptError::WrongLength {
+                    class,
+                    len: v.len(),
+                    dim: self.dim,
+                });
+            }
+            if !v.iter().all(|x| x.is_finite()) {
+                return Err(PromptError::NonFinite { class });
+            }
+        }
+        Ok(())
+    }
+
     /// Ingests a round of uploads: each LPG joins its class's bounded FIFO
     /// history, then every touched class is re-clustered with FINCH (finest
     /// partition, Eq. 4–5) and the cluster means become the representatives.
@@ -151,27 +233,32 @@ impl GlobalPromptStore {
     /// participate — the store is the framework's only cross-task memory,
     /// and it is rehearsal-free (no raw data, only `p*d`-float prompts).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any prompt has the wrong dimension or class index.
-    pub fn ingest(&mut self, uploads: &[LocalPromptGroup]) {
-        self.ingest_traced(uploads, &Telemetry::disabled());
+    /// The first [`GlobalPromptStore::check`] failure among `uploads`; the
+    /// store is then left unchanged.
+    pub fn ingest(&mut self, uploads: &[LocalPromptGroup]) -> Result<(), PromptError> {
+        self.ingest_traced(uploads, &Telemetry::disabled())
     }
 
     /// [`GlobalPromptStore::ingest`] wrapped in a `prompt_ingest` telemetry
     /// span; FINCH re-clustering spans nest inside it, and the resulting
     /// pool and representative sizes are recorded as histogram observations.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any prompt has the wrong dimension or class index.
-    pub fn ingest_traced(&mut self, uploads: &[LocalPromptGroup], telemetry: &Telemetry) {
+    /// As [`GlobalPromptStore::ingest`]: nothing is ingested if any group
+    /// fails [`GlobalPromptStore::check`].
+    pub fn ingest_traced(
+        &mut self,
+        uploads: &[LocalPromptGroup],
+        telemetry: &Telemetry,
+    ) -> Result<(), PromptError> {
+        uploads.iter().try_for_each(|up| self.check(up))?;
         let _span = telemetry.span("prompt_ingest");
         let mut touched = vec![false; self.classes];
         for up in uploads {
             for (k, v) in &up.prompts {
-                assert!(*k < self.classes, "class {k} out of range");
-                assert_eq!(v.len(), self.dim, "prompt dim mismatch");
                 let pool = &mut self.pool[*k];
                 pool.push(v.clone());
                 if pool.len() > self.pool_cap {
@@ -214,6 +301,7 @@ impl GlobalPromptStore {
             self.pool.iter().map(Vec::len).sum::<usize>() as f64,
         );
         telemetry.observe("prompt.reps", self.total_reps() as f64);
+        Ok(())
     }
 
     /// All representatives as a flat candidate list plus each one's class —
@@ -284,12 +372,14 @@ mod tests {
     fn ingest_clusters_two_domains() {
         let mut store = GlobalPromptStore::new(2, 2);
         // Class 0 prompts from two distinct "domains".
-        store.ingest(&[
-            lpg(0, 0, vec![1.0, 0.0]),
-            lpg(1, 0, vec![0.95, 0.02]),
-            lpg(2, 0, vec![0.0, 1.0]),
-            lpg(3, 0, vec![0.03, 0.98]),
-        ]);
+        store
+            .ingest(&[
+                lpg(0, 0, vec![1.0, 0.0]),
+                lpg(1, 0, vec![0.95, 0.02]),
+                lpg(2, 0, vec![0.0, 1.0]),
+                lpg(3, 0, vec![0.03, 0.98]),
+            ])
+            .unwrap();
         assert_eq!(store.class_representatives(0).len(), 2);
         assert!(store.class_representatives(1).is_empty());
     }
@@ -297,11 +387,15 @@ mod tests {
     #[test]
     fn previous_reps_survive_new_rounds() {
         let mut store = GlobalPromptStore::new(1, 2);
-        store.ingest(&[lpg(0, 0, vec![1.0, 0.0]), lpg(1, 0, vec![0.97, 0.03])]);
+        store
+            .ingest(&[lpg(0, 0, vec![1.0, 0.0]), lpg(1, 0, vec![0.97, 0.03])])
+            .unwrap();
         assert_eq!(store.total_reps(), 1);
         // A later round with only the other domain's prompts must not erase
         // the first domain's cluster: the LPG history keeps it alive.
-        store.ingest(&[lpg(2, 0, vec![0.0, 1.0]), lpg(3, 0, vec![0.02, 0.97])]);
+        store
+            .ingest(&[lpg(2, 0, vec![0.0, 1.0]), lpg(3, 0, vec![0.02, 0.97])])
+            .unwrap();
         assert_eq!(store.class_representatives(0).len(), 2);
     }
 
@@ -314,13 +408,13 @@ mod tests {
             lpg(3, 0, vec![0.02, 0.97]),
         ];
         let mut f = GlobalPromptStore::new(1, 2);
-        f.ingest(&uploads);
+        f.ingest(&uploads).unwrap();
         assert_eq!(f.class_representatives(0).len(), 2);
         let mut a = GlobalPromptStore::new(1, 2).with_mode(ClusterMode::Average);
-        a.ingest(&uploads);
+        a.ingest(&uploads).unwrap();
         assert_eq!(a.class_representatives(0).len(), 1);
         let mut k = GlobalPromptStore::new(1, 2).with_mode(ClusterMode::Kmeans(3));
-        k.ingest(&uploads);
+        k.ingest(&uploads).unwrap();
         assert_eq!(k.class_representatives(0).len(), 3);
     }
 
@@ -328,7 +422,7 @@ mod tests {
     fn pool_cap_bounds_history() {
         let mut store = GlobalPromptStore::new(1, 2).with_pool_cap(4);
         for i in 0..20 {
-            store.ingest(&[lpg(i, 0, vec![i as f32, 1.0])]);
+            store.ingest(&[lpg(i, 0, vec![i as f32, 1.0])]).unwrap();
         }
         assert!(store.pool[0].len() <= 4);
     }
@@ -337,19 +431,23 @@ mod tests {
     fn cap_limits_representatives() {
         let mut store = GlobalPromptStore::new(1, 2).with_cap(2);
         // Four orthogonal-ish directions would give up to 4 clusters.
-        store.ingest(&[
-            lpg(0, 0, vec![1.0, 0.0]),
-            lpg(1, 0, vec![-1.0, 0.0]),
-            lpg(2, 0, vec![0.0, 1.0]),
-            lpg(3, 0, vec![0.0, -1.0]),
-        ]);
+        store
+            .ingest(&[
+                lpg(0, 0, vec![1.0, 0.0]),
+                lpg(1, 0, vec![-1.0, 0.0]),
+                lpg(2, 0, vec![0.0, 1.0]),
+                lpg(3, 0, vec![0.0, -1.0]),
+            ])
+            .unwrap();
         assert!(store.class_representatives(0).len() <= 2);
     }
 
     #[test]
     fn generalized_prompt_is_mean_of_class_means() {
         let mut store = GlobalPromptStore::new(2, 2);
-        store.ingest(&[lpg(0, 0, vec![2.0, 0.0]), lpg(1, 1, vec![0.0, 4.0])]);
+        store
+            .ingest(&[lpg(0, 0, vec![2.0, 0.0]), lpg(1, 1, vec![0.0, 4.0])])
+            .unwrap();
         let p = store.generalized_prompt().unwrap();
         assert_eq!(p, vec![1.0, 2.0]);
     }
@@ -365,7 +463,9 @@ mod tests {
     #[test]
     fn candidates_align_with_classes() {
         let mut store = GlobalPromptStore::new(2, 2);
-        store.ingest(&[lpg(0, 0, vec![1.0, 0.0]), lpg(1, 1, vec![0.0, 1.0])]);
+        store
+            .ingest(&[lpg(0, 0, vec![1.0, 0.0]), lpg(1, 1, vec![0.0, 1.0])])
+            .unwrap();
         let (cands, classes) = store.candidates();
         assert_eq!(cands.len(), classes.len());
         assert_eq!(classes, vec![0, 1]);
@@ -374,9 +474,51 @@ mod tests {
     #[test]
     fn byte_len_counts_floats() {
         let mut store = GlobalPromptStore::new(1, 3);
-        store.ingest(&[lpg(0, 0, vec![1.0, 2.0, 3.0])]);
+        store.ingest(&[lpg(0, 0, vec![1.0, 2.0, 3.0])]).unwrap();
         assert_eq!(store.byte_len(), 12);
         let up = lpg(0, 0, vec![1.0, 2.0, 3.0]);
         assert_eq!(up.byte_len(), 8 + 12);
+    }
+
+    #[test]
+    fn bad_groups_are_typed_errors_and_change_nothing() {
+        let mut store = GlobalPromptStore::new(2, 2);
+        store.ingest(&[lpg(0, 0, vec![1.0, 0.0])]).unwrap();
+        let before = store.candidates();
+        let bad = [
+            (
+                lpg(1, 2, vec![1.0, 0.0]),
+                PromptError::ClassOutOfRange {
+                    class: 2,
+                    classes: 2,
+                },
+            ),
+            (
+                lpg(1, 1, vec![1.0]),
+                PromptError::WrongLength {
+                    class: 1,
+                    len: 1,
+                    dim: 2,
+                },
+            ),
+            (
+                lpg(1, 1, vec![f32::NAN, 0.0]),
+                PromptError::NonFinite { class: 1 },
+            ),
+            (
+                LocalPromptGroup {
+                    client_id: 1,
+                    prompts: vec![(1, vec![0.0, 1.0]), (1, vec![0.0, 1.0])],
+                },
+                PromptError::DuplicateClass { class: 1 },
+            ),
+        ];
+        for (group, want) in bad {
+            assert_eq!(store.check(&group), Err(want));
+            // A good group beside the bad one is not ingested either.
+            let round = [lpg(2, 1, vec![0.0, 1.0]), group];
+            assert_eq!(store.ingest(&round), Err(want));
+            assert_eq!(store.candidates(), before);
+        }
     }
 }

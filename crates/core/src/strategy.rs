@@ -159,6 +159,7 @@ pub struct RefFiL {
     fixed_prompt: Option<ParamId>,
     store: GlobalPromptStore,
     pending_uploads: Vec<LocalPromptGroup>,
+    rejected_uploads: u64,
     cfg: RefFiLConfig,
     current_task: usize,
     telemetry: Telemetry,
@@ -215,6 +216,7 @@ impl RefFiL {
             fixed_prompt,
             store,
             pending_uploads: Vec::new(),
+            rejected_uploads: 0,
             cfg,
             current_task: 0,
             telemetry: Telemetry::disabled(),
@@ -229,6 +231,18 @@ impl RefFiL {
     /// Read-only view of the server-side global prompt store.
     pub fn prompt_store(&self) -> &GlobalPromptStore {
         &self.store
+    }
+
+    /// Prompt uploads dropped so far because a peer sent one that breaks a
+    /// rule (see [`GlobalPromptStore::check`]); also counted as the
+    /// `prompt.rejected_uploads` telemetry counter.
+    pub fn rejected_uploads(&self) -> u64 {
+        self.rejected_uploads
+    }
+
+    fn reject_upload(&mut self) {
+        self.rejected_uploads += 1;
+        self.telemetry.counter("prompt.rejected_uploads", 1);
     }
 
     /// Generates the `[b, p, d]` local prompt variable for `tokens`.
@@ -679,31 +693,24 @@ impl FdilStrategy for RefFiL {
         message: WireMessage,
     ) {
         if let WireMessage::PromptUpload(upload) = message {
-            // The entries come from a peer: a class past the head or a
-            // prompt of the wrong length would panic `ingest` at round end,
-            // and a non-finite value would reach FINCH. An upload or group
-            // claiming another client, or a group listing a class twice,
-            // would skew the prompt pool. Such an upload is dropped whole.
+            // The entries come from a peer. An upload or group claiming
+            // another client, or a group the store's `check` refuses (a
+            // class out of range or listed twice, a prompt of the wrong
+            // length or not finite), is dropped whole and counted.
             // Replicas merge the same `RoundSync` frames through this hook,
             // so they drop the same uploads.
-            let classes = self.model.config().classes;
-            let dim = self.store.dim();
             let own = |id: u64| id == client_id as u64;
-            let admissible = own(upload.client_id)
-                && upload.groups.iter().all(|g| {
-                    let mut seen = vec![false; classes];
-                    own(g.client_id)
-                        && g.prompts.iter().all(|(k, v)| {
-                            let k = *k as usize;
-                            k < classes
-                                && !std::mem::replace(&mut seen[k], true)
-                                && v.len() == dim
-                                && v.iter().all(|x| x.is_finite())
-                        })
-                });
-            if admissible {
-                self.pending_uploads
-                    .extend(upload.groups.into_iter().map(LocalPromptGroup::from_wire));
+            let claims_own =
+                own(upload.client_id) && upload.groups.iter().all(|g| own(g.client_id));
+            let groups: Vec<LocalPromptGroup> = upload
+                .groups
+                .into_iter()
+                .map(LocalPromptGroup::from_wire)
+                .collect();
+            if claims_own && groups.iter().all(|g| self.store.check(g).is_ok()) {
+                self.pending_uploads.extend(groups);
+            } else {
+                self.reject_upload();
             }
         }
     }
@@ -712,7 +719,11 @@ impl FdilStrategy for RefFiL {
         if !self.pending_uploads.is_empty() {
             let uploads = std::mem::take(&mut self.pending_uploads);
             let telemetry = self.telemetry.clone();
-            self.store.ingest_traced(&uploads, &telemetry);
+            // `merge_client` admits only groups that pass the store's
+            // check, so this refuses nothing; if it did, it would count.
+            if self.store.ingest_traced(&uploads, &telemetry).is_err() {
+                self.reject_upload();
+            }
         }
     }
 
@@ -976,14 +987,16 @@ mod tests {
                 upload(vec![good.clone(), good.clone()]),
             ),
         ]);
-        for (what, message) in hostile {
+        for (rejected, (what, message)) in (1..).zip(hostile) {
             strat.merge_client(0, 0, 1, message);
             strat.on_round_end(0, 0, &[]);
             assert!(strat.prompt_store().is_empty(), "{what} was ingested");
+            assert_eq!(strat.rejected_uploads(), rejected, "{what} was not counted");
         }
         strat.merge_client(0, 0, 1, upload(vec![good]));
         strat.on_round_end(0, 0, &[]);
         assert_eq!(strat.prompt_store().total_reps(), 1);
+        assert_eq!(strat.rejected_uploads(), 9);
     }
 
     #[test]

@@ -332,6 +332,15 @@ impl Graph {
         }
     }
 
+    /// Hands a forward temporary from [`Graph::out_zeroed`] back to the
+    /// pool on inference graphs (it is simply dropped otherwise), so a
+    /// replay allocates nothing for it either.
+    fn out_recycle(&self, v: Vec<f32>) {
+        if self.inference {
+            self.fwd.borrow_mut().recycle(v);
+        }
+    }
+
     /// An empty forward buffer with room for `cap` elements (for
     /// extend-style fills).
     fn out_cleared(&self, cap: usize) -> Vec<f32> {
@@ -775,22 +784,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id, b.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, scr| {
-                    // da = g · bᵀ and db = aᵀ · g through the layout-aware
-                    // kernels: no transposed copies, same accumulation order.
-                    let (m, k) = (p[0].shape()[0], p[0].shape()[1]);
-                    let n = p[1].shape()[1];
-                    let mut da = scr.take_zeroed(m * k);
-                    gemm_nt(g.data(), p[1].data(), &mut da, m, n, k);
-                    let mut db = scr.take_zeroed(k * n);
-                    gemm_tn(p[0].data(), g.data(), &mut db, k, m, n);
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(db, p[1].shape()),
-                    ]
-                })
-            }),
+            self.bw(|| Box::new(|g, p, _, scr| matmul_grads(g, p[0], p[1], scr))),
             None,
         )
     }
@@ -941,16 +935,42 @@ impl Graph {
     }
 
     /// Applies the same matrix to every token: `x [b,t,d] x w [d,e] -> [b,t,e]`.
+    ///
+    /// One tape node that reads `x` in place as `[b·t, d]`: byte-identical
+    /// to `reshape → matmul → reshape` in both passes (the same `gemm`,
+    /// `gemm_nt` and `gemm_tn` calls run on the same buffers, and the
+    /// backward is `matmul`'s), without the two reshape nodes and their
+    /// four copies.
     pub fn matmul_tokens(&self, x: Var, w: Var) -> Var {
-        let (b, t, d) = {
-            let s = self.shape(x);
-            assert_eq!(s.len(), 3, "matmul_tokens expects 3-D input, got {s:?}");
-            (s[0], s[1], s[2])
+        let v = {
+            let nodes = self.nodes.borrow();
+            let (xv, wv) = (&nodes[x.id].value, &nodes[w.id].value);
+            assert_eq!(
+                xv.ndim(),
+                3,
+                "matmul_tokens expects 3-D input, got {:?}",
+                xv.shape()
+            );
+            assert_eq!(wv.ndim(), 2, "matmul_tokens weight must be 2-D");
+            let (b, t, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
+            let (d2, e) = (wv.shape()[0], wv.shape()[1]);
+            assert_eq!(
+                d,
+                d2,
+                "matmul_tokens inner dim mismatch: {:?} x {:?}",
+                xv.shape(),
+                wv.shape()
+            );
+            let mut out = self.out_zeroed(b * t * e);
+            gemm(xv.data(), wv.data(), &mut out, b * t, d, e);
+            Tensor::from_vec(out, &[b, t, e])
         };
-        let e = self.shape(w)[1];
-        let flat = self.reshape(x, &[b * t, d]);
-        let out = self.matmul(flat, w);
-        self.reshape(out, &[b, t, e])
+        self.push(
+            v,
+            self.deps(&[x.id, w.id]),
+            self.bw(|| Box::new(|g, p, _, scr| matmul_grads(g, p[0], p[1], scr))),
+            None,
+        )
     }
 
     /// Applies the same matrix to every *last-axis-transposed* token slice:
@@ -1086,32 +1106,41 @@ impl Graph {
         )
     }
 
-    /// Swaps axes 1 and 2 of a 4-D tensor (`[a,b,c,d] -> [a,c,b,d]`);
-    /// used to split/merge attention heads. Self-inverse.
-    pub fn permute_0213(&self, a: Var) -> Var {
+    /// Swaps axes 1 and 2 of `a` read through the 4-D `view`
+    /// (`[a,b,c,d] -> [a,c,b,d]`) and labels the result `shape`; splits and
+    /// merges attention heads in one node, with no reshape around it.
+    /// `permute_0213(permute_0213(x, [a,b,c,d], s1), [a,c,b,d], s0)` is `x`.
+    pub fn permute_0213(&self, a: Var, view: [usize; 4], shape: &[usize]) -> Var {
         let v = {
             let nodes = self.nodes.borrow();
             let av = &nodes[a.id].value;
-            let s = av.shape();
-            let (sa, sb, sc, sd) = (s[0], s[1], s[2], s[3]);
-            // Output-major fill: sequential writes of contiguous `d`-runs
-            // with no zero-fill pass (the permutation keeps the last axis
-            // contiguous on both sides).
-            let mut out = self.out_cleared(av.numel());
-            for ai in 0..sa {
-                for ci in 0..sc {
-                    for bi in 0..sb {
-                        let src = ((ai * sb + bi) * sc + ci) * sd;
-                        out.extend_from_slice(&av.data()[src..src + sd]);
-                    }
-                }
-            }
-            Tensor::from_vec(out, &[sa, sc, sb, sd])
+            let numel: usize = view.iter().product();
+            assert_eq!(
+                numel,
+                av.numel(),
+                "permute_0213 view {view:?} does not cover {:?}",
+                av.shape()
+            );
+            assert_eq!(
+                shape.iter().product::<usize>(),
+                numel,
+                "permute_0213 shape mismatch: {view:?} -> {shape:?}"
+            );
+            let mut out = self.out_cleared(numel);
+            permute_0213_extend(av.data(), view, &mut out);
+            Tensor::from_vec(out, shape)
         };
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, _, _scr| vec![permute_0213_tensor(g)])),
+            self.bw(|| {
+                Box::new(move |g, p, _, scr| {
+                    let [sa, sb, sc, sd] = view;
+                    let mut dx = scr.take_cleared(g.numel());
+                    permute_0213_extend(g.data(), [sa, sc, sb, sd], &mut dx);
+                    vec![Tensor::from_vec(dx, p[0].shape())]
+                })
+            }),
             None,
         )
     }
@@ -1517,7 +1546,10 @@ impl Graph {
 
     /// Layer normalization over the last axis with learned gain and bias.
     ///
-    /// `x [..., d]`, `gain [d]`, `bias [d]`.
+    /// `x [..., d]`, `gain [d]`, `bias [d]`. Row statistics are computed
+    /// eight rows at a time, one row per vector lane; each row's sums
+    /// still run in ascending element order, so the result is the per-row
+    /// formula's bit for bit.
     pub fn layer_norm(&self, x: Var, gain: Var, bias: Var, eps: f32) -> Var {
         let value = {
             let nodes = self.nodes.borrow();
@@ -1527,15 +1559,20 @@ impl Graph {
             let d = *xv.shape().last().expect("layer_norm 0-d");
             assert_eq!(gv.shape(), [d], "layer_norm gain shape");
             assert_eq!(bv.shape(), [d], "layer_norm bias shape");
-            let mut out = self.out_zeroed(xv.numel());
-            for (orow, xrow) in out.chunks_mut(d).zip(xv.data().chunks(d)) {
-                let mu = xrow.iter().sum::<f32>() / d as f32;
-                let var = xrow.iter().map(|x| (x - mu) * (x - mu)).sum::<f32>() / d as f32;
-                let inv = 1.0 / (var + eps).sqrt();
-                for (j, (o, &x)) in orow.iter_mut().zip(xrow).enumerate() {
-                    *o = gv.data()[j] * (x - mu) * inv + bv.data()[j];
+            let mut out = self.out_cleared(xv.numel());
+            let mut xt = self.out_zeroed(d * LN_BLOCK);
+            for xb in xv.data().chunks(d * LN_BLOCK) {
+                let (mu, inv) = ln_block_stats(xb, d, eps, &mut xt);
+                for ((xrow, &mu), &inv) in xb.chunks_exact(d).zip(&mu).zip(&inv) {
+                    out.extend(
+                        xrow.iter()
+                            .zip(gv.data())
+                            .zip(bv.data())
+                            .map(|((&x, &g), &b)| g * (x - mu) * inv + b),
+                    );
                 }
             }
+            self.out_recycle(xt);
             Tensor::from_vec(out, xv.shape())
         };
         self.push(
@@ -1543,41 +1580,56 @@ impl Graph {
             self.deps(&[x.id, gain.id, bias.id]),
             self.bw(|| {
                 Box::new(move |g, p, _, scr| {
-                    let xv = p[0];
-                    let gv = p[1];
-                    let d = *xv.shape().last().expect("layer_norm 0-d");
+                    let (xv, gain) = (p[0], p[1].data());
+                    let d = gain.len();
                     let df = d as f32;
-                    let mut dx = scr.take_zeroed(xv.numel());
+                    let mut dx = scr.take_cleared(xv.numel());
                     let mut dgain = scr.take_zeroed(d);
                     let mut dbias = scr.take_zeroed(d);
-                    // Per-row work buffers, reused across rows (fully overwritten).
-                    let mut xhat = scr.take_zeroed(d);
-                    let mut dxhat = scr.take_zeroed(d);
-                    for (rowi, (xrow, grow)) in
-                        xv.data().chunks(d).zip(g.data().chunks(d)).enumerate()
+                    let mut xt = scr.take_zeroed(d * LN_BLOCK);
+                    let mut gt = scr.take_zeroed(d * LN_BLOCK);
+                    for (xb, gb) in xv
+                        .data()
+                        .chunks(d * LN_BLOCK)
+                        .zip(g.data().chunks(d * LN_BLOCK))
                     {
-                        let mu = xrow.iter().sum::<f32>() / df;
-                        let var = xrow.iter().map(|x| (x - mu) * (x - mu)).sum::<f32>() / df;
-                        let inv = 1.0 / (var + eps).sqrt();
-                        // xhat_j = (x_j - mu) * inv; dy_j flows through gain.
-                        let mut sum_dxhat = 0.0f32;
-                        let mut sum_dxhat_xhat = 0.0f32;
-                        for j in 0..d {
-                            xhat[j] = (xrow[j] - mu) * inv;
-                            dxhat[j] = grow[j] * gv.data()[j];
-                            sum_dxhat += dxhat[j];
-                            sum_dxhat_xhat += dxhat[j] * xhat[j];
-                            dgain[j] += grow[j] * xhat[j];
-                            dbias[j] += grow[j];
+                        let (mu, inv) = ln_block_stats(xb, d, eps, &mut xt);
+                        // Σ dxhat and Σ dxhat·xhat per row, side by side over
+                        // the transposed block, with dxhat_j = dy_j · gain_j.
+                        ln_transpose(gb, d, &mut gt);
+                        let (mut sum_dxhat, mut sum_dxhat_xhat) =
+                            ([0.0f32; LN_BLOCK], [0.0f32; LN_BLOCK]);
+                        for ((xc, gc), &ga) in xt
+                            .as_chunks::<LN_BLOCK>()
+                            .0
+                            .iter()
+                            .zip(gt.as_chunks::<LN_BLOCK>().0)
+                            .zip(gain)
+                        {
+                            for r in 0..LN_BLOCK {
+                                let xhat = (xc[r] - mu[r]) * inv[r];
+                                let dxhat = gc[r] * ga;
+                                sum_dxhat[r] += dxhat;
+                                sum_dxhat_xhat[r] += dxhat * xhat;
+                            }
                         }
-                        let dst = &mut dx[rowi * d..(rowi + 1) * d];
-                        for j in 0..d {
-                            dst[j] =
-                                inv / df * (df * dxhat[j] - sum_dxhat - xhat[j] * sum_dxhat_xhat);
+                        let rows = xb.chunks_exact(d).zip(gb.chunks_exact(d));
+                        for (r, (xrow, grow)) in rows.enumerate() {
+                            let (mu, inv) = (mu[r], inv[r]);
+                            let (s1, s2) = (sum_dxhat[r], sum_dxhat_xhat[r]);
+                            let acc = dgain.iter_mut().zip(dbias.iter_mut());
+                            for ((dg, db), (&x, &gi)) in acc.zip(xrow.iter().zip(grow)) {
+                                *dg += gi * ((x - mu) * inv);
+                                *db += gi;
+                            }
+                            dx.extend(xrow.iter().zip(grow).zip(gain).map(|((&x, &gi), &ga)| {
+                                let xhat = (x - mu) * inv;
+                                inv / df * (df * (gi * ga) - s1 - xhat * s2)
+                            }));
                         }
                     }
-                    scr.recycle(xhat);
-                    scr.recycle(dxhat);
+                    scr.recycle(xt);
+                    scr.recycle(gt);
                     vec![
                         Tensor::from_vec(dx, xv.shape()),
                         Tensor::from_vec(dgain, &[d]),
@@ -1865,30 +1917,95 @@ fn softmax_last_into(x: &Tensor, out: &mut [f32]) {
     }
 }
 
-/// `[a,b,c,d] -> [a,c,b,d]`.
-fn permute_0213_tensor(x: &Tensor) -> Tensor {
-    let mut out = vec![0.0f32; x.numel()];
-    permute_0213_into(x, &mut out);
-    let s = x.shape();
-    Tensor::from_vec(out, &[s[0], s[2], s[1], s[3]])
+/// Gradients of `a · b` for `b [k,n]` and an `a` whose last axis is `k`,
+/// read as `[m,k]` whatever its rank: `da = g · bᵀ` and `db = aᵀ · g`
+/// through the layout-aware kernels (no transposed copies), each in its
+/// operand's shape.
+fn matmul_grads(g: &Tensor, a: &Tensor, b: &Tensor, scr: &mut Scratch) -> Vec<Tensor> {
+    let m: usize = a.shape()[..a.ndim() - 1].iter().product();
+    let (k, n) = (b.shape()[0], b.shape()[1]);
+    let mut da = scr.take_zeroed(m * k);
+    gemm_nt(g.data(), b.data(), &mut da, m, n, k);
+    let mut db = scr.take_zeroed(k * n);
+    gemm_tn(a.data(), g.data(), &mut db, k, m, n);
+    vec![
+        Tensor::from_vec(da, a.shape()),
+        Tensor::from_vec(db, b.shape()),
+    ]
 }
 
-/// Writes the 0213-permutation of `x` into `out` (same layout as
-/// [`permute_0213_tensor`], but against a caller-provided buffer).
-fn permute_0213_into(x: &Tensor, out: &mut [f32]) {
-    assert_eq!(
-        x.ndim(),
-        4,
-        "permute_0213 expects 4-D input, got {:?}",
-        x.shape()
-    );
-    let (a, b, c, d) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    for ai in 0..a {
-        for bi in 0..b {
-            for ci in 0..c {
-                let src = ((ai * b + bi) * c + ci) * d;
-                let dst = ((ai * c + ci) * b + bi) * d;
-                out[dst..dst + d].copy_from_slice(&x.data()[src..src + d]);
+/// Rows whose statistics [`Graph::layer_norm`] computes side by side: one
+/// lane per row, so eight serial `f32` chains run as one vector chain.
+const LN_BLOCK: usize = 8;
+
+/// Writes a block of at most [`LN_BLOCK`] rows of width `d` (`rows`) into
+/// `t` as `[d][LN_BLOCK]`, column `r` holding row `r`; the lanes of a short
+/// block are zeroed. Whole `LN_BLOCK × LN_BLOCK` tiles pass through a
+/// fixed-size array, which the compiler transposes with register shuffles
+/// (a strided store per element costs about four times as much).
+fn ln_transpose(rows: &[f32], d: usize, t: &mut [f32]) {
+    let n = rows.len() / d;
+    if n < LN_BLOCK {
+        t.fill(0.0);
+    }
+    let cols = t.as_chunks_mut::<LN_BLOCK>().0;
+    let full = d / LN_BLOCK * LN_BLOCK;
+    for j0 in (0..full).step_by(LN_BLOCK) {
+        let mut tile = [[0.0f32; LN_BLOCK]; LN_BLOCK];
+        for (r, dst) in tile.iter_mut().enumerate().take(n) {
+            dst.copy_from_slice(&rows[r * d + j0..r * d + j0 + LN_BLOCK]);
+        }
+        for (jj, col) in cols[j0..j0 + LN_BLOCK].iter_mut().enumerate() {
+            *col = std::array::from_fn(|r| tile[r][jj]);
+        }
+    }
+    for (j, col) in cols.iter_mut().enumerate().skip(full) {
+        for (r, lane) in col.iter_mut().enumerate().take(n) {
+            *lane = rows[r * d + j];
+        }
+    }
+}
+
+/// Mean and `1 / sqrt(var + eps)` of each row in a block of at most
+/// [`LN_BLOCK`] rows of width `d`, using `xt` (`d·LN_BLOCK` long) for the
+/// transposed block. Each row's sums run over ascending elements from
+/// `-0.0`, the same chain as `row.iter().sum::<f32>()`, so every lane
+/// equals the per-row formula bit for bit; lanes past the block's rows are
+/// padding.
+fn ln_block_stats(
+    rows: &[f32],
+    d: usize,
+    eps: f32,
+    xt: &mut [f32],
+) -> ([f32; LN_BLOCK], [f32; LN_BLOCK]) {
+    ln_transpose(rows, d, xt);
+    let cols = xt.as_chunks::<LN_BLOCK>().0;
+    let df = d as f32;
+    let mut sum = [-0.0f32; LN_BLOCK];
+    for col in cols {
+        for (s, &x) in sum.iter_mut().zip(col) {
+            *s += x;
+        }
+    }
+    let mu = sum.map(|s| s / df);
+    let mut sq = [-0.0f32; LN_BLOCK];
+    for col in cols {
+        for ((s, &x), &m) in sq.iter_mut().zip(col).zip(&mu) {
+            *s += (x - m) * (x - m);
+        }
+    }
+    (mu, sq.map(|s| 1.0 / (s / df + eps).sqrt()))
+}
+
+/// Appends the `[a,c,b,d]` permutation of `src`, read as `[a,b,c,d]`, to
+/// `out`: output-major, so every write is a sequential run of `d` elements
+/// (the permutation keeps the last axis contiguous on both sides).
+fn permute_0213_extend(src: &[f32], [sa, sb, sc, sd]: [usize; 4], out: &mut Vec<f32>) {
+    for ai in 0..sa {
+        for ci in 0..sc {
+            for bi in 0..sb {
+                let s = ((ai * sb + bi) * sc + ci) * sd;
+                out.extend_from_slice(&src[s..s + sd]);
             }
         }
     }
@@ -2213,6 +2330,94 @@ mod tests {
         );
     }
 
+    /// The per-row LayerNorm (value, dx, dgain, dbias) that the blocked
+    /// [`Graph::layer_norm`] must reproduce bit for bit: one serial chain per
+    /// row statistic, rows in order.
+    fn layer_norm_per_row(
+        x: &[f32],
+        gain: &[f32],
+        bias: &[f32],
+        dy: &[f32],
+        eps: f32,
+    ) -> [Vec<f32>; 4] {
+        let d = gain.len();
+        let df = d as f32;
+        let (mut y, mut dx) = (Vec::new(), Vec::new());
+        let (mut dgain, mut dbias) = (vec![0.0f32; d], vec![0.0f32; d]);
+        for (xrow, grow) in x.chunks(d).zip(dy.chunks(d)) {
+            let mu = xrow.iter().sum::<f32>() / df;
+            let var = xrow.iter().map(|x| (x - mu) * (x - mu)).sum::<f32>() / df;
+            let inv = 1.0 / (var + eps).sqrt();
+            let mut sum_dxhat = 0.0f32;
+            let mut sum_dxhat_xhat = 0.0f32;
+            let mut xhat = vec![0.0f32; d];
+            let mut dxhat = vec![0.0f32; d];
+            for j in 0..d {
+                y.push(gain[j] * (xrow[j] - mu) * inv + bias[j]);
+                xhat[j] = (xrow[j] - mu) * inv;
+                dxhat[j] = grow[j] * gain[j];
+                sum_dxhat += dxhat[j];
+                sum_dxhat_xhat += dxhat[j] * xhat[j];
+                dgain[j] += grow[j] * xhat[j];
+                dbias[j] += grow[j];
+            }
+            for j in 0..d {
+                dx.push(inv / df * (df * dxhat[j] - sum_dxhat - xhat[j] * sum_dxhat_xhat));
+            }
+        }
+        [y, dx, dgain, dbias]
+    }
+
+    #[test]
+    fn layer_norm_row_blocks_match_per_row_reference() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let nan = generated_nan();
+        for d in [1, 3, 32, 64] {
+            for rows in 0..=2 * LN_BLOCK + 1 {
+                let mut x = Tensor::randn(&[rows, d], 2.0, &mut rng).into_vec();
+                // Rows of NaN, ±Inf, signed zeros, a large offset and all
+                // −0 (whose mean keeps its sign only if each sum starts
+                // from −0, as `iter().sum()` does; the −0 biases show it).
+                for (r, row) in x.chunks_mut(d).enumerate() {
+                    match r % 7 {
+                        1 => row[r % d] = nan,
+                        2 => row[(r + 1) % d] = f32::NEG_INFINITY,
+                        3 => row[0] = f32::INFINITY,
+                        4 => row
+                            .iter_mut()
+                            .enumerate()
+                            .for_each(|(j, v)| *v = if j % 2 == 0 { -0.0 } else { 0.0 }),
+                        5 => row.iter_mut().for_each(|v| *v += 1.0e4),
+                        6 => row.fill(-0.0),
+                        _ => {}
+                    }
+                }
+                let gain = Tensor::rand_uniform(&[d], 0.5, 1.5, &mut rng);
+                let mut bias = Tensor::randn(&[d], 0.2, &mut rng);
+                bias.data_mut()
+                    .iter_mut()
+                    .step_by(3)
+                    .for_each(|b| *b = -0.0);
+                let dy = Tensor::randn(&[rows, d], 1.0, &mut rng);
+                let want = layer_norm_per_row(&x, gain.data(), bias.data(), dy.data(), 1e-5);
+
+                let g = Graph::new();
+                let xv = g.constant(Tensor::from_vec(x, &[rows, d]));
+                let (gv, bv) = (g.constant(gain), g.constant(bias));
+                let y = g.layer_norm(xv, gv, bv, 1e-5);
+                let nodes = g.nodes.borrow();
+                let node = &nodes[y.id];
+                let pvals: Vec<&Tensor> = node.parents.iter().map(|&p| &nodes[p].value).collect();
+                let bw = node.backward.as_ref().unwrap();
+                let grads = bw(&dy, &pvals, &node.value, &mut Scratch::default());
+                let got = [&node.value, &grads[0], &grads[1], &grads[2]];
+                for (i, (w, g)) in want.iter().zip(got).enumerate() {
+                    assert_eq!(bits(g.data()), bits(w), "output {i} at rows={rows} d={d}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn cross_entropy_matches_manual() {
         let g = Graph::new();
@@ -2397,13 +2602,180 @@ mod tests {
     #[test]
     fn permute_0213_self_inverse() {
         let mut rng = StdRng::seed_from_u64(13);
-        let t = Tensor::randn(&[2, 3, 4, 5], 1.0, &mut rng);
+        let t = Tensor::randn(&[2, 3, 20], 1.0, &mut rng);
         let g = Graph::new();
         let v = g.constant(t.clone());
-        let p = g.permute_0213(v);
-        assert_eq!(g.shape(p), vec![2, 4, 3, 5]);
-        let pp = g.permute_0213(p);
+        let p = g.permute_0213(v, [2, 3, 4, 5], &[8, 3, 5]);
+        assert_eq!(g.shape(p), vec![8, 3, 5]);
+        let pp = g.permute_0213(p, [2, 4, 3, 5], &[2, 3, 20]);
         assert_eq!(g.value(pp), t);
+    }
+
+    /// The NaN this target generates (for `inf - inf`). Tests that compare
+    /// arithmetic paths bitwise use it as their only NaN payload, so the
+    /// result cannot depend on which operand of a NaN-NaN add wins.
+    fn generated_nan() -> f32 {
+        std::hint::black_box(f32::INFINITY) - f32::INFINITY
+    }
+
+    /// `n` values drawn from `rng`, with NaN, ±0 and −Inf interleaved when
+    /// `special` is set.
+    fn payload(n: usize, special: bool, rng: &mut StdRng) -> Tensor {
+        let mut v = Tensor::randn(&[n], 1.0, rng).into_vec();
+        if special {
+            let specials = [generated_nan(), -0.0, 0.0, f32::NEG_INFINITY];
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 5 == 2) {
+                *x = specials[(i / 5) % specials.len()];
+            }
+        }
+        Tensor::from_vec(v, &[n])
+    }
+
+    /// The 4-D `[a,b,c,d] -> [a,c,b,d]` node as it was before
+    /// [`Graph::permute_0213`] took a view: a copy scattered by destination
+    /// index, self-inverse, so its backward is the same scatter.
+    fn permute_0213_reference(g: &Graph, x: Var) -> Var {
+        fn scatter(x: &Tensor) -> Tensor {
+            let [a, b, c, d]: [usize; 4] = x.shape().try_into().unwrap();
+            let mut out = vec![0.0f32; x.numel()];
+            for ai in 0..a {
+                for bi in 0..b {
+                    for ci in 0..c {
+                        let src = ((ai * b + bi) * c + ci) * d;
+                        let dst = ((ai * c + ci) * b + bi) * d;
+                        out[dst..dst + d].copy_from_slice(&x.data()[src..src + d]);
+                    }
+                }
+            }
+            Tensor::from_vec(out, &[a, c, b, d])
+        }
+        let v = g.with_value(x, scatter);
+        g.push_node(
+            v,
+            vec![x],
+            g.bw(|| Box::new(|gr, _, _, _| vec![scatter(gr)])),
+        )
+    }
+
+    /// Values of the attention-style tape's interior nodes and every
+    /// parameter gradient (accumulated onto `-0.0`, which keeps each
+    /// gradient's bits), for the fused token ops or the reshape composites
+    /// they replace. `x` feeds q, k, v and a residual.
+    fn token_tape(params: &mut Params, c: &Tensor, heads: usize, fused: bool) -> Vec<Tensor> {
+        let ids: Vec<ParamId> = ["x", "wq", "wk", "wv", "wo"]
+            .iter()
+            .map(|n| params.id(n).unwrap())
+            .collect();
+        for &id in &ids {
+            params.grad_mut(id).fill(-0.0);
+        }
+        let g = Graph::new();
+        let tokens = |x: Var, w: Var| {
+            if fused {
+                return g.matmul_tokens(x, w);
+            }
+            let (s, e) = (g.shape(x), g.shape(w)[1]);
+            let flat = g.reshape(x, &[s[0] * s[1], s[2]]);
+            let y = g.matmul(flat, w);
+            g.reshape(y, &[s[0], s[1], e])
+        };
+        let permute = |x: Var, view: [usize; 4], shape: &[usize]| {
+            if fused {
+                return g.permute_0213(x, view, shape);
+            }
+            let x4 = g.reshape(x, &view);
+            let p = permute_0213_reference(&g, x4);
+            g.reshape(p, shape)
+        };
+        let x = g.param(params, ids[0]);
+        let (b, t, d) = (g.shape(x)[0], g.shape(x)[1], g.shape(x)[2]);
+        let dh = d / heads;
+        let split = |v: Var| permute(v, [b, t, heads, dh], &[b * heads, t, dh]);
+        let q = split(tokens(x, g.param(params, ids[1])));
+        let k = split(tokens(x, g.param(params, ids[2])));
+        let v = split(tokens(x, g.param(params, ids[3])));
+        let attn = g.softmax_last(g.bmm_nt(q, k));
+        let ctx = g.bmm(attn, v);
+        let merged = permute(ctx, [b, heads, t, dh], &[b, t, d]);
+        let out = tokens(merged, g.param(params, ids[4]));
+        let r = g.add(out, x);
+        let loss = g.sum_all(g.mul(r, g.constant(c.clone())));
+        g.backward(loss, params);
+        let mut seen: Vec<Tensor> = [q, k, v, ctx, merged, out, r]
+            .iter()
+            .map(|&n| g.value(n))
+            .collect();
+        seen.extend(ids.iter().map(|&id| params.grad(id).clone()));
+        seen
+    }
+
+    #[test]
+    fn fused_token_ops_match_reshape_composites_bitwise() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for special in [false, true] {
+            for b in [1, 3] {
+                for t in [1, 9] {
+                    for heads in [1, 2, 4] {
+                        let d = 2 * heads;
+                        let mut params = Params::new();
+                        let x = payload(b * t * d, special, &mut rng);
+                        params.insert("x", x.reshape(&[b, t, d]), true);
+                        for w in ["wq", "wk", "wv", "wo"] {
+                            params.insert(w, Tensor::randn(&[d, d], 0.5, &mut rng), true);
+                        }
+                        let c = payload(b * t * d, special, &mut rng).reshape(&[b, t, d]);
+                        let want = token_tape(&mut params, &c, heads, false);
+                        let got = token_tape(&mut params, &c, heads, true);
+                        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                            assert_eq!(g.shape(), w.shape(), "tensor {i}");
+                            assert_eq!(
+                                bits(g.data()),
+                                bits(w.data()),
+                                "tensor {i} differs at b={b} t={t} heads={heads} special={special}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permute_0213_moves_every_payload_bit() {
+        // Pure data movement: distinct NaN payloads, ±0 and ±Inf survive
+        // the fused permute and its backward exactly as the composite.
+        let vals: Vec<f32> = (0..2 * 3 * 4 * 2)
+            .map(|i| match i % 6 {
+                0 => f32::from_bits(0x7fc0_0000 | i as u32),
+                1 => -0.0,
+                2 => f32::NEG_INFINITY,
+                3 => f32::from_bits(0xffc0_0100 | i as u32),
+                _ => i as f32 - 7.5,
+            })
+            .collect();
+        let run = |fused: bool| {
+            let mut params = Params::new();
+            let x = params.insert("x", Tensor::from_vec(vals.clone(), &[2, 3, 8]), true);
+            params.grad_mut(x).fill(-0.0);
+            let g = Graph::new();
+            let xv = g.param(&params, x);
+            let p = if fused {
+                g.permute_0213(xv, [2, 3, 4, 2], &[8, 3, 2])
+            } else {
+                let x4 = g.reshape(xv, &[2, 3, 4, 2]);
+                let p = permute_0213_reference(&g, x4);
+                g.reshape(p, &[8, 3, 2])
+            };
+            let c = Tensor::from_vec(vals.iter().rev().copied().collect(), &[8, 3, 2]);
+            let loss = g.sum_all(g.mul(p, g.constant(c)));
+            g.backward(loss, &mut params);
+            (g.value(p), params.grad(x).clone())
+        };
+        let (want, dwant) = run(false);
+        let (got, dgot) = run(true);
+        assert_eq!(got.shape(), &[8, 3, 2]);
+        assert_eq!(bits(got.data()), bits(want.data()));
+        assert_eq!(bits(dgot.data()), bits(dwant.data()));
     }
 
     #[test]
@@ -2605,12 +2977,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut params = Params::new();
         params.insert("w", Tensor::randn(&[4, 4], 0.1, &mut rng), true);
+        params.insert("gain", Tensor::ones(&[4]), true);
+        params.insert("bias", Tensor::zeros(&[4]), true);
         let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
         let g = Graph::inference();
         let run = |g: &Graph| {
             let wv = g.param(&params, params.id("w").unwrap());
             let xv = g.input(&x);
             let h = g.matmul(xv, wv);
+            // LayerNorm's transposed-block temporary comes from the pool too.
+            let gain = g.param(&params, params.id("gain").unwrap());
+            let bias = g.param(&params, params.id("bias").unwrap());
+            let h = g.layer_norm(h, gain, bias, 1e-5);
             let _ = g.value(h);
             g.reset();
         };

@@ -65,9 +65,7 @@ impl MultiHeadAttention {
     /// Splits `[b, t, dim]` into `[b*h, t, dh]` head-major layout.
     fn split_heads(&self, g: &Graph, x: Var, b: usize, t: usize) -> Var {
         let dh = self.dim / self.heads;
-        let x4 = g.reshape(x, &[b, t, self.heads, dh]);
-        let xp = g.permute_0213(x4); // [b, h, t, dh]
-        g.reshape(xp, &[b * self.heads, t, dh])
+        g.permute_0213(x, [b, t, self.heads, dh], &[b * self.heads, t, dh])
     }
 
     /// Self-attention: `x [b, t, dim] -> [b, t, dim]`.
@@ -90,9 +88,7 @@ impl MultiHeadAttention {
         let attn = g.softmax_last(scores);
         let ctx = g.bmm(attn, v); // [b*h, t, dh]
 
-        let ctx4 = g.reshape(ctx, &[b, self.heads, t, dh]);
-        let ctxp = g.permute_0213(ctx4); // [b, t, h, dh]
-        let merged = g.reshape(ctxp, &[b, t, self.dim]);
+        let merged = g.permute_0213(ctx, [b, self.heads, t, dh], &[b, t, self.dim]);
         self.wo.forward_tokens(g, params, merged)
     }
 }

@@ -62,7 +62,9 @@ fn main() {
 
     // The full server store.
     let mut store = GlobalPromptStore::new(classes, dim);
-    store.ingest(&uploads);
+    store
+        .ingest(&uploads)
+        .expect("every synthetic group is in range and finite");
     for k in 0..classes {
         println!(
             "class {k}: {} representatives after clustering",
