@@ -11,11 +11,17 @@
 //!   transposed in place (the `dB` half of a matmul backward).
 //!
 //! All three run one driver that reads the left operand through a
-//! `(row stride, k stride)` pair and walks `NR`-column strips of `MR`-row
-//! tiles. On x86_64 CPUs that report AVX2 at run time the tile is an
-//! explicit `__m256` microkernel: two 8-lane accumulators per row, masked
-//! loads and stores at the column edge. Elsewhere a safe `[f32; NR]` tile
-//! runs the same chains.
+//! `(row stride, k stride)` pair and walks column strips of `MR`-row tiles.
+//! The microkernel is chosen by the CPU at run time:
+//!
+//! * AVX-512F: 32-column strips, two 16-lane `__m512` accumulators per row,
+//!   the column edge `k`-masked. A strip with at most 16 live columns (the
+//!   last one, or all of a narrow product such as attention's `n = 9`)
+//!   runs the AVX2 tile instead, so a narrow product does no extra work;
+//! * AVX2: 16-column strips, two 8-lane `__m256` accumulators per row,
+//!   masked loads and stores at the column edge;
+//! * elsewhere a safe `[f32; NR]` tile runs the same chains on 16-column
+//!   strips.
 //!
 //! # Determinism invariant
 //!
@@ -27,7 +33,7 @@
 //! IEEE-754 binary32 operations as the scalar loop. Tiles and vector lanes
 //! only change *which* elements are in flight at once, never the order of
 //! operations within an element, so results are byte-identical to
-//! [`gemm_ref`] on either tile (pinned by proptests and an edge sweep).
+//! [`gemm_ref`] on every tile (pinned by proptests and an edge sweep).
 //! The speed comes from the SIMD structure: a tile's accumulators stay in
 //! registers across the whole `k` loop, and each `B` row fragment is
 //! loaded once per step and reused by every row of the tile.
@@ -57,8 +63,12 @@ pub fn set_kernel_policy(_: KernelPolicy) {}
 /// call. The last `m % MR` rows run the same microkernel at that height.
 pub const MR: usize = 4;
 
-/// Columns of a strip: two 8-lane accumulators per output row.
+/// Columns of an AVX2 or portable strip: two 8-lane accumulators per
+/// output row.
 pub const NR: usize = 16;
+
+/// Columns of an AVX-512 strip: two 16-lane accumulators per output row.
+const NR_WIDE: usize = 2 * NR;
 
 /// `out += a · b` for row-major `a [m,k]`, `b [k,n]`, `out [m,n]`.
 ///
@@ -101,21 +111,26 @@ enum Rhs<'a> {
     RowMajor(&'a [f32]),
     /// `bt [n,k]`, the transpose of the logical operand. Reading it in
     /// place would mean stride-`k` gathers, so each strip is first copied
-    /// into the `[k][NR]` [`NT_PACK`] (row stride `NR`) and reused by every
-    /// row tile. Copying does not touch the values, so chains are unchanged.
+    /// into the [`NT_PACK`] (row stride `NR`, or [`NR_WIDE`] for a strip
+    /// wider than `NR`) and reused by every row tile. Copying does not
+    /// touch the values, so chains are unchanged.
     Transposed(&'a [f32]),
 }
 
 thread_local! {
-    /// Reusable `[k][NR]` strip pack for [`Rhs::Transposed`] — grown on
-    /// demand, never shared across threads.
+    /// Reusable `[k][NR_WIDE]` strip pack for [`Rhs::Transposed`] — grown
+    /// on demand, never shared across threads.
     static NT_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Which microkernel runs the tiles. Chosen by the machine, never by a
-/// caller: both produce the same bits.
+/// caller: all of them produce the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tile {
+    /// Explicit `__m512` multiply-then-add on strips wider than `NR`
+    /// ([`avx512::tile`]), the AVX2 tile on narrower ones.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
     /// Explicit `__m256` multiply-then-add ([`avx2::tile`]).
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -124,22 +139,37 @@ enum Tile {
 }
 
 impl Tile {
-    /// AVX2 when the CPU reports it at run time (whatever `target-cpu` the
-    /// binary was built for; std caches the probe), otherwise the portable
-    /// tile.
+    /// The widest tile the CPU reports at run time (whatever `target-cpu`
+    /// the binary was built for; std caches the probes). AVX-512 needs
+    /// AVX2 too, for its narrow strips.
     fn detect() -> Tile {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Tile::Avx512;
+            }
             return Tile::Avx2;
         }
         Tile::Portable
+    }
+
+    /// Columns of one strip.
+    fn width(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => NR_WIDE,
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => NR,
+            Tile::Portable => NR,
+        }
     }
 }
 
 /// The one GEMM driver behind [`gemm`], [`gemm_nt`] and [`gemm_tn`]:
 /// `out[i][j] += Σ_p A[i][p] · B[p][j]` with `A[i][p]` read at
-/// `a[i·a_rs + p·a_ks]`. It walks `NR`-column strips and, inside each,
-/// `MR`-row tiles followed by one tile of the `m % MR` remaining rows.
+/// `a[i·a_rs + p·a_ks]`. It walks strips of [`Tile::width`] columns and,
+/// inside each, `MR`-row tiles followed by one tile of the `m % MR`
+/// remaining rows.
 ///
 /// Each output element is one chain: its initial `out` value, advanced by
 /// `+ A[i][p] · B[p][j]` (one rounded multiply, then one rounded add) for
@@ -149,8 +179,8 @@ impl Tile {
 /// # Panics
 ///
 /// Panics unless `a.len() == m·k`, the right operand holds `k·n` values and
-/// `out.len() == m·n`. These checks run in release builds too: the AVX2
-/// microkernel indexes without bounds checks and relies on them.
+/// `out.len() == m·n`. These checks run in release builds too: the SIMD
+/// microkernels index without bounds checks and rely on them.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     tile: Tile,
@@ -176,25 +206,28 @@ fn drive(
     // Both left layouts, `(k, 1)` and `(1, m)`, end at `A[m−1][k−1]`, the
     // last element of `a`; every tile's bounds below rest on this.
     assert_eq!((m - 1) * a_st.0 + (k - 1) * a_st.1, m * k - 1);
+    let w = tile.width();
     match rhs {
         Rhs::RowMajor(b) => {
-            for j in (0..n).step_by(NR) {
-                let jb = NR.min(n - j);
+            for j in (0..n).step_by(w) {
+                let jb = w.min(n - j);
                 strip(tile, a, a_st, &b[j..], n, &mut out[j..], n, m, k, jb);
             }
         }
         Rhs::Transposed(bt) => NT_PACK.with(|cell| {
             let mut pack = cell.borrow_mut();
-            pack.resize(k * NR, 0.0);
-            for j in (0..n).step_by(NR) {
-                let jb = NR.min(n - j);
-                // Lanes `jb..NR` keep stale values: no tile reads them.
+            pack.resize(k * w, 0.0);
+            for j in (0..n).step_by(w) {
+                let jb = w.min(n - j);
+                // A narrow strip packs at the narrow tile's row stride.
+                let ldp = if jb <= NR { NR } else { w };
+                // Lanes `jb..ldp` keep stale values: no tile reads them.
                 for jj in 0..jb {
                     for (p, &v) in bt[(j + jj) * k..(j + jj + 1) * k].iter().enumerate() {
-                        pack[p * NR + jj] = v;
+                        pack[p * ldp + jj] = v;
                     }
                 }
-                strip(tile, a, a_st, &pack, NR, &mut out[j..], n, m, k, jb);
+                strip(tile, a, a_st, &pack, ldp, &mut out[j..], n, m, k, jb);
             }
         }),
     }
@@ -233,8 +266,9 @@ const _: () = assert!(MR == 4, "strip's remainder arms cover heights 1..MR");
 
 /// One `R`-row tile starting at row `i`, on the chosen microkernel.
 ///
-/// The debug assertions restate, per tile, the bounds the AVX2 microkernel
-/// reads and writes without checks; [`drive`]'s length checks imply them.
+/// The debug assertions restate, per tile, the bounds the SIMD
+/// microkernels read and write without checks; [`drive`]'s length checks
+/// imply them.
 #[allow(clippy::too_many_arguments)]
 fn rows<const R: usize>(
     tile: Tile,
@@ -250,15 +284,35 @@ fn rows<const R: usize>(
 ) {
     let a = &a[i * a_rs..];
     let out = &mut out[i * ldo..];
-    debug_assert!(k > 0 && (1..=NR).contains(&jb));
+    debug_assert!(k > 0 && (1..=tile.width()).contains(&jb));
     debug_assert!((R - 1) * a_rs + (k - 1) * a_ks < a.len());
     debug_assert!(ldb * (k - 1) + jb <= b.len());
     debug_assert!(ldo * (R - 1) + jb <= out.len());
     match tile {
         #[cfg(target_arch = "x86_64")]
-        Tile::Avx2 => {
-            // SAFETY: a `Tile::Avx2` exists only where
-            // `is_x86_feature_detected!("avx2")` returned true. The
+        Tile::Avx512 if jb > NR => {
+            // SAFETY: a `Tile::Avx512` exists only where
+            // `is_x86_feature_detected!("avx512f")` returned true, and
+            // `NR < jb ≤ NR_WIDE` here. The microkernel touches `a` up to
+            // `(R−1)·a_rs + (k−1)·a_ks`, `b` up to the last live lane
+            // `ldb·(k−1) + jb` of its last row and `out` up to
+            // `ldo·(R−1) + jb`; lanes `jb..32` of the 32-lane window are
+            // masked off and never accessed. All three bounds are asserted
+            // just above and follow from `drive`'s length checks, because
+            // the tile lies inside the `m×k×n` product.
+            unsafe {
+                if jb == NR_WIDE {
+                    avx512::tile::<R, false>(a, a_rs, a_ks, b, ldb, out, ldo, k, jb)
+                } else {
+                    avx512::tile::<R, true>(a, a_rs, a_ks, b, ldb, out, ldo, k, jb)
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512 | Tile::Avx2 => {
+            // SAFETY: a `Tile::Avx2` or `Tile::Avx512` exists only where
+            // `is_x86_feature_detected!("avx2")` returned true, and an
+            // `Avx512` strip arrives here only with `jb ≤ NR`. The
             // microkernel touches `a` up to `(R−1)·a_rs + (k−1)·a_ks`, `b`
             // up to the last live lane `ldb·(k−1) + jb` of its last row and
             // `out` up to `ldo·(R−1) + jb`; lanes `jb..NR` of the 16-lane
@@ -390,6 +444,103 @@ mod avx2 {
                 _mm256_maskstore_ps(p, mask, v)
             } else {
                 _mm256_storeu_ps(p, v)
+            }
+        }
+    }
+}
+
+/// Explicit AVX-512 microkernel for strips of 17 to 32 columns: two
+/// `__m512` accumulators per row, advanced by `vmulps` then `vaddps` — the
+/// same two correctly rounded binary32 operations as the scalar chain,
+/// never a fused multiply-add. The low 16 lanes are always live; the high
+/// accumulator loads and stores through a `k`-mask at the column edge.
+#[cfg(target_arch = "x86_64")]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod avx512 {
+    use super::NR;
+    use std::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+
+    /// `out[r·ldo + c] += Σ_p a[r·a_rs + p·a_ks] · b[p·ldb + c]` for
+    /// `r < R`, `c < jb`, each chain advanced in ascending `p`.
+    ///
+    /// With `MASKED`, lanes `jb..32` load as zero and are never stored;
+    /// without it `jb` must be 32.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; `k ≥ 1`; `16 < jb ≤ 32` (exactly 32
+    /// unless `MASKED`); `(R−1)·a_rs + (k−1)·a_ks < a.len()`;
+    /// `ldb·(k−1) + jb ≤ b.len()`; `ldo·(R−1) + jb ≤ out.len()`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile<const R: usize, const MASKED: bool>(
+        a: &[f32],
+        a_rs: usize,
+        a_ks: usize,
+        b: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+        ldo: usize,
+        k: usize,
+        jb: usize,
+    ) {
+        // Lane `c` of the high half is live iff `16 + c < jb`.
+        let hi: __mmask16 = (u32::MAX >> (32 - (jb - NR))) as __mmask16;
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let o = out.as_ptr().wrapping_add(r * ldo);
+            // SAFETY: AVX-512F and the live lanes `r·ldo + c`, `c < jb`,
+            // stay below `ldo·(R−1) + jb ≤ out.len()` (caller's contract);
+            // the low 16 are all live because `jb > 16`.
+            *accr = unsafe { [_mm512_loadu_ps(o), load::<MASKED>(o.wrapping_add(NR), hi)] };
+        }
+        for p in 0..k {
+            let bp = b.as_ptr().wrapping_add(p * ldb);
+            // SAFETY: AVX-512F and the live lanes `p·ldb + c`, `c < jb`,
+            // stay below `ldb·(k−1) + jb ≤ b.len()` (caller's contract).
+            let (b0, b1) =
+                unsafe { (_mm512_loadu_ps(bp), load::<MASKED>(bp.wrapping_add(NR), hi)) };
+            for (r, accr) in acc.iter_mut().enumerate() {
+                // SAFETY: `r·a_rs + p·a_ks ≤ (R−1)·a_rs + (k−1)·a_ks <
+                // a.len()` (caller's contract).
+                let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * a_rs + p * a_ks) });
+                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let o = out.as_mut_ptr().wrapping_add(r * ldo);
+            // SAFETY: as for the seeding loads above; only live lanes are
+            // written.
+            unsafe {
+                _mm512_storeu_ps(o, accr[0]);
+                if MASKED {
+                    _mm512_mask_storeu_ps(o.wrapping_add(NR), hi, accr[1]);
+                } else {
+                    _mm512_storeu_ps(o.wrapping_add(NR), accr[1]);
+                }
+            }
+        }
+    }
+
+    /// Sixteen lanes from `p`: all of them, or with `MASKED` only the lanes
+    /// set in `mask`; the others read as `0.0` without touching memory.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F, and every lane that is read lies inside one allocation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load<const MASKED: bool>(p: *const f32, mask: __mmask16) -> __m512 {
+        // SAFETY: forwarded from this function's contract.
+        unsafe {
+            if MASKED {
+                _mm512_maskz_loadu_ps(mask, p)
+            } else {
+                _mm512_loadu_ps(p)
             }
         }
     }
@@ -529,11 +680,22 @@ mod tests {
         }
     }
 
-    /// Every tile this host can run: the portable one always, AVX2 where
-    /// the CPU has it, so the fallback is tested on AVX2 hosts too.
+    /// Every tile this host can run: the portable one always, AVX2 and
+    /// AVX-512 where the CPU has them, so each narrower tile is tested on
+    /// wider hosts too.
     fn tiles() -> Vec<Tile> {
-        let mut tiles = vec![Tile::Portable, Tile::detect()];
-        tiles.dedup();
+        #[allow(unused_mut)]
+        let mut tiles = vec![Tile::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiles.push(Tile::Avx2);
+            }
+            if Tile::detect() == Tile::Avx512 {
+                tiles.push(Tile::Avx512);
+            }
+        }
+        assert!(tiles.contains(&Tile::detect()));
         tiles
     }
 
@@ -568,7 +730,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         for tile in tiles() {
             for m in 0..=20 {
-                for n in 0..=40 {
+                // Two 32-column strips, masked and full high halves, and
+                // narrow strips of 1..=16 columns after either.
+                for n in 0..=72 {
                     for k in [0, 1, 3, 8, 33] {
                         for poison in [false, true] {
                             let mut abuf = padded(&mut rng, m * k);

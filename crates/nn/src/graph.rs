@@ -24,6 +24,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use crate::exp::exp_in_place;
 use crate::gemm::{gemm, gemm_nt, gemm_tn};
 use crate::params::{ParamId, Params};
 use crate::tanh::tanh_in_place;
@@ -358,6 +359,20 @@ impl Graph {
         let av = &nodes[a.id].value;
         let mut out = self.out_cleared(av.numel());
         out.extend(av.data().iter().map(|&x| f(x)));
+        Tensor::from_vec(out, av.shape())
+    }
+
+    /// Pooled `after(exp(before(x)))` of `a`'s value, with the exps run in
+    /// bulk through [`exp_in_place`].
+    fn exp_value(&self, a: Var, before: impl Fn(f32) -> f32, after: impl Fn(f32) -> f32) -> Tensor {
+        let nodes = self.nodes.borrow();
+        let av = &nodes[a.id].value;
+        let mut out = self.out_cleared(av.numel());
+        out.extend(av.data().iter().map(|&x| before(x)));
+        exp_in_place(&mut out);
+        for o in &mut out {
+            *o = after(*o);
+        }
         Tensor::from_vec(out, av.shape())
     }
 
@@ -715,7 +730,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        let v = self.unary_value(a, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.exp_value(a, |x| -x, |e| 1.0 / (1.0 + e));
         self.push(
             v,
             self.deps(&[a.id]),
@@ -726,7 +741,7 @@ impl Graph {
 
     /// Elementwise exponential.
     pub fn exp(&self, a: Var) -> Var {
-        let v = self.unary_value(a, f32::exp);
+        let v = self.exp_value(a, |x| x, |e| e);
         self.push(
             v,
             self.deps(&[a.id]),
@@ -1476,7 +1491,7 @@ impl Graph {
         let value = {
             let nodes = self.nodes.borrow();
             let xv = &nodes[a.id].value;
-            let mut out = self.out_zeroed(xv.numel());
+            let mut out = self.out_cleared(xv.numel());
             softmax_last_into(xv, &mut out);
             Tensor::from_vec(out, xv.shape())
         };
@@ -1510,14 +1525,14 @@ impl Graph {
             let nodes = self.nodes.borrow();
             let xv = &nodes[a.id].value;
             let d = *xv.shape().last().expect("log_softmax 0-d");
-            let mut out = self.out_zeroed(xv.numel());
-            for (orow, xrow) in out.chunks_mut(d).zip(xv.data().chunks(d)) {
-                let m = xrow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let lse = m + xrow.iter().map(|x| (x - m).exp()).sum::<f32>().ln();
-                for (o, &x) in orow.iter_mut().zip(xrow) {
-                    *o = x - lse;
-                }
+            let mut exps = self.out_cleared(xv.numel());
+            shifted_exps(xv.data(), d, &mut exps);
+            let mut out = self.out_cleared(xv.numel());
+            for (xrow, erow) in xv.data().chunks(d).zip(exps.chunks(d)) {
+                let lse = row_max(xrow) + erow.iter().sum::<f32>().ln();
+                out.extend(xrow.iter().map(|&x| x - lse));
             }
+            self.out_recycle(exps);
             Tensor::from_vec(out, xv.shape())
         };
         self.push(
@@ -1526,15 +1541,13 @@ impl Graph {
             self.bw(|| {
                 Box::new(|g, _, y, scr| {
                     let d = *y.shape().last().expect("log_softmax 0-d");
-                    let mut out = scr.take_zeroed(y.numel());
-                    for ((orow, grow), yrow) in out
-                        .chunks_mut(d)
-                        .zip(g.data().chunks(d))
-                        .zip(y.data().chunks(d))
-                    {
+                    // exp(y), then gi − exp(yi)·Σg in place.
+                    let mut out = scr.take_copied(y.data());
+                    exp_in_place(&mut out);
+                    for (orow, grow) in out.chunks_mut(d).zip(g.data().chunks(d)) {
                         let gsum: f32 = grow.iter().sum();
-                        for ((o, &gi), &yi) in orow.iter_mut().zip(grow).zip(yrow) {
-                            *o = gi - yi.exp() * gsum;
+                        for (o, &gi) in orow.iter_mut().zip(grow) {
+                            *o = gi - *o * gsum;
                         }
                     }
                     vec![Tensor::from_vec(out, y.shape())]
@@ -1700,13 +1713,17 @@ impl Graph {
             assert_eq!(lv.ndim(), 2, "cross_entropy expects 2-D logits");
             let (b, k) = (lv.shape()[0], lv.shape()[1]);
             assert_eq!(tg.len(), b, "targets length mismatch");
-            let mut loss = 0.0f32;
-            for (row, &t) in lv.data().chunks(k).zip(&tg) {
+            for &t in &tg {
                 assert!(t < k, "target {t} out of range for {k} classes");
-                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let lse = m + row.iter().map(|x| (x - m).exp()).sum::<f32>().ln();
+            }
+            let mut exps = self.out_cleared(lv.numel());
+            shifted_exps(lv.data(), k, &mut exps);
+            let mut loss = 0.0f32;
+            for ((row, erow), &t) in lv.data().chunks(k).zip(exps.chunks(k)).zip(&tg) {
+                let lse = row_max(row) + erow.iter().sum::<f32>().ln();
                 loss += lse - row[t];
             }
+            self.out_recycle(exps);
             let mut d = self.out_cleared(1);
             d.push(loss / b as f32);
             Tensor::from_vec(d, &[1])
@@ -1749,20 +1766,23 @@ impl Graph {
             assert_eq!(lv.ndim(), 2, "multi_positive_nce expects 2-D logits");
             let (b, m) = (lv.shape()[0], lv.shape()[1]);
             assert_eq!(pos.len(), b, "positives length mismatch");
-            let mut loss = 0.0f32;
-            for (row, ps) in lv.data().chunks(m).zip(&pos) {
+            for ps in &pos {
                 assert!(!ps.is_empty(), "each row needs at least one positive");
-                let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let denom: f32 = row.iter().map(|x| (x - mx).exp()).sum();
-                let numer: f32 = ps
-                    .iter()
-                    .map(|&j| {
-                        assert!(j < m, "positive index {j} out of range");
-                        (row[j] - mx).exp()
-                    })
-                    .sum();
+                for &j in ps {
+                    assert!(j < m, "positive index {j} out of range");
+                }
+            }
+            // Each row's exps once; the numerator sums its positives' entries
+            // in `ps` order.
+            let mut exps = self.out_cleared(lv.numel());
+            shifted_exps(lv.data(), m, &mut exps);
+            let mut loss = 0.0f32;
+            for (erow, ps) in exps.chunks(m).zip(&pos) {
+                let denom: f32 = erow.iter().sum();
+                let numer: f32 = ps.iter().map(|&j| erow[j]).sum();
                 loss -= (numer / denom).ln();
             }
+            self.out_recycle(exps);
             let mut d = self.out_cleared(1);
             d.push(loss / b as f32);
             Tensor::from_vec(d, &[1])
@@ -1774,25 +1794,24 @@ impl Graph {
                 Box::new(move |g, p, _, scr| {
                     let (b, m) = (p[0].shape()[0], p[0].shape()[1]);
                     let gs = g.data()[0] / b as f32;
-                    let mut out = scr.take_zeroed(b * m);
-                    // Per-row exp buffer, reused across rows (fully overwritten).
-                    let mut exps = scr.take_zeroed(m);
-                    for ((orow, row), ps) in out.chunks_mut(m).zip(p[0].data().chunks(m)).zip(&pos)
-                    {
-                        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                        for (e, &x) in exps.iter_mut().zip(row) {
-                            *e = (x - mx).exp();
+                    let mut exps = scr.take_cleared(b * m);
+                    shifted_exps(p[0].data(), m, &mut exps);
+                    let mut out = scr.take_cleared(b * m);
+                    // Each row's positives, marked once (duplicates in `ps`
+                    // mark the same column, as `ps.contains` would).
+                    let mut positive = vec![false; m];
+                    for (erow, ps) in exps.chunks(m).zip(&pos) {
+                        let denom: f32 = erow.iter().sum();
+                        let numer: f32 = ps.iter().map(|&j| erow[j]).sum();
+                        for &j in ps {
+                            positive[j] = true;
                         }
-                        let denom: f32 = exps.iter().sum();
-                        let numer: f32 = ps.iter().map(|&j| exps[j]).sum();
-                        for j in 0..m {
-                            let soft = exps[j] / denom;
-                            let pos_soft = if ps.contains(&j) {
-                                exps[j] / numer
-                            } else {
-                                0.0
-                            };
-                            orow[j] = gs * (soft - pos_soft);
+                        out.extend(erow.iter().zip(&positive).map(|(&e, &is_pos)| {
+                            let pos_soft = if is_pos { e / numer } else { 0.0 };
+                            gs * (e / denom - pos_soft)
+                        }));
+                        for &j in ps {
+                            positive[j] = false;
                         }
                     }
                     scr.recycle(exps);
@@ -1895,26 +1914,44 @@ fn gelu_bwd(x: f32) -> f32 {
 }
 
 fn softmax_last_tensor(x: &Tensor) -> Tensor {
-    let mut out = vec![0.0f32; x.numel()];
+    let mut out = Vec::with_capacity(x.numel());
     softmax_last_into(x, &mut out);
     Tensor::from_vec(out, x.shape())
 }
 
-/// Writes the last-axis softmax of `x` into `out` (caller-provided buffer,
-/// same arithmetic as [`softmax_last_tensor`]).
-fn softmax_last_into(x: &Tensor, out: &mut [f32]) {
+/// Appends the last-axis softmax of `x` to the empty `out` (a
+/// caller-provided buffer, same arithmetic as [`softmax_last_tensor`]).
+/// Each row runs max, shift, exp, sum in ascending order from `+0`, divide.
+fn softmax_last_into(x: &Tensor, out: &mut Vec<f32>) {
     let d = *x.shape().last().expect("softmax on 0-d tensor");
-    for (orow, xrow) in out.chunks_mut(d).zip(x.data().chunks(d)) {
-        let m = xrow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    shifted_exps(x.data(), d, out);
+    for orow in out.chunks_mut(d) {
         let mut sum = 0.0f32;
-        for (o, &xv) in orow.iter_mut().zip(xrow) {
-            *o = (xv - m).exp();
-            sum += *o;
+        for &o in orow.iter() {
+            sum += o;
         }
         for o in orow.iter_mut() {
             *o /= sum;
         }
     }
+}
+
+/// The largest element of `row` (`−∞` for an empty row; NaNs are skipped,
+/// as `f32::max` skips them).
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Appends `exp(x − max(row))` for every element of every `d`-long row of
+/// `xs` to `out`: the shifts row by row, then every exp in one bulk
+/// [`exp_in_place`] call over the appended values.
+fn shifted_exps(xs: &[f32], d: usize, out: &mut Vec<f32>) {
+    let start = out.len();
+    for row in xs.chunks(d) {
+        let m = row_max(row);
+        out.extend(row.iter().map(|&x| x - m));
+    }
+    exp_in_place(&mut out[start..]);
 }
 
 /// Gradients of `a · b` for `b [k,n]` and an `a` whose last axis is `k`,
@@ -2415,6 +2452,139 @@ mod tests {
                     assert_eq!(bits(g.data()), bits(w), "output {i} at rows={rows} d={d}");
                 }
             }
+        }
+    }
+
+    /// The value and first input gradient of node `y` for upstream `dy`,
+    /// from its backward closure called directly.
+    fn value_and_grad(g: &Graph, y: Var, dy: &Tensor) -> [Vec<u32>; 2] {
+        let nodes = g.nodes.borrow();
+        let node = &nodes[y.id];
+        let pvals: Vec<&Tensor> = node.parents.iter().map(|&p| &nodes[p].value).collect();
+        let bw = node.backward.as_ref().unwrap();
+        let grads = bw(dy, &pvals, &node.value, &mut Scratch::default());
+        [bits(node.value.data()), bits(grads[0].data())]
+    }
+
+    /// The softmax family before its exps ran in bulk: each row's own libm
+    /// `exp` calls in the old formulas' order. `[softmax, log_softmax, its
+    /// gradient, CE loss, CE gradient, NCE loss, NCE gradient]`.
+    fn softmax_family_per_row(
+        x: &[f32],
+        d: usize,
+        dy: &[f32],
+        targets: &[usize],
+        pos: &[Vec<usize>],
+        gl: f32,
+    ) -> [Vec<f32>; 7] {
+        let b = x.len() / d;
+        let max = |row: &[f32]| row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut soft = vec![0.0f32; x.len()];
+        for (orow, xrow) in soft.chunks_mut(d).zip(x.chunks(d)) {
+            let m = max(xrow);
+            let mut sum = 0.0f32;
+            for (o, &xv) in orow.iter_mut().zip(xrow) {
+                *o = (xv - m).exp();
+                sum += *o;
+            }
+            for o in orow.iter_mut() {
+                *o /= sum;
+            }
+        }
+        let (mut logs, mut dlogs) = (Vec::new(), Vec::new());
+        let (mut ce, mut nce) = (0.0f32, 0.0f32);
+        for xrow in x.chunks(d) {
+            let m = max(xrow);
+            let lse = m + xrow.iter().map(|x| (x - m).exp()).sum::<f32>().ln();
+            logs.extend(xrow.iter().map(|&x| x - lse));
+        }
+        for (grow, yrow) in dy.chunks(d).zip(logs.chunks(d)) {
+            let gsum: f32 = grow.iter().sum();
+            dlogs.extend(grow.iter().zip(yrow).map(|(&gi, &yi)| gi - yi.exp() * gsum));
+        }
+        let gs = gl / b as f32;
+        let mut dce = soft.clone();
+        for ((xrow, drow), &t) in x.chunks(d).zip(dce.chunks_mut(d)).zip(targets) {
+            let m = max(xrow);
+            ce += m + xrow.iter().map(|x| (x - m).exp()).sum::<f32>().ln() - xrow[t];
+            drow[t] -= 1.0;
+            drow.iter_mut().for_each(|v| *v *= gs);
+        }
+        let mut dnce = Vec::new();
+        for (xrow, ps) in x.chunks(d).zip(pos) {
+            let mx = max(xrow);
+            let exps: Vec<f32> = xrow.iter().map(|x| (x - mx).exp()).collect();
+            let denom: f32 = xrow.iter().map(|x| (x - mx).exp()).sum();
+            let numer: f32 = ps.iter().map(|&j| (xrow[j] - mx).exp()).sum();
+            nce -= (numer / denom).ln();
+            let numer_b: f32 = ps.iter().map(|&j| exps[j]).sum();
+            for (j, &e) in exps.iter().enumerate() {
+                let pos_soft = if ps.contains(&j) { e / numer_b } else { 0.0 };
+                dnce.push(gs * (e / exps.iter().sum::<f32>() - pos_soft));
+            }
+        }
+        [
+            soft,
+            logs,
+            dlogs,
+            vec![ce / b as f32],
+            dce,
+            vec![nce / b as f32],
+            dnce,
+        ]
+    }
+
+    #[test]
+    fn softmax_family_matches_per_row_libm_formulas() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let nan = generated_nan();
+        for (rows, d) in [(0, 3), (1, 1), (3, 9), (7, 10), (17, 33), (40, 12)] {
+            let mut x = Tensor::randn(&[rows, d], 3.0, &mut rng).into_vec();
+            // −Inf, shifts far past exp's underflow cut, NaN and all −0.
+            for (r, row) in x.chunks_mut(d).enumerate() {
+                match r % 5 {
+                    1 => row[r % d] = f32::NEG_INFINITY,
+                    2 => row.iter_mut().step_by(2).for_each(|v| *v *= 40.0),
+                    3 => row[0] = nan,
+                    4 => row.fill(-0.0),
+                    _ => {}
+                }
+            }
+            let dy = Tensor::randn(&[rows, d], 1.0, &mut rng);
+            let targets: Vec<usize> = (0..rows).map(|r| (r * 7) % d).collect();
+            // Out of order, with a duplicate.
+            let pos: Vec<Vec<usize>> = (0..rows)
+                .map(|r| {
+                    let cols = [r * 3 + 1, r, r * 3 + 1, r + 2, r * 5 + 3, r + 4, r * 7];
+                    cols.map(|c| c % d).to_vec()
+                })
+                .collect();
+            let gl = Tensor::from_vec(vec![0.7], &[1]);
+            let want = softmax_family_per_row(&x, d, dy.data(), &targets, &pos, 0.7);
+
+            let g = Graph::new();
+            let xv = g.constant(Tensor::from_vec(x.clone(), &[rows, d]));
+            let soft = g.softmax_last(xv);
+            let logs = value_and_grad(&g, g.log_softmax_last(xv), &dy);
+            let ce = value_and_grad(&g, g.cross_entropy(xv, &targets), &gl);
+            let nce = value_and_grad(&g, g.multi_positive_nce(xv, &pos), &gl);
+            let got = [
+                &bits(g.value(soft).data()),
+                &logs[0],
+                &logs[1],
+                &ce[0],
+                &ce[1],
+                &nce[0],
+                &nce[1],
+            ];
+            for (i, (w, g)) in want.iter().zip(got).enumerate() {
+                assert_eq!(g, &bits(w), "output {i} at rows={rows} d={d}");
+            }
+            let sig = bits(g.value(g.sigmoid(xv)).data());
+            let sig_want: Vec<f32> = x.iter().map(|x| 1.0 / (1.0 + (-x).exp())).collect();
+            assert_eq!(sig, bits(&sig_want), "sigmoid at rows={rows} d={d}");
+            let exp = bits(g.value(g.exp(xv)).data());
+            assert_eq!(exp, bits(&x.iter().map(|x| x.exp()).collect::<Vec<_>>()));
         }
     }
 

@@ -38,6 +38,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 mod conv;
+mod exp;
 pub mod gemm;
 mod graph;
 pub mod infer;

@@ -1,5 +1,6 @@
 //! Composite loss helpers built from graph primitives.
 
+use crate::exp::exp_in_place;
 use crate::graph::{Graph, Var};
 use crate::tensor::Tensor;
 
@@ -31,13 +32,16 @@ pub fn distillation_loss(
 
     // Teacher soft targets computed eagerly (no grad).
     let k = teacher_logits.shape()[1];
-    let mut probs = vec![0.0f32; teacher_logits.numel()];
-    for (prow, trow) in probs.chunks_mut(k).zip(teacher_logits.data().chunks(k)) {
+    let mut probs = Vec::with_capacity(teacher_logits.numel());
+    for trow in teacher_logits.data().chunks(k) {
         let m = trow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        probs.extend(trow.iter().map(|&t| (t - m) / temperature));
+    }
+    exp_in_place(&mut probs);
+    for prow in probs.chunks_mut(k) {
         let mut sum = 0.0;
-        for (p, &t) in prow.iter_mut().zip(trow) {
-            *p = ((t - m) / temperature).exp();
-            sum += *p;
+        for &p in prow.iter() {
+            sum += p;
         }
         for p in prow.iter_mut() {
             *p /= sum;
