@@ -15,13 +15,6 @@ use refil_nn::layers::TransformerBlock;
 use refil_nn::models::{BackboneConfig, PromptedBackbone};
 use refil_nn::{Graph, Params, Tensor};
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(0);
-    let a = Tensor::randn(&[128, 128], 1.0, &mut rng);
-    let b = Tensor::randn(&[128, 128], 1.0, &mut rng);
-    c.bench_function("tensor/matmul_128x128", |bench| bench.iter(|| a.matmul(&b)));
-}
-
 fn bench_gemm(c: &mut Criterion) {
     use refil_nn::gemm::gemm;
     let mut rng = StdRng::seed_from_u64(7);
@@ -375,7 +368,7 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_gemm, bench_conv1d,
+    targets = bench_gemm, bench_conv1d,
         bench_attention_forward, bench_backbone_step,
         bench_cdap_generate, bench_finch, bench_fedavg, bench_dpcl,
         bench_span_overhead, bench_round_parallel, bench_domain_eval

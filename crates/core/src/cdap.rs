@@ -131,7 +131,7 @@ impl CdapGenerator {
         let normed = self.ln.forward(g, params, tokens);
         let activ = self.mlp.forward_tokens_tn(g, params, normed);
         // Cross-Client Domain Adaptation layer (federated-averaged linear).
-        let adapted = self.ccda.forward_tokens(g, params, activ);
+        let adapted = self.ccda.forward(g, params, activ);
         let adapted = g.gelu(adapted);
         // FiLM modulation conditioned on the task key embedding.
         let tid = task_id.min(self.cfg.max_tasks - 1);

@@ -8,7 +8,7 @@
 //! class/domain neighbourhood while keeping distinct domain boundaries.
 
 use refil_clustering::cosine_similarity;
-use refil_nn::{Graph, Tensor, Var};
+use refil_nn::{Graph, Tensor, Transpose, Var};
 
 /// Builds the DPCL loss for a batch.
 ///
@@ -58,10 +58,10 @@ pub fn dpcl_loss(
     }
     let cand = g.constant(Tensor::from_vec(cdata, &[m, d]));
 
-    // Similarity logits: normalize(u) @ normalize(C)^T / tau; matmul_nt reads
-    // the candidate rows transposed in place, no [d, m] copy.
+    // Similarity logits: normalize(u) @ normalize(C)^T / tau; Transpose::Rhs
+    // reads the candidate rows transposed in place, no [d, m] copy.
     let un = g.row_l2_normalize(u);
-    let sims = g.matmul_nt(un, cand);
+    let sims = g.matmul(un, cand, Transpose::Rhs);
     let logits = g.scale(sims, 1.0 / tau.max(1e-4));
 
     // Positive sets from *detached* prompt values (selection is not part of

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-pub mod loader;
 mod partition;
 mod presets;
 #[cfg(test)]

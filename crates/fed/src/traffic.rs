@@ -49,7 +49,8 @@ impl TrafficStats {
 
     /// Records one client's participation in a round. Both arguments are
     /// measured encoded-frame sizes (header + payload): `up_bytes` covers the
-    /// client's `ClientModelUpdate` frame plus any merge frame, `down_bytes`
+    /// client's dense (`ClientModelUpdate`) or compressed
+    /// (`CompressedModelUpdate`) update frame plus any merge frame, `down_bytes`
     /// the `ModelBroadcast` frame plus any strategy broadcast frame.
     pub fn record_client(&mut self, up_bytes: u64, down_bytes: u64) {
         self.down_bytes += down_bytes;

@@ -6,9 +6,13 @@
 //!
 //! * [`gemm`] — `out += A · B` with both operands row-major;
 //! * [`gemm_nt`] — `out += A · Bᵀ` where `B` is stored `[n, k]` and read
-//!   transposed in place (the `dA` half of a matmul backward);
+//!   transposed in place;
 //! * [`gemm_tn`] — `out += Aᵀ · B` where `A` is stored `[k, m]` and read
-//!   transposed in place (the `dB` half of a matmul backward).
+//!   transposed in place.
+//!
+//! Each is the forward of one layout of `Graph::matmul` and an adjoint of
+//! the other two; [`Transpose`](crate::Transpose) holds the one table that
+//! says which kernel computes each product, `dA` and `dB`.
 //!
 //! All three run one driver that reads the left operand through a
 //! `(row stride, k stride)` pair and walks column strips of `MR`-row tiles.

@@ -23,12 +23,13 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 use crate::exp::exp_in_place;
 use crate::gemm::{gemm, gemm_nt, gemm_tn};
 use crate::params::{ParamId, Params};
 use crate::tanh::tanh_in_place;
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, MAX_NDIM};
 
 /// Per-thread scratch-arena accounting: how many buffer-request bytes were
 /// served fresh from the allocator vs recycled from a pool, and the
@@ -776,292 +777,62 @@ impl Graph {
     // Linear algebra
     // ---------------------------------------------------------------------
 
-    /// 2-D matrix product `a [m,k] x b [k,n]`.
-    pub fn matmul(&self, a: Var, b: Var) -> Var {
+    /// The matrix product `op(a) · op(b)`; `t` names the operand, if any,
+    /// that is stored transposed and read in place, so no transposed copy
+    /// is ever built:
+    ///
+    /// | `t`    | `a`         | `b`                     | result      |
+    /// |--------|-------------|-------------------------|-------------|
+    /// | `None` | `[…, m, k]` | `[k, n]` or `[B, k, n]` | `[…, m, n]` |
+    /// | `Lhs`  | `[…, k, m]` | `[k, n]` or `[B, k, n]` | `[…, m, n]` |
+    /// | `Rhs`  | `[…, m, k]` | `[n, k]` or `[B, n, k]` | `[…, m, n]` |
+    ///
+    /// A 2-D `b` is shared by every row of `a`. Without `Lhs`, `a`'s leading
+    /// dims flatten into the rows of one kernel call (a layer applied to
+    /// every token); with `Lhs` each `[k, m]` matrix of `a` is its own call,
+    /// and `b`'s gradient accumulates the calls in batch order. A 3-D `b`
+    /// pairs matrix `i` of a 3-D `a [B, …]` with its own matrix `i`
+    /// (attention heads).
+    ///
+    /// Every layout is byte-identical in both passes to the `None` product
+    /// on the [`Graph::transpose_last`] of its transposed operand: each
+    /// output and gradient element runs the same ascending-`k` chain. The
+    /// kernels of each pass are in the table on [`Transpose`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has fewer than two dims, `b` is not 2-D or 3-D, the
+    /// inner dims differ, or a 3-D `b` meets an `a` that is not 3-D with the
+    /// same batch.
+    pub fn matmul(&self, a: Var, b: Var, t: Transpose) -> Var {
         let v = {
             let nodes = self.nodes.borrow();
             let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
-            assert_eq!(av.ndim(), 2, "matmul lhs must be 2-D, got {:?}", av.shape());
-            assert_eq!(bv.ndim(), 2, "matmul rhs must be 2-D, got {:?}", bv.shape());
-            let (m, k) = (av.shape()[0], av.shape()[1]);
-            let (k2, n) = (bv.shape()[0], bv.shape()[1]);
-            assert_eq!(
-                k,
-                k2,
-                "matmul inner dim mismatch: {:?} x {:?}",
-                av.shape(),
-                bv.shape()
-            );
-            let mut out = self.out_zeroed(m * n);
-            gemm(av.data(), bv.data(), &mut out, m, k, n);
-            Tensor::from_vec(out, &[m, n])
-        };
-        self.push(
-            v,
-            self.deps(&[a.id, b.id]),
-            self.bw(|| Box::new(|g, p, _, scr| matmul_grads(g, p[0], p[1], scr))),
-            None,
-        )
-    }
-
-    /// 2-D product with the right operand read transposed in place:
-    /// `a [m,k] x bt [n,k] -> [m,n]` without materializing `btᵀ`.
-    ///
-    /// Byte-identical to `matmul(a, transpose_last(bt))` — per-element
-    /// accumulation order is unchanged — but skips the transpose copy and
-    /// its tape node. Used for similarity matrices (`x · cᵀ`).
-    pub fn matmul_nt(&self, a: Var, bt: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[bt.id].value);
-            assert_eq!(av.ndim(), 2, "matmul_nt lhs must be 2-D");
-            assert_eq!(bv.ndim(), 2, "matmul_nt rhs must be 2-D");
-            let (m, k) = (av.shape()[0], av.shape()[1]);
-            let (n, k2) = (bv.shape()[0], bv.shape()[1]);
-            assert_eq!(k, k2, "matmul_nt inner dim mismatch");
-            let mut out = self.out_zeroed(m * n);
-            gemm_nt(av.data(), bv.data(), &mut out, m, k, n);
-            Tensor::from_vec(out, &[m, n])
-        };
-        self.push(
-            v,
-            self.deps(&[a.id, bt.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, scr| {
-                    let (m, k) = (p[0].shape()[0], p[0].shape()[1]);
-                    let n = p[1].shape()[0];
-                    // da = g · bt (plain product); dbt = gᵀ · a.
-                    let mut da = scr.take_zeroed(m * k);
-                    gemm(g.data(), p[1].data(), &mut da, m, n, k);
-                    let mut dbt = scr.take_zeroed(n * k);
-                    gemm_tn(g.data(), p[0].data(), &mut dbt, n, m, k);
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(dbt, p[1].shape()),
-                    ]
-                })
-            }),
-            None,
-        )
-    }
-
-    /// Batched 3-D matrix product `a [b,m,k] x b [b,k,n]`.
-    pub fn bmm(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
-            assert_eq!(av.ndim(), 3, "bmm lhs must be 3-D, got {:?}", av.shape());
-            assert_eq!(bv.ndim(), 3, "bmm rhs must be 3-D, got {:?}", bv.shape());
-            let (bb, m, k) = (av.shape()[0], av.shape()[1], av.shape()[2]);
-            let (bb2, k2, n) = (bv.shape()[0], bv.shape()[1], bv.shape()[2]);
-            assert_eq!(bb, bb2, "bmm batch mismatch");
-            assert_eq!(k, k2, "bmm inner dim mismatch");
-            let mut out = self.out_zeroed(bb * m * n);
-            for bi in 0..bb {
-                gemm(
-                    &av.data()[bi * m * k..(bi + 1) * m * k],
-                    &bv.data()[bi * k * n..(bi + 1) * k * n],
-                    &mut out[bi * m * n..(bi + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
+            let p = Product::new(av.shape(), bv.shape(), t);
+            let mut out = self.out_zeroed(p.batches * p.m * p.n);
+            for i in 0..p.batches {
+                let (ai, bi) = (&av.data()[p.a_at(i)], &bv.data()[p.b_at(i)]);
+                t.forward(ai, bi, &mut out[p.out_at(i)], p.dims());
             }
-            Tensor::from_vec(out, &[bb, m, n])
-        };
-        self.push(
-            v,
-            self.deps(&[a.id, b.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, scr| {
-                    let (bb, m, k) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
-                    let n = p[1].shape()[2];
-                    let mut da = scr.take_zeroed(bb * m * k);
-                    let mut db = scr.take_zeroed(bb * k * n);
-                    for bi in 0..bb {
-                        let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
-                        let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
-                        let bvs = &p[1].data()[bi * k * n..(bi + 1) * k * n];
-                        gemm_nt(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
-                        gemm_tn(avs, gs, &mut db[bi * k * n..(bi + 1) * k * n], k, m, n);
-                    }
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(db, p[1].shape()),
-                    ]
-                })
-            }),
-            None,
-        )
-    }
-
-    /// Batched product with the right operand read transposed in place:
-    /// `a [b,m,k] x bt [b,n,k] -> [b,m,n]` without materializing `btᵀ`.
-    ///
-    /// Byte-identical to `bmm(a, transpose_last(bt))`; used for attention
-    /// scores `q · kᵀ` so no transposed copy of `k` is ever built.
-    pub fn bmm_nt(&self, a: Var, bt: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[bt.id].value);
-            assert_eq!(av.ndim(), 3, "bmm_nt lhs must be 3-D");
-            assert_eq!(bv.ndim(), 3, "bmm_nt rhs must be 3-D");
-            let (bb, m, k) = (av.shape()[0], av.shape()[1], av.shape()[2]);
-            let (bb2, n, k2) = (bv.shape()[0], bv.shape()[1], bv.shape()[2]);
-            assert_eq!(bb, bb2, "bmm_nt batch mismatch");
-            assert_eq!(k, k2, "bmm_nt inner dim mismatch");
-            let mut out = self.out_zeroed(bb * m * n);
-            for bi in 0..bb {
-                gemm_nt(
-                    &av.data()[bi * m * k..(bi + 1) * m * k],
-                    &bv.data()[bi * n * k..(bi + 1) * n * k],
-                    &mut out[bi * m * n..(bi + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
+            let nd = av.ndim();
+            let mut shape = [0; MAX_NDIM];
+            shape[..nd].copy_from_slice(av.shape());
+            if t == Transpose::Lhs {
+                shape[nd - 2] = p.m;
             }
-            Tensor::from_vec(out, &[bb, m, n])
+            shape[nd - 1] = p.n;
+            Tensor::from_vec(out, &shape[..nd])
         };
-        self.push(
-            v,
-            self.deps(&[a.id, bt.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, scr| {
-                    let (bb, m, k) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
-                    let n = p[1].shape()[1];
-                    let mut da = scr.take_zeroed(bb * m * k);
-                    let mut dbt = scr.take_zeroed(bb * n * k);
-                    for bi in 0..bb {
-                        let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
-                        let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
-                        let bvs = &p[1].data()[bi * n * k..(bi + 1) * n * k];
-                        gemm(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
-                        gemm_tn(gs, avs, &mut dbt[bi * n * k..(bi + 1) * n * k], n, m, k);
-                    }
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(dbt, p[1].shape()),
-                    ]
-                })
-            }),
-            None,
-        )
-    }
-
-    /// Applies the same matrix to every token: `x [b,t,d] x w [d,e] -> [b,t,e]`.
-    ///
-    /// One tape node that reads `x` in place as `[b·t, d]`: byte-identical
-    /// to `reshape → matmul → reshape` in both passes (the same `gemm`,
-    /// `gemm_nt` and `gemm_tn` calls run on the same buffers, and the
-    /// backward is `matmul`'s), without the two reshape nodes and their
-    /// four copies.
-    pub fn matmul_tokens(&self, x: Var, w: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let (xv, wv) = (&nodes[x.id].value, &nodes[w.id].value);
-            assert_eq!(
-                xv.ndim(),
-                3,
-                "matmul_tokens expects 3-D input, got {:?}",
-                xv.shape()
-            );
-            assert_eq!(wv.ndim(), 2, "matmul_tokens weight must be 2-D");
-            let (b, t, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
-            let (d2, e) = (wv.shape()[0], wv.shape()[1]);
-            assert_eq!(
-                d,
-                d2,
-                "matmul_tokens inner dim mismatch: {:?} x {:?}",
-                xv.shape(),
-                wv.shape()
-            );
-            let mut out = self.out_zeroed(b * t * e);
-            gemm(xv.data(), wv.data(), &mut out, b * t, d, e);
-            Tensor::from_vec(out, &[b, t, e])
-        };
-        self.push(
-            v,
-            self.deps(&[x.id, w.id]),
-            self.bw(|| Box::new(|g, p, _, scr| matmul_grads(g, p[0], p[1], scr))),
-            None,
-        )
-    }
-
-    /// Applies the same matrix to every *last-axis-transposed* token slice:
-    /// `x [b,s,d] x w [s,h] -> [b,d,h]`, computing `x_bᵀ · w` per batch via
-    /// `gemm_tn` without materializing the `[b,d,s]` transpose.
-    ///
-    /// Byte-identical to `matmul_tokens(transpose_last(x), w)` in both the
-    /// forward and backward passes: every output (and gradient) element is
-    /// accumulated over the same ascending-k chain the explicit-transpose
-    /// composite runs, just read through a strided layout.
-    pub fn matmul_tn_tokens(&self, x: Var, w: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let (xv, wv) = (&nodes[x.id].value, &nodes[w.id].value);
-            assert_eq!(
-                xv.ndim(),
-                3,
-                "matmul_tn_tokens expects 3-D input, got {:?}",
-                xv.shape()
-            );
-            assert_eq!(wv.ndim(), 2, "matmul_tn_tokens weight must be 2-D");
-            let (b, s, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
-            let (s2, h) = (wv.shape()[0], wv.shape()[1]);
-            assert_eq!(
-                s,
-                s2,
-                "matmul_tn_tokens inner dim mismatch: {:?} x {:?}",
-                xv.shape(),
-                wv.shape()
-            );
-            let mut out = self.out_zeroed(b * d * h);
-            for bi in 0..b {
-                gemm_tn(
-                    &xv.data()[bi * s * d..(bi + 1) * s * d],
-                    wv.data(),
-                    &mut out[bi * d * h..(bi + 1) * d * h],
-                    d,
-                    s,
-                    h,
-                );
+        // One capture-free closure per layout, so a tape node allocates no
+        // closure state.
+        let backward = || -> BackwardFn {
+            match t {
+                Transpose::None => Box::new(|g, x, _, s| product_grads(Transpose::None, g, x, s)),
+                Transpose::Lhs => Box::new(|g, x, _, s| product_grads(Transpose::Lhs, g, x, s)),
+                Transpose::Rhs => Box::new(|g, x, _, s| product_grads(Transpose::Rhs, g, x, s)),
             }
-            Tensor::from_vec(out, &[b, d, h])
         };
-        self.push(
-            v,
-            self.deps(&[x.id, w.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, scr| {
-                    let (b, s, d) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
-                    let h = p[1].shape()[1];
-                    let mut dx = scr.take_zeroed(b * s * d);
-                    let mut dw = scr.take_zeroed(s * h);
-                    for bi in 0..b {
-                        let gs = &g.data()[bi * d * h..(bi + 1) * d * h];
-                        let xs = &p[0].data()[bi * s * d..(bi + 1) * s * d];
-                        // dx_b = w · g_bᵀ  (layout-aware, no transposed copy);
-                        // dw  += x_b · g_b, accumulated batch-by-batch in the
-                        // same (batch, row) order as the flattened composite.
-                        gemm_nt(
-                            p[1].data(),
-                            gs,
-                            &mut dx[bi * s * d..(bi + 1) * s * d],
-                            s,
-                            h,
-                            d,
-                        );
-                        gemm(xs, gs, &mut dw[..], s, d, h);
-                    }
-                    vec![
-                        Tensor::from_vec(dx, p[0].shape()),
-                        Tensor::from_vec(dw, p[1].shape()),
-                    ]
-                })
-            }),
-            None,
-        )
+        self.push(v, self.deps(&[a.id, b.id]), self.bw(backward), None)
     }
 
     /// Transposes the last two axes.
@@ -1954,21 +1725,149 @@ fn shifted_exps(xs: &[f32], d: usize, out: &mut Vec<f32>) {
     exp_in_place(&mut out[start..]);
 }
 
-/// Gradients of `a · b` for `b [k,n]` and an `a` whose last axis is `k`,
-/// read as `[m,k]` whatever its rank: `da = g · bᵀ` and `db = aᵀ · g`
-/// through the layout-aware kernels (no transposed copies), each in its
-/// operand's shape.
-fn matmul_grads(g: &Tensor, a: &Tensor, b: &Tensor, scr: &mut Scratch) -> Vec<Tensor> {
-    let m: usize = a.shape()[..a.ndim() - 1].iter().product();
-    let (k, n) = (b.shape()[0], b.shape()[1]);
-    let mut da = scr.take_zeroed(m * k);
-    gemm_nt(g.data(), b.data(), &mut da, m, n, k);
-    let mut db = scr.take_zeroed(k * n);
-    gemm_tn(a.data(), g.data(), &mut db, k, m, n);
+/// Which operand of [`Graph::matmul`] is stored transposed and read in
+/// place. Each layout runs one kernel per pass, with these operands:
+///
+/// | layout | forward          | `da =`           | `db +=`          |
+/// |--------|------------------|------------------|------------------|
+/// | `None` | `gemm(a, b)`     | `gemm_nt(g, b)`  | `gemm_tn(a, g)`  |
+/// | `Lhs`  | `gemm_tn(a, b)`  | `gemm_nt(b, g)`  | `gemm(a, g)`     |
+/// | `Rhs`  | `gemm_nt(a, b)`  | `gemm(g, b)`     | `gemm_tn(g, a)`  |
+///
+/// `g` is the output gradient, and each gradient comes out in its
+/// operand's stored layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transpose {
+    /// Neither: `a […, m, k] · b [k, n]`.
+    None,
+    /// `a` is stored `[…, k, m]`: the product `aᵀ · b`.
+    Lhs,
+    /// `b` is stored `[n, k]` (or `[B, n, k]`): the product `a · bᵀ`.
+    Rhs,
+}
+
+impl Transpose {
+    /// `out += op(a) · op(b)` for one `[m, k] · [k, n]` call.
+    fn forward(self, a: &[f32], b: &[f32], out: &mut [f32], [m, k, n]: [usize; 3]) {
+        match self {
+            Self::None => gemm(a, b, out, m, k, n),
+            Self::Lhs => gemm_tn(a, b, out, m, k, n),
+            Self::Rhs => gemm_nt(a, b, out, m, k, n),
+        }
+    }
+
+    /// The adjoints of one [`Transpose::forward`] call for its output
+    /// gradient `g`: `da` (zeroed) receives `a`'s gradient and `db` adds
+    /// `b`'s, as in the table above.
+    fn adjoints(
+        self,
+        g: &[f32],
+        a: &[f32],
+        b: &[f32],
+        da: &mut [f32],
+        db: &mut [f32],
+        [m, k, n]: [usize; 3],
+    ) {
+        match self {
+            Self::None => {
+                gemm_nt(g, b, da, m, n, k);
+                gemm_tn(a, g, db, k, m, n);
+            }
+            Self::Lhs => {
+                gemm_nt(b, g, da, k, n, m);
+                gemm(a, g, db, k, m, n);
+            }
+            Self::Rhs => {
+                gemm(g, b, da, m, n, k);
+                gemm_tn(g, a, db, n, m, k);
+            }
+        }
+    }
+}
+
+/// Gradients of `matmul(x[0], x[1], t)` for its output gradient `g`.
+fn product_grads(t: Transpose, g: &Tensor, x: &[&Tensor], scr: &mut Scratch) -> Vec<Tensor> {
+    let p = Product::new(x[0].shape(), x[1].shape(), t);
+    let (a, b) = (x[0].data(), x[1].data());
+    let mut da = scr.take_zeroed(a.len());
+    let mut db = scr.take_zeroed(b.len());
+    for i in 0..p.batches {
+        let (ai, bi, gi) = (&a[p.a_at(i)], &b[p.b_at(i)], &g.data()[p.out_at(i)]);
+        let (dai, dbi) = (&mut da[p.a_at(i)], &mut db[p.b_at(i)]);
+        t.adjoints(gi, ai, bi, dai, dbi, p.dims());
+    }
     vec![
-        Tensor::from_vec(da, a.shape()),
-        Tensor::from_vec(db, b.shape()),
+        Tensor::from_vec(da, x[0].shape()),
+        Tensor::from_vec(db, x[1].shape()),
     ]
+}
+
+/// The kernel calls of one [`Graph::matmul`]: `batches` products of an
+/// `[m, k]` by a `[k, n]` matrix, every call reading the same `b` when
+/// `shared_b`.
+struct Product {
+    batches: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    shared_b: bool,
+}
+
+impl Product {
+    fn new(a: &[usize], b: &[usize], t: Transpose) -> Self {
+        let (na, nb) = (a.len(), b.len());
+        assert!(
+            na >= 2 && (nb == 2 || nb == 3),
+            "matmul needs a of rank >= 2 and b of rank 2 or 3, got {a:?} x {b:?}"
+        );
+        let (r, c) = (a[na - 2], a[na - 1]);
+        let (m, k) = if t == Transpose::Lhs { (c, r) } else { (r, c) };
+        let (kb, n) = if t == Transpose::Rhs {
+            (b[nb - 1], b[nb - 2])
+        } else {
+            (b[nb - 2], b[nb - 1])
+        };
+        assert_eq!(k, kb, "matmul inner dim mismatch: {a:?} x {b:?} ({t:?})");
+        let lead: usize = a[..na - 2].iter().product();
+        let (batches, m, shared_b) = if nb == 3 {
+            assert!(
+                na == 3 && a[0] == b[0],
+                "batched matmul needs a 3-D a with b's batch, got {a:?} x {b:?}"
+            );
+            (b[0], m, false)
+        } else if t == Transpose::Lhs {
+            (lead, m, true)
+        } else {
+            (1, lead * m, true)
+        };
+        Self {
+            batches,
+            m,
+            k,
+            n,
+            shared_b,
+        }
+    }
+
+    fn dims(&self) -> [usize; 3] {
+        [self.m, self.k, self.n]
+    }
+
+    /// Call `i`'s slice of `a` (or of its gradient).
+    fn a_at(&self, i: usize) -> Range<usize> {
+        i * self.m * self.k..(i + 1) * self.m * self.k
+    }
+
+    /// Call `i`'s slice of `b` (or of its gradient).
+    fn b_at(&self, i: usize) -> Range<usize> {
+        let i = if self.shared_b { 0 } else { i };
+        i * self.k * self.n..(i + 1) * self.k * self.n
+    }
+
+    /// Call `i`'s slice of the output (or of its gradient).
+    fn out_at(&self, i: usize) -> Range<usize> {
+        i * self.m * self.n..(i + 1) * self.m * self.n
+    }
 }
 
 /// Rows whose statistics [`Graph::layer_norm`] computes side by side: one
@@ -2136,46 +2035,6 @@ mod tests {
         g.backward(y, &mut params);
         assert_eq!(params.grad(a).data(), &[5.0]); // b + 1
         assert_eq!(params.grad(b).data(), &[3.0]); // a
-    }
-
-    #[test]
-    fn matmul_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut params = Params::new();
-        let a = params.insert("a", Tensor::randn(&[2, 3], 1.0, &mut rng), true);
-        let b = params.insert("b", Tensor::randn(&[3, 2], 1.0, &mut rng), true);
-        grad_check(
-            &mut params,
-            &[a, b],
-            &|g, p| {
-                let av = g.param(p, p.id("a").unwrap());
-                let bv = g.param(p, p.id("b").unwrap());
-                let c = g.matmul(av, bv);
-                let sq = g.mul(c, c);
-                g.sum_all(sq)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn bmm_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut params = Params::new();
-        let a = params.insert("a", Tensor::randn(&[2, 2, 3], 0.5, &mut rng), true);
-        let b = params.insert("b", Tensor::randn(&[2, 3, 2], 0.5, &mut rng), true);
-        grad_check(
-            &mut params,
-            &[a, b],
-            &|g, p| {
-                let av = g.param(p, p.id("a").unwrap());
-                let bv = g.param(p, p.id("b").unwrap());
-                let c = g.bmm(av, bv);
-                let t = g.tanh(c);
-                g.sum_all(t)
-            },
-            1e-2,
-        );
     }
 
     #[test]
@@ -2842,11 +2701,11 @@ mod tests {
         let g = Graph::new();
         let tokens = |x: Var, w: Var| {
             if fused {
-                return g.matmul_tokens(x, w);
+                return g.matmul(x, w, Transpose::None);
             }
             let (s, e) = (g.shape(x), g.shape(w)[1]);
             let flat = g.reshape(x, &[s[0] * s[1], s[2]]);
-            let y = g.matmul(flat, w);
+            let y = g.matmul(flat, w, Transpose::None);
             g.reshape(y, &[s[0], s[1], e])
         };
         let permute = |x: Var, view: [usize; 4], shape: &[usize]| {
@@ -2864,8 +2723,8 @@ mod tests {
         let q = split(tokens(x, g.param(params, ids[1])));
         let k = split(tokens(x, g.param(params, ids[2])));
         let v = split(tokens(x, g.param(params, ids[3])));
-        let attn = g.softmax_last(g.bmm_nt(q, k));
-        let ctx = g.bmm(attn, v);
+        let attn = g.softmax_last(g.matmul(q, k, Transpose::Rhs));
+        let ctx = g.matmul(attn, v, Transpose::None);
         let merged = permute(ctx, [b, heads, t, dh], &[b, t, d]);
         let out = tokens(merged, g.param(params, ids[4]));
         let r = g.add(out, x);
@@ -3021,62 +2880,200 @@ mod tests {
         assert_eq!(params.grad(a).data(), &[12.0]); // 2 * (2a)
     }
 
-    #[test]
-    fn matmul_tn_tokens_matches_transpose_composite_bitwise() {
-        // Forward values AND parameter gradients must be byte-identical to
-        // the explicit transpose_last + matmul_tokens composite.
-        let mut rng = StdRng::seed_from_u64(9);
-        let x = Tensor::randn(&[3, 5, 4], 1.0, &mut rng);
-        let wt = Tensor::randn(&[5, 6], 0.5, &mut rng);
-
-        let run = |fused: bool, params: &mut Params| -> (Tensor, Tensor, Tensor) {
-            let xid = params.id("x").unwrap();
-            let wid = params.id("w").unwrap();
-            params.zero_grad();
-            let g = Graph::new();
-            let xv = g.param(params, xid);
-            let wv = g.param(params, wid);
-            let y = if fused {
-                g.matmul_tn_tokens(xv, wv)
-            } else {
-                let t = g.transpose_last(xv);
-                g.matmul_tokens(t, wv)
-            };
-            let out = g.value(y);
-            let loss = g.sum_all(g.mul(y, y));
-            g.backward(loss, params);
-            (out, params.grad(xid).clone(), params.grad(wid).clone())
+    /// The stored shapes of `a`, `b` and the output in one cell of the
+    /// product table, with `m = 3`, `k = 5` and `n = 2` per kernel call:
+    /// `lead` multiplies the rows of a 2-D `a` and is the batch of a 3-D
+    /// one, and a batched `b` holds `lead` matrices. `None` for a
+    /// combination `matmul` rejects.
+    fn product_cell(
+        t: Transpose,
+        batched: bool,
+        lead: usize,
+        rank: usize,
+    ) -> Option<[Vec<usize>; 3]> {
+        let (m, k, n) = (3, 5, 2);
+        if batched && rank != 3 {
+            return None;
+        }
+        let (a, out) = match (rank, t) {
+            (2, Transpose::Lhs) => (vec![k, lead * m], vec![lead * m, n]),
+            (2, _) => (vec![lead * m, k], vec![lead * m, n]),
+            (_, Transpose::Lhs) => (vec![lead, k, m], vec![lead, m, n]),
+            _ => (vec![lead, m, k], vec![lead, m, n]),
         };
+        let mut b = if t == Transpose::Rhs {
+            vec![n, k]
+        } else {
+            vec![k, n]
+        };
+        if batched {
+            b.insert(0, lead);
+        }
+        Some([a, b, out])
+    }
 
-        let mut params = Params::new();
-        params.insert("x", x, true);
-        params.insert("w", wt, true);
-        let (y_ref, dx_ref, dw_ref) = run(false, &mut params);
-        let (y_got, dx_got, dw_got) = run(true, &mut params);
-        assert_eq!(y_got.shape(), &[3, 4, 6]);
-        assert_eq!(y_got.data(), y_ref.data());
-        assert_eq!(dx_got.data(), dx_ref.data());
-        assert_eq!(dw_got.data(), dw_ref.data());
+    /// Plain-loop oracle of `matmul(a, b, t)` and both gradients for the
+    /// output gradient `g`. Every element is one chain from `0.0` in
+    /// ascending order of its summed index; a shared `b`'s gradient sums
+    /// the calls in batch order.
+    fn product_oracle(t: Transpose, a: &Tensor, b: &Tensor, g: &Tensor) -> [Vec<f32>; 3] {
+        let (sa, sb) = (a.shape(), b.shape());
+        let (na, nb) = (sa.len(), sb.len());
+        let (lhs, rhs) = (t == Transpose::Lhs, t == Transpose::Rhs);
+        let (m, k) = if lhs {
+            (sa[na - 1], sa[na - 2])
+        } else {
+            (sa[na - 2], sa[na - 1])
+        };
+        let n = if rhs { sb[nb - 2] } else { sb[nb - 1] };
+        let calls = a.numel() / (m * k);
+        let ai = |c: usize, i: usize, p: usize| c * m * k + if lhs { p * m + i } else { i * k + p };
+        let bi = |c: usize, p: usize, j: usize| {
+            let c = if nb == 3 { c } else { 0 };
+            c * k * n + if rhs { j * k + p } else { p * n + j }
+        };
+        let (a, b, g) = (a.data(), b.data(), g.data());
+        let mut y = vec![0.0f32; calls * m * n];
+        let mut da = vec![0.0f32; a.len()];
+        let mut db = vec![0.0f32; b.len()];
+        for c in 0..calls {
+            for i in 0..m {
+                for j in 0..n {
+                    let o = (c * m + i) * n + j;
+                    for p in 0..k {
+                        y[o] += a[ai(c, i, p)] * b[bi(c, p, j)];
+                    }
+                }
+                for p in 0..k {
+                    for j in 0..n {
+                        da[ai(c, i, p)] += g[(c * m + i) * n + j] * b[bi(c, p, j)];
+                        db[bi(c, p, j)] += a[ai(c, i, p)] * g[(c * m + i) * n + j];
+                    }
+                }
+            }
+        }
+        [y, da, db]
+    }
+
+    /// Bits of `matmul(a, b, t)` and of both gradients under the loss
+    /// `Σ y·c` (accumulated onto `-0.0`, which keeps each gradient's bits),
+    /// or of the composite that reads the transposed operand through
+    /// [`Graph::transpose_last`] into the `None` product.
+    fn product_tape(
+        params: &mut Params,
+        c: &Tensor,
+        t: Transpose,
+        composite: bool,
+    ) -> [Vec<u32>; 3] {
+        let ids = [params.id("a").unwrap(), params.id("b").unwrap()];
+        for id in ids {
+            params.grad_mut(id).fill(-0.0);
+        }
+        let g = Graph::new();
+        let (a, b) = (g.param(params, ids[0]), g.param(params, ids[1]));
+        let y = match (composite, t) {
+            (true, Transpose::Lhs) => g.matmul(g.transpose_last(a), b, Transpose::None),
+            (true, Transpose::Rhs) => g.matmul(a, g.transpose_last(b), Transpose::None),
+            _ => g.matmul(a, b, t),
+        };
+        assert_eq!(g.shape(y), c.shape());
+        g.backward(g.sum_all(g.mul(y, g.constant(c.clone()))), params);
+        [
+            bits(g.value(y).data()),
+            bits(params.grad(ids[0]).data()),
+            bits(params.grad(ids[1]).data()),
+        ]
     }
 
     #[test]
-    fn matmul_tn_tokens_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut params = Params::new();
-        let x = params.insert("x", Tensor::randn(&[2, 4, 3], 0.5, &mut rng), true);
-        let w = params.insert("w", Tensor::randn(&[4, 5], 0.5, &mut rng), true);
-        grad_check(
-            &mut params,
-            &[x, w],
-            &|g, p| {
-                let xv = g.param(p, p.id("x").unwrap());
-                let wv = g.param(p, p.id("w").unwrap());
-                let y = g.matmul_tn_tokens(xv, wv);
-                let t = g.tanh(y);
-                g.sum_all(t)
-            },
-            2e-2,
-        );
+    fn matmul_table_matches_oracle_composites_and_finite_differences() {
+        // Two hand-computed cells: a plain product, and two batches against
+        // their own right operands.
+        let g = Graph::new();
+        let a = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
+        let b = g.constant(Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]));
+        let y = g.value(g.matmul(a, b, Transpose::None));
+        assert_eq!(y.data(), &[19.0, 22.0, 43.0, 50.0]);
+        let eyes = vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0];
+        let a = g.constant(Tensor::from_vec(eyes, &[2, 2, 2]));
+        let b = g.constant(Tensor::from_vec([1.0, 2.0, 3.0, 4.0].repeat(2), &[2, 2, 2]));
+        let y = g.value(g.matmul(a, b, Transpose::None));
+        assert_eq!(y.data(), &[1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 6.0, 8.0]);
+
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut cells = 0;
+        for t in [Transpose::None, Transpose::Lhs, Transpose::Rhs] {
+            for batched in [false, true] {
+                for lead in [1, 3] {
+                    for rank in [2, 3] {
+                        let Some([sa, sb, out]) = product_cell(t, batched, lead, rank) else {
+                            continue;
+                        };
+                        cells += 1;
+                        let cell = format!("{t:?} batched={batched} lead={lead} rank={rank}");
+                        let numel = |s: &[usize]| s.iter().product::<usize>();
+                        for special in [false, true] {
+                            let a = payload(numel(&sa), special, &mut rng).reshape(&sa);
+                            let b = payload(numel(&sb), special, &mut rng).reshape(&sb);
+                            let c = payload(numel(&out), special, &mut rng).reshape(&out);
+                            let want = product_oracle(t, &a, &b, &c).map(|v| bits(&v));
+                            let mut params = Params::new();
+                            params.insert("a", a, true);
+                            params.insert("b", b, true);
+                            let got = product_tape(&mut params, &c, t, false);
+                            assert_eq!(got, want, "{cell} special={special} vs oracle");
+                            let composite = product_tape(&mut params, &c, t, true);
+                            assert_eq!(got, composite, "{cell} special={special} vs composite");
+                        }
+                        let mut params = Params::new();
+                        let a = params.insert("a", Tensor::randn(&sa, 0.5, &mut rng), true);
+                        let b = params.insert("b", Tensor::randn(&sb, 0.5, &mut rng), true);
+                        grad_check(
+                            &mut params,
+                            &[a, b],
+                            &|g, p| {
+                                let av = g.param(p, p.id("a").unwrap());
+                                let bv = g.param(p, p.id("b").unwrap());
+                                g.sum_all(g.tanh(g.matmul(av, bv, t)))
+                            },
+                            2e-2,
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, 18);
+    }
+
+    /// `matmul` on constants of the given shapes.
+    fn product_of_shapes(a: &[usize], b: &[usize], t: Transpose) {
+        let g = Graph::new();
+        let (av, bv) = (g.constant(Tensor::zeros(a)), g.constant(Tensor::zeros(b)));
+        g.matmul(av, bv, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dim mismatch")]
+    fn matmul_rejects_inner_dim_mismatch() {
+        product_of_shapes(&[2, 3], &[2, 4], Transpose::Rhs);
+    }
+
+    #[test]
+    #[should_panic(expected = "with b's batch")]
+    fn matmul_rejects_batch_mismatch() {
+        product_of_shapes(&[2, 3, 4], &[3, 4, 5], Transpose::None);
+    }
+
+    #[test]
+    #[should_panic(expected = "with b's batch")]
+    fn matmul_rejects_batched_b_with_2d_a() {
+        product_of_shapes(&[4, 3], &[1, 4, 5], Transpose::Lhs);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 or 3")]
+    fn matmul_rejects_4d_b() {
+        product_of_shapes(&[1, 2, 3, 4], &[1, 2, 4, 5], Transpose::None);
     }
 
     #[test]
@@ -3095,7 +3092,7 @@ mod tests {
             let gv = g.param(params, gain);
             let bv = g.param(params, bias);
             let xv = g.input(x);
-            let h = g.matmul(xv, wv);
+            let h = g.matmul(xv, wv, Transpose::None);
             let h = g.layer_norm(h, gv, bv, 1e-5);
             let h = g.gelu(h);
             let h = g.softmax_last(h);
@@ -3154,7 +3151,7 @@ mod tests {
         let run = |g: &Graph| {
             let wv = g.param(&params, params.id("w").unwrap());
             let xv = g.input(&x);
-            let h = g.matmul(xv, wv);
+            let h = g.matmul(xv, wv, Transpose::None);
             // LayerNorm's transposed-block temporary comes from the pool too.
             let gain = g.param(&params, params.id("gain").unwrap());
             let bias = g.param(&params, params.id("bias").unwrap());

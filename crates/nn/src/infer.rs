@@ -104,6 +104,7 @@ impl Default for InferenceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Transpose;
     use crate::params::Params;
     use crate::tensor::Tensor;
 
@@ -121,7 +122,7 @@ mod tests {
             let g = Graph::new();
             let wv = g.param(&params, w);
             let xv = g.constant(x.clone());
-            let y = g.softmax_last(g.matmul(xv, wv));
+            let y = g.softmax_last(g.matmul(xv, wv, Transpose::None));
             g.value(y)
         };
 
@@ -130,7 +131,7 @@ mod tests {
             let got = session.forward(|g| {
                 let wv = g.param(&params, w);
                 let xv = g.input(&x);
-                let y = g.softmax_last(g.matmul(xv, wv));
+                let y = g.softmax_last(g.matmul(xv, wv, Transpose::None));
                 g.value(y)
             });
             assert_eq!(got.data(), reference.data());
@@ -153,12 +154,12 @@ mod tests {
                 let g = Graph::new();
                 let wv = g.param(&params, w);
                 let xv = g.constant(x.clone());
-                g.value(g.matmul(xv, wv))
+                g.value(g.matmul(xv, wv, Transpose::None))
             };
             let got = session.forward(|g| {
                 let wv = g.param(&params, w);
                 let xv = g.input(&x);
-                g.value(g.matmul(xv, wv))
+                g.value(g.matmul(xv, wv, Transpose::None))
             });
             assert_eq!(got.data(), reference.data());
         }

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, Transpose, Var};
 use crate::params::Params;
 
 use super::linear::Linear;
@@ -75,21 +75,21 @@ impl MultiHeadAttention {
         let (b, t) = (shape[0], shape[1]);
         let dh = self.dim / self.heads;
 
-        let q = self.wq.forward_tokens(g, params, x);
-        let k = self.wk.forward_tokens(g, params, x);
-        let v = self.wv.forward_tokens(g, params, x);
+        let q = self.wq.forward(g, params, x);
+        let k = self.wk.forward(g, params, x);
+        let v = self.wv.forward(g, params, x);
 
         let q = self.split_heads(g, q, b, t);
         let k = self.split_heads(g, k, b, t);
         let v = self.split_heads(g, v, b, t);
 
-        let scores = g.bmm_nt(q, k); // [b*h, t, t], reads k transposed in place
+        let scores = g.matmul(q, k, Transpose::Rhs); // [b*h, t, t], reads k transposed in place
         let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
         let attn = g.softmax_last(scores);
-        let ctx = g.bmm(attn, v); // [b*h, t, dh]
+        let ctx = g.matmul(attn, v, Transpose::None); // [b*h, t, dh]
 
         let merged = g.permute_0213(ctx, [b, self.heads, t, dh], &[b, t, self.dim]);
-        self.wo.forward_tokens(g, params, merged)
+        self.wo.forward(g, params, merged)
     }
 }
 
@@ -129,7 +129,7 @@ impl TransformerBlock {
     pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let attended = self.attn.forward(g, params, x);
         let i_prime = self.ln_attn.forward(g, params, attended);
-        let i_second = self.mlp.forward_tokens(g, params, i_prime);
+        let i_second = self.mlp.forward(g, params, i_prime);
         let summed = g.add(i_prime, i_second);
         self.ln_out.forward(g, params, summed)
     }

@@ -2,15 +2,15 @@
 
 use rand::Rng;
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, Transpose, Var};
 use crate::init;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
 /// Affine map `y = x W + b`.
 ///
-/// Works on 2-D inputs (`[batch, in]`) via [`Linear::forward`] and on token
-/// sequences (`[batch, tokens, in]`) via [`Linear::forward_tokens`].
+/// [`Linear::forward`] maps the last axis of any input (`[batch, in]`, or
+/// token sequences `[batch, tokens, in]`).
 ///
 /// # Examples
 ///
@@ -94,35 +94,23 @@ impl Linear {
         self.weight
     }
 
-    /// Applies the layer to a `[batch, in]` input.
+    /// Applies the layer to the last axis of `x` (`[batch, in]` or
+    /// `[batch, tokens, in]`), every row with the same weights.
     pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
-        let w = g.param(params, self.weight);
-        let mut y = g.matmul(x, w);
-        if let Some(b) = self.bias {
-            let bv = g.param(params, b);
-            y = g.add_bias(y, bv);
-        }
-        y
-    }
-
-    /// Applies the layer independently to every token of a `[batch, tokens, in]` input.
-    pub fn forward_tokens(&self, g: &Graph, params: &Params, x: Var) -> Var {
-        let w = g.param(params, self.weight);
-        let mut y = g.matmul_tokens(x, w);
-        if let Some(b) = self.bias {
-            let bv = g.param(params, b);
-            y = g.add_bias(y, bv);
-        }
-        y
+        self.apply(g, params, x, Transpose::None)
     }
 
     /// Applies the layer to the last-axis-transposed view of `x [b, s, in]`
     /// read as `[b, in, s]` tokens — byte-identical to
-    /// `forward_tokens(g, params, g.transpose_last(x))` but without ever
-    /// materializing the transposed copy (see [`Graph::matmul_tn_tokens`]).
+    /// `forward(g, params, g.transpose_last(x))` but without ever
+    /// materializing the transposed copy (see [`Transpose::Lhs`]).
     pub fn forward_tokens_tn(&self, g: &Graph, params: &Params, x: Var) -> Var {
+        self.apply(g, params, x, Transpose::Lhs)
+    }
+
+    fn apply(&self, g: &Graph, params: &Params, x: Var, t: Transpose) -> Var {
         let w = g.param(params, self.weight);
-        let mut y = g.matmul_tn_tokens(x, w);
+        let mut y = g.matmul(x, w, t);
         if let Some(b) = self.bias {
             let bv = g.param(params, b);
             y = g.add_bias(y, bv);
@@ -146,7 +134,7 @@ mod tests {
         let x2 = g.constant(Tensor::zeros(&[2, 3]));
         assert_eq!(g.shape(lin.forward(&g, &params, x2)), vec![2, 5]);
         let x3 = g.constant(Tensor::zeros(&[2, 4, 3]));
-        assert_eq!(g.shape(lin.forward_tokens(&g, &params, x3)), vec![2, 4, 5]);
+        assert_eq!(g.shape(lin.forward(&g, &params, x3)), vec![2, 4, 5]);
     }
 
     #[test]

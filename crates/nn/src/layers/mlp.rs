@@ -35,28 +35,22 @@ impl Mlp {
         self.fc2.out_dim()
     }
 
-    /// Applies the MLP to a `[batch, in]` input.
+    /// Applies the MLP to the last axis of `x` (`[batch, in]` or
+    /// `[batch, tokens, in]`).
     pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let h = self.fc1.forward(g, params, x);
         let h = g.gelu(h);
         self.fc2.forward(g, params, h)
     }
 
-    /// Applies the MLP tokenwise to a `[batch, tokens, in]` input.
-    pub fn forward_tokens(&self, g: &Graph, params: &Params, x: Var) -> Var {
-        let h = self.fc1.forward_tokens(g, params, x);
-        let h = g.gelu(h);
-        self.fc2.forward_tokens(g, params, h)
-    }
-
     /// Applies the MLP tokenwise to the last-axis-transposed view of
     /// `x [b, s, in]` — byte-identical to
-    /// `forward_tokens(g, params, g.transpose_last(x))` without materializing
+    /// `forward(g, params, g.transpose_last(x))` without materializing
     /// the transposed tensor (see [`Linear::forward_tokens_tn`]).
     pub fn forward_tokens_tn(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let h = self.fc1.forward_tokens_tn(g, params, x);
         let h = g.gelu(h);
-        self.fc2.forward_tokens(g, params, h)
+        self.fc2.forward(g, params, h)
     }
 }
 
@@ -77,7 +71,7 @@ mod tests {
         let x = g.constant(Tensor::zeros(&[2, 4]));
         assert_eq!(g.shape(mlp.forward(&g, &params, x)), vec![2, 3]);
         let xt = g.constant(Tensor::zeros(&[2, 5, 4]));
-        assert_eq!(g.shape(mlp.forward_tokens(&g, &params, xt)), vec![2, 5, 3]);
+        assert_eq!(g.shape(mlp.forward(&g, &params, xt)), vec![2, 5, 3]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl PatchTokenizer {
             self.feature_dim()
         );
         let patches = g.reshape(features, &[b, self.n_patches, self.dim]);
-        let embedded = self.embed.forward_tokens(g, params, patches);
+        let embedded = self.embed.forward(g, params, patches);
         // Broadcast the CLS token across the batch.
         let cls = g.param(params, self.cls); // [1, 1, d]
         let cls_batch = if b == 1 {

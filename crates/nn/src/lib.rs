@@ -55,7 +55,7 @@ mod tanh;
 mod tensor;
 
 pub use gemm::{set_kernel_policy, KernelPolicy};
-pub use graph::{take_scratch_stats, Graph, ScratchStats, Var};
+pub use graph::{take_scratch_stats, Graph, ScratchStats, Transpose, Var};
 pub use infer::{force_taped, InferenceSession};
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use params::{ParamEntry, ParamId, Params};

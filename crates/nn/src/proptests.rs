@@ -184,20 +184,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_distributes_over_addition(a in arb_vec(4), b in arb_vec(4), c in arb_vec(4)) {
-        // (A + B) C == AC + BC
-        let ta = Tensor::from_vec(a, &[2, 2]);
-        let tb = Tensor::from_vec(b, &[2, 2]);
-        let tc = Tensor::from_vec(c, &[2, 2]);
-        let lhs = ta.zip(&tb, |x, y| x + y).matmul(&tc);
-        let rhs_a = ta.matmul(&tc);
-        let rhs_b = tb.matmul(&tc);
-        for ((l, x), y) in lhs.data().iter().zip(rhs_a.data()).zip(rhs_b.data()) {
-            prop_assert!((l - (x + y)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn cross_entropy_nonnegative_and_grads_sum_to_zero(
         data in arb_vec(9),
         t0 in 0usize..3,

@@ -13,7 +13,7 @@ use rand::Rng;
 /// attention scores), so shapes live inline in the tensor header instead of
 /// costing a heap allocation per tensor — on the inference hot path that
 /// allocation was the last one left per node.
-const MAX_NDIM: usize = 4;
+pub(crate) const MAX_NDIM: usize = 4;
 
 /// An inline, fixed-capacity shape: the dims of a tensor without the heap.
 ///
@@ -339,74 +339,6 @@ impl Tensor {
             .collect()
     }
 
-    /// 2-D matrix multiplication: `self [m,k] x other [k,n] -> [m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not 2-D or the inner dimensions mismatch.
-    pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.ndim(),
-            2,
-            "matmul lhs must be 2-D, got {:?}",
-            self.shape
-        );
-        assert_eq!(
-            other.ndim(),
-            2,
-            "matmul rhs must be 2-D, got {:?}",
-            other.shape
-        );
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul inner dim mismatch: {:?} x {:?}",
-            self.shape, other.shape
-        );
-        let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm(&self.data, &other.data, &mut out, m, k, n);
-        Self {
-            shape: Shape::new(&[m, n]),
-            data: out,
-        }
-    }
-
-    /// Batched matrix multiplication on 3-D tensors:
-    /// `self [b,m,k] x other [b,k,n] -> [b,m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn bmm(&self, other: &Self) -> Self {
-        assert_eq!(self.ndim(), 3, "bmm lhs must be 3-D, got {:?}", self.shape);
-        assert_eq!(
-            other.ndim(),
-            3,
-            "bmm rhs must be 3-D, got {:?}",
-            other.shape
-        );
-        let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-        let (b2, k2, n) = (other.shape[0], other.shape[1], other.shape[2]);
-        assert_eq!(b, b2, "bmm batch mismatch");
-        assert_eq!(k, k2, "bmm inner dim mismatch");
-        let mut out = vec![0.0f32; b * m * n];
-        for i in 0..b {
-            crate::gemm::gemm(
-                &self.data[i * m * k..(i + 1) * m * k],
-                &other.data[i * k * n..(i + 1) * k * n],
-                &mut out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-        Self {
-            shape: Shape::new(&[b, m, n]),
-            data: out,
-        }
-    }
-
     /// Transposes the last two axes (works for 2-D and 3-D tensors).
     ///
     /// # Panics
@@ -513,35 +445,6 @@ mod tests {
     #[should_panic(expected = "data length")]
     fn from_vec_rejects_bad_shape() {
         let _ = Tensor::from_vec(vec![1.0, 2.0], &[3]);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = Tensor::randn(&[3, 3], 1.0, &mut rng);
-        let eye = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], &[3, 3]);
-        let c = a.matmul(&eye);
-        for (x, y) in c.data().iter().zip(a.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn bmm_per_batch() {
-        let a = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], &[2, 2, 2]);
-        let c = a.bmm(&b);
-        assert_eq!(c.shape(), &[2, 2, 2]);
-        assert_eq!(&c.data()[..4], &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(&c.data()[4..], &[2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

@@ -384,8 +384,9 @@ impl WireMessage {
     }
 
     /// Exact encoded frame size in bytes (header + payload), computed
-    /// without encoding. `encode().len() == encoded_len()` always; traffic
-    /// accounting relies on this when the codec is bypassed.
+    /// without encoding. [`WireMessage::encode`] sizes its buffer with it
+    /// and `debug_assert`s the match; a proptest pins
+    /// `encode().len() == encoded_len()` for every kind.
     pub fn encoded_len(&self) -> usize {
         let payload = match self {
             Self::ModelBroadcast(m) => 8 + f32s_len(&m.model),
