@@ -2038,6 +2038,46 @@ mod tests {
     }
 
     #[test]
+    fn matmul_gradcheck() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut params = Params::new();
+        let a = params.insert("a", Tensor::randn(&[2, 3], 1.0, &mut rng), true);
+        let b = params.insert("b", Tensor::randn(&[3, 2], 1.0, &mut rng), true);
+        grad_check(
+            &mut params,
+            &[a, b],
+            &|g, p| {
+                let av = g.param(p, p.id("a").unwrap());
+                let bv = g.param(p, p.id("b").unwrap());
+                let c = g.matmul(av, bv, Transpose::None);
+                let sq = g.mul(c, c);
+                g.sum_all(sq)
+            },
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn bmm_gradcheck() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut params = Params::new();
+        let a = params.insert("a", Tensor::randn(&[2, 2, 3], 0.5, &mut rng), true);
+        let b = params.insert("b", Tensor::randn(&[2, 3, 2], 0.5, &mut rng), true);
+        grad_check(
+            &mut params,
+            &[a, b],
+            &|g, p| {
+                let av = g.param(p, p.id("a").unwrap());
+                let bv = g.param(p, p.id("b").unwrap());
+                let c = g.matmul(av, bv, Transpose::None);
+                let t = g.tanh(c);
+                g.sum_all(t)
+            },
+            1e-2,
+        );
+    }
+
+    #[test]
     fn activations_gradcheck() {
         let mut params = Params::new();
         let x = params.insert(
@@ -2987,19 +3027,6 @@ mod tests {
 
     #[test]
     fn matmul_table_matches_oracle_composites_and_finite_differences() {
-        // Two hand-computed cells: a plain product, and two batches against
-        // their own right operands.
-        let g = Graph::new();
-        let a = g.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
-        let b = g.constant(Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]));
-        let y = g.value(g.matmul(a, b, Transpose::None));
-        assert_eq!(y.data(), &[19.0, 22.0, 43.0, 50.0]);
-        let eyes = vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0];
-        let a = g.constant(Tensor::from_vec(eyes, &[2, 2, 2]));
-        let b = g.constant(Tensor::from_vec([1.0, 2.0, 3.0, 4.0].repeat(2), &[2, 2, 2]));
-        let y = g.value(g.matmul(a, b, Transpose::None));
-        assert_eq!(y.data(), &[1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 6.0, 8.0]);
-
         let mut rng = StdRng::seed_from_u64(30);
         let mut cells = 0;
         for t in [Transpose::None, Transpose::Lhs, Transpose::Rhs] {
@@ -3043,6 +3070,64 @@ mod tests {
             }
         }
         assert_eq!(cells, 18);
+    }
+
+    #[test]
+    fn matmul_tn_tokens_matches_transpose_composite_bitwise() {
+        // Forward values AND parameter gradients of the `Lhs` product must be
+        // byte-identical to the explicit transpose_last + `None` composite.
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = Tensor::randn(&[3, 5, 4], 1.0, &mut rng);
+        let wt = Tensor::randn(&[5, 6], 0.5, &mut rng);
+
+        let run = |fused: bool, params: &mut Params| -> (Tensor, Tensor, Tensor) {
+            let xid = params.id("x").unwrap();
+            let wid = params.id("w").unwrap();
+            params.zero_grad();
+            let g = Graph::new();
+            let xv = g.param(params, xid);
+            let wv = g.param(params, wid);
+            let y = if fused {
+                g.matmul(xv, wv, Transpose::Lhs)
+            } else {
+                let t = g.transpose_last(xv);
+                g.matmul(t, wv, Transpose::None)
+            };
+            let out = g.value(y);
+            let loss = g.sum_all(g.mul(y, y));
+            g.backward(loss, params);
+            (out, params.grad(xid).clone(), params.grad(wid).clone())
+        };
+
+        let mut params = Params::new();
+        params.insert("x", x, true);
+        params.insert("w", wt, true);
+        let (y_ref, dx_ref, dw_ref) = run(false, &mut params);
+        let (y_got, dx_got, dw_got) = run(true, &mut params);
+        assert_eq!(y_got.shape(), &[3, 4, 6]);
+        assert_eq!(y_got.data(), y_ref.data());
+        assert_eq!(dx_got.data(), dx_ref.data());
+        assert_eq!(dw_got.data(), dw_ref.data());
+    }
+
+    #[test]
+    fn matmul_tn_tokens_gradcheck() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut params = Params::new();
+        let x = params.insert("x", Tensor::randn(&[2, 4, 3], 0.5, &mut rng), true);
+        let w = params.insert("w", Tensor::randn(&[4, 5], 0.5, &mut rng), true);
+        grad_check(
+            &mut params,
+            &[x, w],
+            &|g, p| {
+                let xv = g.param(p, p.id("x").unwrap());
+                let wv = g.param(p, p.id("w").unwrap());
+                let y = g.matmul(xv, wv, Transpose::Lhs);
+                let t = g.tanh(y);
+                g.sum_all(t)
+            },
+            2e-2,
+        );
     }
 
     /// `matmul` on constants of the given shapes.

@@ -447,6 +447,31 @@ mod tests {
         let _ = Tensor::from_vec(vec![1.0, 2.0], &[3]);
     }
 
+    /// Value of the tape's `None` product of two constants.
+    fn product(a: Tensor, b: Tensor) -> Tensor {
+        let g = crate::Graph::new();
+        let y = g.matmul(g.constant(a), g.constant(b), crate::Transpose::None);
+        g.value(y)
+    }
+
+    #[test]
+    fn matmul_matches_hand_computation() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
+        let c = product(a, b);
+        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn bmm_per_batch() {
+        let a = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]);
+        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], &[2, 2, 2]);
+        let c = product(a, b);
+        assert_eq!(c.shape(), &[2, 2, 2]);
+        assert_eq!(&c.data()[..4], &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(&c.data()[4..], &[2.0, 4.0, 6.0, 8.0]);
+    }
+
     #[test]
     fn transpose_last_2d_and_3d() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
