@@ -478,6 +478,93 @@ mod tests {
         assert_eq!(named_binaries(text), ["client", "refil-bench"]);
     }
 
+    /// The criterion ids `micro.rs` registers, each with whether it is a
+    /// `format!` stem (the literal text before the first `{`).
+    fn registered_bench_ids(src: &str) -> Vec<(&str, bool)> {
+        src.match_indices("bench_function(")
+            .filter_map(|(i, m)| {
+                let rest = &src[i + m.len()..];
+                let lit = &rest[rest.find('"')? + 1..];
+                let end = lit.find(['"', '{'])?;
+                Some((&lit[..end], lit.as_bytes()[end] == b'{'))
+            })
+            .collect()
+    }
+
+    /// The backticked criterion ids in the body of `text`'s
+    /// `## Criterion micro-benches` section: words with a `/` that are not
+    /// file paths (no `.`) or commands (no whitespace).
+    fn documented_bench_ids(text: &str) -> Vec<&str> {
+        let Some(start) = text.find("## Criterion micro-benches") else {
+            return Vec::new();
+        };
+        let body = &text[start..];
+        let body = &body[body.find('\n').unwrap_or(body.len())..];
+        let body = &body[..body.find("\n#").unwrap_or(body.len())];
+        body.split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|w| w.contains('/') && !w.contains(|c: char| c == '.' || c.is_whitespace()))
+            .collect()
+    }
+
+    /// Whether `id` is a prefix of a registered id, or extends a stem.
+    fn is_registered(id: &str, registered: &[(&str, bool)]) -> bool {
+        registered
+            .iter()
+            .any(|&(r, stem)| r.starts_with(id) || (stem && id.starts_with(r)))
+    }
+
+    #[test]
+    fn experiments_names_only_registered_micro_benches() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let read = |p: &std::path::Path| {
+            std::fs::read_to_string(p).unwrap_or_else(|e| panic!("cannot read {p:?}: {e}"))
+        };
+        let registered_src = read(&root.join("benches/micro.rs"));
+        let registered = registered_bench_ids(&registered_src);
+        let doc = read(&root.join("../../EXPERIMENTS.md"));
+        let ids = documented_bench_ids(&doc);
+        assert!(
+            !ids.is_empty(),
+            "EXPERIMENTS.md lists no criterion ids under `## Criterion micro-benches`"
+        );
+        for id in ids {
+            assert!(
+                is_registered(id, &registered),
+                "EXPERIMENTS.md names criterion id `{id}`, which benches/micro.rs does not register"
+            );
+        }
+    }
+
+    #[test]
+    fn bench_id_scan_catches_deleted_ids() {
+        let src = "c.bench_function(&format!(\"nn/gemm/tiled_{label}\"), |b| b.iter(f));\n\
+                   c.bench_function(\"fed/fedavg_10x50k\", |b| b.iter(f));";
+        let registered = registered_bench_ids(src);
+        assert_eq!(
+            registered,
+            [("nn/gemm/tiled_", true), ("fed/fedavg_10x50k", false)]
+        );
+        let doc = "## Criterion micro-benches (`cargo bench`)\n\n\
+                   `tensor/matmul_128x128`, `fed/fedavg`, `nn/gemm/tiled_128x128x128`;\n\
+                   run `cargo bench -p refil-bench --bench micro` (`benches/micro.rs`).\n\n\
+                   ## Next\n\n`not/scanned`";
+        let ids = documented_bench_ids(doc);
+        assert_eq!(
+            ids,
+            [
+                "tensor/matmul_128x128",
+                "fed/fedavg",
+                "nn/gemm/tiled_128x128x128"
+            ]
+        );
+        assert!(!is_registered("tensor/matmul_128x128", &registered));
+        assert!(!is_registered("fed/fedavg_10x50k_more", &registered));
+        assert!(is_registered("fed/fedavg", &registered));
+        assert!(is_registered("nn/gemm/tiled_128x128x128", &registered));
+    }
+
     #[test]
     fn command_names_are_unique_and_all_in_help() {
         let help = help();

@@ -95,7 +95,7 @@ impl FedL2p {
     /// detachment is preserved, while tape-free evaluation can recycle its
     /// buffers along with the rest of the forward plan.
     fn queries(&self, g: &Graph, params: &Params, features: &Tensor) -> Vec<Vec<f32>> {
-        let (_, tokens) = self.model.tokenize(g, params, features);
+        let tokens = self.model.tokenize(g, params, features);
         let n = self.model.config().n_patches;
         let patches = g.slice(tokens, 1, 1, n);
         let pooled = g.mean_tokens(patches); // [b, d]

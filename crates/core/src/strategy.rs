@@ -292,7 +292,7 @@ impl RefFiL {
             }
             let x = Tensor::from_vec(data, &[rows, dim_in]);
             InferenceSession::new().forward(|g| {
-                let (_, tokens) = self.model.tokenize(g, params, &x);
+                let tokens = self.model.tokenize(g, params, &x);
                 let pv = Self::local_prompts(
                     &self.model,
                     &self.cdap,
@@ -402,7 +402,7 @@ impl RefFiLEvaluator<'_> {
         let ctx = self.ctx;
         let (strat, params) = (ctx.strat, &ctx.params);
         self.session.forward(|g| {
-            let (feat, tokens) = strat.model.tokenize(g, params, features);
+            let tokens = strat.model.tokenize(g, params, features);
             let prompts = RefFiL::local_prompts(
                 &strat.model,
                 &strat.cdap,
@@ -414,7 +414,7 @@ impl RefFiLEvaluator<'_> {
             );
             let out = strat
                 .model
-                .forward_from_tokens(g, params, feat, tokens, Some(prompts));
+                .forward_from_tokens(g, params, tokens, Some(prompts));
             read(g, out.logits)
         })
     }
@@ -500,16 +500,16 @@ impl RoundContext for RefFiLRoundCtx<'_> {
             setting,
             |g, p, b| {
                 let bsz = b.len();
-                let (feat, tokens) = model.tokenize(g, p, &b.features);
+                let tokens = model.tokenize(g, p, &b.features);
                 let prompts = RefFiL::local_prompts(model, cdap, fixed, g, p, tokens, task);
                 // L_CE: classification with locally generated prompts (Eq. 10).
-                let out_l = model.forward_from_tokens(g, p, feat, tokens, Some(prompts));
+                let out_l = model.forward_from_tokens(g, p, tokens, Some(prompts));
                 let mut loss = g.cross_entropy(out_l.logits, &b.labels);
                 // L_GPL: same input under the generalized global prompt (Eq. 9).
                 if let Some(gp) = generalized {
                     let gpv = g.constant(gp.clone());
                     let gp_b = model.broadcast_prompts(g, gpv, bsz);
-                    let out_g = model.forward_from_tokens(g, p, feat, tokens, Some(gp_b));
+                    let out_g = model.forward_from_tokens(g, p, tokens, Some(gp_b));
                     let gpl = g.cross_entropy(out_g.logits, &b.labels);
                     loss = g.add(loss, gpl);
                 }
@@ -738,7 +738,7 @@ impl FdilStrategy for RefFiL {
     fn cls_embeddings(&mut self, global: &[f32], features: &Tensor) -> Vec<Vec<f32>> {
         self.core.load(global);
         let g = Graph::new();
-        let (feat, tokens) = self.model.tokenize(&g, &self.core.params, features);
+        let tokens = self.model.tokenize(&g, &self.core.params, features);
         let prompts = Self::local_prompts(
             &self.model,
             &self.cdap,
@@ -748,9 +748,9 @@ impl FdilStrategy for RefFiL {
             tokens,
             self.current_task,
         );
-        let out =
-            self.model
-                .forward_from_tokens(&g, &self.core.params, feat, tokens, Some(prompts));
+        let out = self
+            .model
+            .forward_from_tokens(&g, &self.core.params, tokens, Some(prompts));
         let cls = g.value(out.cls);
         let d = cls.shape()[1];
         cls.data().chunks(d).map(<[f32]>::to_vec).collect()
@@ -1079,7 +1079,7 @@ mod tests {
             }
             let x = Tensor::from_vec(data, &[samples.len(), dim_in]);
             let g = Graph::new();
-            let (_, tokens) = strat.model.tokenize(&g, params, &x);
+            let tokens = strat.model.tokenize(&g, params, &x);
             let pv = RefFiL::local_prompts(
                 &strat.model,
                 &strat.cdap,

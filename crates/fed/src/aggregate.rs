@@ -37,34 +37,6 @@ pub fn fedavg(updates: &[WeightedUpdate]) -> Vec<f32> {
     out
 }
 
-/// Unweighted mean of equal-length vectors — the balanced averaging RefFiL
-/// uses for prompt sharing (Eq. 2: "averaging across all clients, ensuring
-/// equitable influence from each participant ... regardless of their data
-/// volume").
-///
-/// # Panics
-///
-/// Panics if `vectors` is empty or lengths differ.
-pub fn balanced_mean(vectors: &[Vec<f32>]) -> Vec<f32> {
-    assert!(
-        !vectors.is_empty(),
-        "balanced_mean needs at least one vector"
-    );
-    let len = vectors[0].len();
-    let mut out = vec![0.0f32; len];
-    for v in vectors {
-        assert_eq!(v.len(), len, "length mismatch in balanced_mean");
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / vectors.len() as f32;
-    for o in &mut out {
-        *o *= inv;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +89,5 @@ mod tests {
             flat: vec![1.0],
             weight: 0.0,
         }]);
-    }
-
-    #[test]
-    fn balanced_mean_ignores_weights() {
-        let m = balanced_mean(&[vec![0.0, 2.0], vec![4.0, 0.0]]);
-        assert_eq!(m, vec![2.0, 1.0]);
     }
 }

@@ -53,13 +53,6 @@ impl Default for IncrementConfig {
     }
 }
 
-impl IncrementConfig {
-    /// Total client count at task `t` (0-indexed).
-    pub fn clients_at_task(&self, task: usize) -> usize {
-        self.initial_clients + task * self.increment_per_task
-    }
-}
-
 /// Per-client plan for one task.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClientPlan {

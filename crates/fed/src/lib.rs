@@ -27,7 +27,7 @@ mod pool;
 mod runner;
 mod traffic;
 
-pub use aggregate::{balanced_mean, fedavg, WeightedUpdate};
+pub use aggregate::{fedavg, WeightedUpdate};
 pub use config::{ConfigError, NetConfig, RunConfig, WireConfig, WireQuant};
 pub use increment::{
     build_schedule, select_clients, ClientGroup, ClientPlan, IncrementConfig, TaskSchedule,

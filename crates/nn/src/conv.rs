@@ -223,7 +223,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `window == 0` or larger than the input length.
-    pub fn avg_pool1d(&self, x: Var, window: usize) -> Var {
+    pub(crate) fn avg_pool1d(&self, x: Var, window: usize) -> Var {
         let xs = self.shape(x);
         assert_eq!(xs.len(), 3, "avg_pool1d input must be [b, c, l]");
         let (b, c, l) = (xs[0], xs[1], xs[2]);

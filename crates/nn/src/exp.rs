@@ -1,12 +1,12 @@
 //! Single-precision `exp` with the host libm's bits, computed in-tree.
 //!
 //! [`exp_in_place`] is the kernel behind every exponential in this crate:
-//! the softmax family, the losses, `Graph::sigmoid` and `Graph::exp`. It
-//! reproduces glibc 2.36's `expf` (`sysdeps/ieee754/flt-32/e_expf.c`): with
-//! `N = 32`, `x·N/ln 2 = k + r` is rounded to an integer `k` by adding
-//! `SHIFT = 1.5·2⁵²` in `f64`, `2^(k/N)` is built from the 32-entry table
-//! of `2^(i/N)` with `k / N` added to its exponent, and `2^(r/N)` is a
-//! three-term polynomial in `f64`; the product is rounded once to `f32`.
+//! the softmax family and the losses. It reproduces glibc 2.36's `expf`
+//! (`sysdeps/ieee754/flt-32/e_expf.c`): with `N = 32`, `x·N/ln 2 = k + r`
+//! is rounded to an integer `k` by adding `SHIFT = 1.5·2⁵²` in `f64`,
+//! `2^(k/N)` is built from the 32-entry table of `2^(i/N)` with `k / N`
+//! added to its exponent, and `2^(r/N)` is a three-term polynomial in
+//! `f64`; the product is rounded once to `f32`.
 //!
 //! # Which operations are fused
 //!

@@ -65,11 +65,11 @@ pub fn set_kernel_policy(_: KernelPolicy) {}
 
 /// Rows of the full register tile: output rows in flight per microkernel
 /// call. The last `m % MR` rows run the same microkernel at that height.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// Columns of an AVX2 or portable strip: two 8-lane accumulators per
 /// output row.
-pub const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// Columns of an AVX-512 strip: two 16-lane accumulators per output row.
 const NR_WIDE: usize = 2 * NR;

@@ -227,8 +227,8 @@ struct Node {
 /// A graph created with [`Graph::inference`] is a *forward-only plan*: ops
 /// compute identical values but record no parent edges and never construct
 /// backward closures, and every node's value buffer comes out of a pool
-/// refilled by [`Graph::reset`] — so replaying same-shaped batches through
-/// one inference graph allocates nothing in steady state.
+/// that the reset between replays refills — so replaying same-shaped
+/// batches through one inference graph allocates nothing in steady state.
 #[derive(Default)]
 pub struct Graph {
     nodes: RefCell<Vec<Node>>,
@@ -253,10 +253,10 @@ impl Graph {
     }
 
     /// Creates a forward-only graph: ops record values but no parent edges
-    /// or backward closures, [`Graph::backward`] panics, and
-    /// [`Graph::reset`] recycles every node's buffer into a pool reused by
-    /// the next forward pass. This is the core of the tape-free inference
-    /// engine (see [`crate::infer::InferenceSession`]).
+    /// or backward closures, [`Graph::backward`] panics, and a reset
+    /// recycles every node's buffer into a pool reused by the next forward
+    /// pass. This is the core of the tape-free inference engine (see
+    /// [`crate::InferenceSession`]).
     pub fn inference() -> Self {
         Self {
             inference: true,
@@ -264,16 +264,11 @@ impl Graph {
         }
     }
 
-    /// Whether this graph is a forward-only (inference) plan.
-    pub fn is_inference(&self) -> bool {
-        self.inference
-    }
-
     /// Clears the tape so the graph can replay another forward pass. On an
     /// inference graph every node's value buffer is recycled into the
     /// forward pool first, so a replay of the same batch shape allocates
     /// nothing; on a training graph the nodes are simply dropped.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let mut nodes = self.nodes.borrow_mut();
         if self.inference {
             let mut fwd = self.fwd.borrow_mut();
@@ -283,16 +278,6 @@ impl Graph {
         } else {
             nodes.clear();
         }
-    }
-
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
-    }
-
-    /// Whether the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.borrow().is_empty()
     }
 
     /// Wraps a backward-closure constructor, skipping it entirely (no box,
@@ -360,20 +345,6 @@ impl Graph {
         let av = &nodes[a.id].value;
         let mut out = self.out_cleared(av.numel());
         out.extend(av.data().iter().map(|&x| f(x)));
-        Tensor::from_vec(out, av.shape())
-    }
-
-    /// Pooled `after(exp(before(x)))` of `a`'s value, with the exps run in
-    /// bulk through [`exp_in_place`].
-    fn exp_value(&self, a: Var, before: impl Fn(f32) -> f32, after: impl Fn(f32) -> f32) -> Tensor {
-        let nodes = self.nodes.borrow();
-        let av = &nodes[a.id].value;
-        let mut out = self.out_cleared(av.numel());
-        out.extend(av.data().iter().map(|&x| before(x)));
-        exp_in_place(&mut out);
-        for o in &mut out {
-            *o = after(*o);
-        }
         Tensor::from_vec(out, av.shape())
     }
 
@@ -560,28 +531,6 @@ impl Graph {
         )
     }
 
-    /// Elementwise `a - b` (same shapes).
-    pub fn sub(&self, a: Var, b: Var) -> Var {
-        let v = self.zip_value(a, b, |x, y| x - y);
-        self.push(
-            v,
-            self.deps(&[a.id, b.id]),
-            self.bw(|| {
-                Box::new(|g, _, _, scr| {
-                    let mut db = scr.take_copied(g.data());
-                    for x in &mut db {
-                        *x = -*x;
-                    }
-                    vec![
-                        Tensor::from_vec(scr.take_copied(g.data()), g.shape()),
-                        Tensor::from_vec(db, g.shape()),
-                    ]
-                })
-            }),
-            None,
-        )
-    }
-
     /// Elementwise `a * b` (same shapes).
     pub fn mul(&self, a: Var, b: Var) -> Var {
         let v = self.zip_value(a, b, |x, y| x * y);
@@ -593,35 +542,6 @@ impl Graph {
                     vec![g.zip(p[1], |gi, bi| gi * bi), g.zip(p[0], |gi, ai| gi * ai)]
                 })
             }),
-            None,
-        )
-    }
-
-    /// Elementwise `a / b` (same shapes).
-    pub fn div(&self, a: Var, b: Var) -> Var {
-        let v = self.zip_value(a, b, |x, y| x / y);
-        self.push(
-            v,
-            self.deps(&[a.id, b.id]),
-            self.bw(|| {
-                Box::new(|g, p, _, _scr| {
-                    let da = g.zip(p[1], |gi, bi| gi / bi);
-                    let mut db = g.zip(p[0], |gi, ai| gi * ai);
-                    db = db.zip(p[1], |x, bi| -x / (bi * bi));
-                    vec![da, db]
-                })
-            }),
-            None,
-        )
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&self, a: Var) -> Var {
-        let v = self.unary_value(a, |x| -x);
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, _, _scr| vec![g.map(|x| -x)])),
             None,
         )
     }
@@ -655,21 +575,6 @@ impl Graph {
     // ---------------------------------------------------------------------
     // Activations and pointwise nonlinearities
     // ---------------------------------------------------------------------
-
-    /// Rectified linear unit.
-    pub fn relu(&self, a: Var) -> Var {
-        let v = self.unary_value(a, |x| x.max(0.0));
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| {
-                Box::new(
-                    |g, p, _, _scr| vec![g.zip(p[0], |gi, xi| if xi > 0.0 { gi } else { 0.0 })],
-                )
-            }),
-            None,
-        )
-    }
 
     /// Gaussian error linear unit (tanh approximation).
     ///
@@ -725,50 +630,6 @@ impl Graph {
             v,
             self.deps(&[a.id]),
             self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * (1.0 - yi * yi))])),
-            None,
-        )
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self, a: Var) -> Var {
-        let v = self.exp_value(a, |x| -x, |e| 1.0 / (1.0 + e));
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * yi * (1.0 - yi))])),
-            None,
-        )
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&self, a: Var) -> Var {
-        let v = self.exp_value(a, |x| x, |e| e);
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * yi)])),
-            None,
-        )
-    }
-
-    /// Elementwise natural log.
-    pub fn ln(&self, a: Var) -> Var {
-        let v = self.unary_value(a, f32::ln);
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, p, _, _scr| vec![g.zip(p[0], |gi, xi| gi / xi)])),
-            None,
-        )
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&self, a: Var) -> Var {
-        let v = self.unary_value(a, f32::sqrt);
-        self.push(
-            v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi / (2.0 * yi))])),
             None,
         )
     }
@@ -896,7 +757,7 @@ impl Graph {
     /// (`[a,b,c,d] -> [a,c,b,d]`) and labels the result `shape`; splits and
     /// merges attention heads in one node, with no reshape around it.
     /// `permute_0213(permute_0213(x, [a,b,c,d], s1), [a,c,b,d], s0)` is `x`.
-    pub fn permute_0213(&self, a: Var, view: [usize; 4], shape: &[usize]) -> Var {
+    pub(crate) fn permute_0213(&self, a: Var, view: [usize; 4], shape: &[usize]) -> Var {
         let v = {
             let nodes = self.nodes.borrow();
             let av = &nodes[a.id].value;
@@ -936,7 +797,7 @@ impl Graph {
     // ---------------------------------------------------------------------
 
     /// Adds a `[d]` bias to every trailing row of `x [..., d]`.
-    pub fn add_bias(&self, x: Var, bias: Var) -> Var {
+    pub(crate) fn add_bias(&self, x: Var, bias: Var) -> Var {
         let v = {
             let nodes = self.nodes.borrow();
             let xv = &nodes[x.id].value;
@@ -975,7 +836,7 @@ impl Graph {
     }
 
     /// FiLM-style scaling: `x [b,r,c] * a [b,c]`, broadcasting `a` over rows.
-    pub fn mul_rows_broadcast(&self, x: Var, a: Var) -> Var {
+    pub(crate) fn mul_rows_broadcast(&self, x: Var, a: Var) -> Var {
         let v = self.rows_broadcast_value(x, a, |xi, ai| xi * ai);
         self.push(
             v,
@@ -992,7 +853,7 @@ impl Graph {
     }
 
     /// FiLM-style shifting: `x [b,r,c] + a [b,c]`, broadcasting `a` over rows.
-    pub fn add_rows_broadcast(&self, x: Var, a: Var) -> Var {
+    pub(crate) fn add_rows_broadcast(&self, x: Var, a: Var) -> Var {
         let v = self.rows_broadcast_value(x, a, |xi, ai| xi + ai);
         self.push(
             v,
@@ -1203,13 +1064,6 @@ impl Graph {
         )
     }
 
-    /// Mean of all elements, as a `[1]` tensor.
-    pub fn mean_all(&self, a: Var) -> Var {
-        let n = self.nodes.borrow()[a.id].value.numel() as f32;
-        let s = self.sum_all(a);
-        self.scale(s, 1.0 / n)
-    }
-
     /// Mean over the token axis: `x [b,t,d] -> [b,d]`.
     pub fn mean_tokens(&self, x: Var) -> Var {
         let value = {
@@ -1291,7 +1145,7 @@ impl Graph {
     }
 
     /// Numerically-stable log-softmax over the last axis.
-    pub fn log_softmax_last(&self, a: Var) -> Var {
+    pub(crate) fn log_softmax_last(&self, a: Var) -> Var {
         let value = {
             let nodes = self.nodes.borrow();
             let xv = &nodes[a.id].value;
@@ -1334,7 +1188,7 @@ impl Graph {
     /// eight rows at a time, one row per vector lane; each row's sums
     /// still run in ascending element order, so the result is the per-row
     /// formula's bit for bit.
-    pub fn layer_norm(&self, x: Var, gain: Var, bias: Var, eps: f32) -> Var {
+    pub(crate) fn layer_norm(&self, x: Var, gain: Var, bias: Var, eps: f32) -> Var {
         let value = {
             let nodes = self.nodes.borrow();
             let xv = &nodes[x.id].value;
@@ -1600,7 +1454,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics unless `0.0 <= p < 1.0`.
-    pub fn dropout<R: rand::Rng>(&self, x: Var, p: f32, rng: &mut R) -> Var {
+    pub(crate) fn dropout<R: rand::Rng>(&self, x: Var, p: f32, rng: &mut R) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
         if p == 0.0 {
             return x;
@@ -1637,14 +1491,6 @@ impl Graph {
             }),
             None,
         )
-    }
-
-    /// Mean squared error against a constant target.
-    pub fn mse_against(&self, x: Var, target: &Tensor) -> Var {
-        let t = self.constant(target.clone());
-        let d = self.sub(x, t);
-        let sq = self.mul(d, d);
-        self.mean_all(sq)
     }
 }
 
@@ -2082,22 +1928,18 @@ mod tests {
         let mut params = Params::new();
         let x = params.insert(
             "x",
-            // Avoid 0.0 exactly: ReLU is non-differentiable there.
             Tensor::from_vec(vec![-1.5, -0.3, 0.2, 1.7, 0.4, 2.5], &[6]),
             true,
         );
-        for act in ["relu", "gelu", "tanh", "sigmoid", "exp"] {
+        for act in ["gelu", "tanh"] {
             grad_check(
                 &mut params,
                 &[x],
                 &|g, p| {
                     let xv = g.param(p, p.id("x").unwrap());
                     let y = match act {
-                        "relu" => g.relu(xv),
                         "gelu" => g.gelu(xv),
-                        "tanh" => g.tanh(xv),
-                        "sigmoid" => g.sigmoid(xv),
-                        _ => g.exp(xv),
+                        _ => g.tanh(xv),
                     };
                     g.sum_all(y)
                 },
@@ -2220,7 +2062,9 @@ mod tests {
                 let xv = g.param(p, p.id("x").unwrap());
                 let s = g.log_softmax_last(xv);
                 let w = g.mul(s, s);
-                g.mean_all(w)
+                // The mean of the 3×4 squares.
+                let total = g.sum_all(w);
+                g.scale(total, 1.0 / 12.0)
             },
             1e-2,
         );
@@ -2479,11 +2323,6 @@ mod tests {
             for (i, (w, g)) in want.iter().zip(got).enumerate() {
                 assert_eq!(g, &bits(w), "output {i} at rows={rows} d={d}");
             }
-            let sig = bits(g.value(g.sigmoid(xv)).data());
-            let sig_want: Vec<f32> = x.iter().map(|x| 1.0 / (1.0 + (-x).exp())).collect();
-            assert_eq!(sig, bits(&sig_want), "sigmoid at rows={rows} d={d}");
-            let exp = bits(g.value(g.exp(xv)).data());
-            assert_eq!(exp, bits(&x.iter().map(|x| x.exp()).collect::<Vec<_>>()));
         }
     }
 
@@ -2687,17 +2526,22 @@ mod tests {
         std::hint::black_box(f32::INFINITY) - f32::INFINITY
     }
 
-    /// `n` values drawn from `rng`, with NaN, ±0 and −Inf interleaved when
-    /// `special` is set.
-    fn payload(n: usize, special: bool, rng: &mut StdRng) -> Tensor {
-        let mut v = Tensor::randn(&[n], 1.0, rng).into_vec();
+    /// A `shape` tensor of values drawn from `rng`, with NaN, ±0 and −Inf
+    /// interleaved when `special` is set.
+    fn payload(shape: &[usize], special: bool, rng: &mut StdRng) -> Tensor {
+        let mut t = Tensor::randn(shape, 1.0, rng);
         if special {
             let specials = [generated_nan(), -0.0, 0.0, f32::NEG_INFINITY];
-            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 5 == 2) {
+            for (i, x) in t
+                .data_mut()
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| i % 5 == 2)
+            {
                 *x = specials[(i / 5) % specials.len()];
             }
         }
-        Tensor::from_vec(v, &[n])
+        t
     }
 
     /// The 4-D `[a,b,c,d] -> [a,c,b,d]` node as it was before
@@ -2787,12 +2631,11 @@ mod tests {
                     for heads in [1, 2, 4] {
                         let d = 2 * heads;
                         let mut params = Params::new();
-                        let x = payload(b * t * d, special, &mut rng);
-                        params.insert("x", x.reshape(&[b, t, d]), true);
+                        params.insert("x", payload(&[b, t, d], special, &mut rng), true);
                         for w in ["wq", "wk", "wv", "wo"] {
                             params.insert(w, Tensor::randn(&[d, d], 0.5, &mut rng), true);
                         }
-                        let c = payload(b * t * d, special, &mut rng).reshape(&[b, t, d]);
+                        let c = payload(&[b, t, d], special, &mut rng);
                         let want = token_tape(&mut params, &c, heads, false);
                         let got = token_tape(&mut params, &c, heads, true);
                         for (i, (w, g)) in want.iter().zip(&got).enumerate() {
@@ -2873,7 +2716,8 @@ mod tests {
         let g = Graph::new();
         let xv = g.param(&params, x);
         let y = g.dropout(xv, 0.3, &mut rng);
-        let mean = g.value(y).mean();
+        let v = g.value(y);
+        let mean = v.sum() / v.numel() as f32;
         assert!((mean - 1.0).abs() < 0.1, "dropout mean {mean}");
         let s = g.sum_all(y);
         g.backward(s, &mut params);
@@ -3038,11 +2882,10 @@ mod tests {
                         };
                         cells += 1;
                         let cell = format!("{t:?} batched={batched} lead={lead} rank={rank}");
-                        let numel = |s: &[usize]| s.iter().product::<usize>();
                         for special in [false, true] {
-                            let a = payload(numel(&sa), special, &mut rng).reshape(&sa);
-                            let b = payload(numel(&sb), special, &mut rng).reshape(&sb);
-                            let c = payload(numel(&out), special, &mut rng).reshape(&out);
+                            let a = payload(&sa, special, &mut rng);
+                            let b = payload(&sb, special, &mut rng);
+                            let c = payload(&out, special, &mut rng);
                             let want = product_oracle(t, &a, &b, &c).map(|v| bits(&v));
                             let mut params = Params::new();
                             params.insert("a", a, true);
@@ -3192,9 +3035,9 @@ mod tests {
         for _ in 0..3 {
             let got = build(&g, &params, &x);
             assert_eq!(got.data(), reference.data());
-            assert!(!g.is_empty());
+            assert!(!g.nodes.borrow().is_empty());
             g.reset();
-            assert!(g.is_empty());
+            assert!(g.nodes.borrow().is_empty());
         }
     }
 

@@ -20,13 +20,6 @@ pub fn xavier_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Ten
     Tensor::rand_uniform(&[fan_in, fan_out], -limit, limit, rng)
 }
 
-/// Kaiming/He normal initialization for a `[fan_in, fan_out]` weight,
-/// suited to ReLU/GELU networks.
-pub fn kaiming_normal<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::randn(&[fan_in, fan_out], std, rng)
-}
-
 /// Truncated-ish normal init used for prompt and token parameters.
 pub fn prompt_normal<R: Rng>(shape: &[usize], rng: &mut R) -> Tensor {
     Tensor::randn(shape, 0.02, rng)
@@ -46,13 +39,5 @@ mod tests {
         for &x in w.data() {
             assert!(x.abs() <= limit);
         }
-    }
-
-    #[test]
-    fn kaiming_variance_scales_with_fan_in() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = kaiming_normal(200, 50, &mut rng);
-        let var = w.data().iter().map(|x| x * x).sum::<f32>() / w.numel() as f32;
-        assert!((var - 0.01).abs() < 0.005, "var {var}");
     }
 }

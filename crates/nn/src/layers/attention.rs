@@ -11,7 +11,7 @@ use super::norm::LayerNorm;
 
 /// Multi-head self-attention over `[batch, tokens, dim]` sequences.
 #[derive(Debug, Clone)]
-pub struct MultiHeadAttention {
+pub(crate) struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
     wv: Linear,
@@ -26,7 +26,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if `dim` is not divisible by `heads`.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         params: &mut Params,
         name: &str,
         dim: usize,
@@ -52,16 +52,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Model width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Splits `[b, t, dim]` into `[b*h, t, dh]` head-major layout.
     fn split_heads(&self, g: &Graph, x: Var, b: usize, t: usize) -> Var {
         let dh = self.dim / self.heads;
@@ -69,7 +59,7 @@ impl MultiHeadAttention {
     }
 
     /// Self-attention: `x [b, t, dim] -> [b, t, dim]`.
-    pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let shape = g.shape(x);
         assert_eq!(shape.len(), 3, "attention expects 3-D input, got {shape:?}");
         let (b, t) = (shape[0], shape[1]);

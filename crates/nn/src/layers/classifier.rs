@@ -10,14 +10,13 @@ use super::linear::Linear;
 /// A single feed-forward layer mapping the `[CLS]` representation to class
 /// logits: `y = G([CLS]_B)`.
 #[derive(Debug, Clone)]
-pub struct Classifier {
+pub(crate) struct Classifier {
     head: Linear,
-    classes: usize,
 }
 
 impl Classifier {
     /// Registers a classifier from width `dim` to `classes` logits.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         params: &mut Params,
         name: &str,
         dim: usize,
@@ -25,16 +24,11 @@ impl Classifier {
         rng: &mut R,
     ) -> Self {
         let head = Linear::new(params, &format!("{name}.head"), dim, classes, true, rng);
-        Self { head, classes }
-    }
-
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
+        Self { head }
     }
 
     /// Maps `[batch, dim]` class-token features to `[batch, classes]` logits.
-    pub fn forward(&self, g: &Graph, params: &Params, cls: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, cls: Var) -> Var {
         self.head.forward(g, params, cls)
     }
 }
@@ -54,6 +48,5 @@ mod tests {
         let g = Graph::new();
         let x = g.constant(Tensor::zeros(&[4, 8]));
         assert_eq!(g.shape(clf.forward(&g, &params, x)), vec![4, 10]);
-        assert_eq!(clf.classes(), 10);
     }
 }

@@ -16,15 +16,13 @@ use super::linear::Linear;
 /// [`crate::models::BackboneConfig::extractor`]; the `ablation_extractor`
 /// bench compares the two.
 #[derive(Debug, Clone)]
-pub struct ConvExtractor {
+pub(crate) struct ConvExtractor {
     w1: ParamId,
     b1: ParamId,
     w2: ParamId,
     b2: ParamId,
     head: Linear,
     in_dim: usize,
-    channels: usize,
-    out_dim: usize,
 }
 
 impl ConvExtractor {
@@ -34,7 +32,7 @@ impl ConvExtractor {
     /// # Panics
     ///
     /// Panics if `in_dim < 4` (two pooling stages need headroom).
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         params: &mut Params,
         name: &str,
         in_dim: usize,
@@ -81,18 +79,11 @@ impl ConvExtractor {
             b2,
             head,
             in_dim,
-            channels,
-            out_dim,
         }
     }
 
-    /// Output feature width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
     /// Extracts features from a `[batch, in_dim]` input.
-    pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let shape = g.shape(x);
         assert_eq!(shape.len(), 2, "conv extractor expects [batch, in_dim]");
         let b = shape[0];
@@ -123,11 +114,6 @@ impl ConvExtractor {
         let hs = g.shape(h2);
         let flat = g.reshape(h2, &[b, hs[1] * hs[2]]);
         self.head.forward(g, params, flat)
-    }
-
-    /// Channel width of the first stage.
-    pub fn channels(&self) -> usize {
-        self.channels
     }
 }
 

@@ -22,11 +22,6 @@ impl Dropout {
         Self { p }
     }
 
-    /// Drop probability.
-    pub fn p(&self) -> f32 {
-        self.p
-    }
-
     /// Applies dropout when `training`, identity otherwise.
     pub fn forward<R: Rng>(&self, g: &Graph, x: Var, training: bool, rng: &mut R) -> Var {
         if training && self.p > 0.0 {

@@ -11,8 +11,6 @@ use crate::params::{ParamId, Params};
 #[derive(Debug, Clone)]
 pub struct Embedding {
     weight: ParamId,
-    vocab: usize,
-    dim: usize,
 }
 
 impl Embedding {
@@ -29,22 +27,7 @@ impl Embedding {
             init::prompt_normal(&[vocab, dim], rng),
             true,
         );
-        Self { weight, vocab, dim }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The weight parameter id.
-    pub fn weight_id(&self) -> ParamId {
-        self.weight
+        Self { weight }
     }
 
     /// Looks up `indices`, returning a `[indices.len(), dim]` tensor.

@@ -40,17 +40,16 @@ impl ResBlock {
 
 /// Residual MLP feature extractor `h(x)`: `[batch, in_dim] -> [batch, out_dim]`.
 #[derive(Debug, Clone)]
-pub struct ResidualExtractor {
+pub(crate) struct ResidualExtractor {
     stem: Linear,
     blocks: Vec<ResBlock>,
     head_ln: LayerNorm,
     proj: Linear,
-    out_dim: usize,
 }
 
 impl ResidualExtractor {
     /// Registers an extractor with `depth` residual blocks of width `width`.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         params: &mut Params,
         name: &str,
         in_dim: usize,
@@ -70,17 +69,11 @@ impl ResidualExtractor {
             blocks,
             head_ln,
             proj,
-            out_dim,
         }
     }
 
-    /// Output feature width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
     /// Extracts features from a `[batch, in_dim]` input.
-    pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let mut h = self.stem.forward(g, params, x);
         h = g.gelu(h);
         for blk in &self.blocks {

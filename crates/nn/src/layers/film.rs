@@ -43,11 +43,6 @@ impl Film {
         Self { phi, channels }
     }
 
-    /// Number of modulated channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
     /// Applies `alpha_v * (x + lambda_v)`.
     ///
     /// `alpha_v` is offset by `+1` so an untrained layer starts near identity.

@@ -30,8 +30,6 @@ use crate::tensor::Tensor;
 pub struct Linear {
     weight: ParamId,
     bias: Option<ParamId>,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -48,7 +46,7 @@ impl Linear {
     }
 
     /// Registers a linear layer, optionally frozen (`trainable = false`).
-    pub fn with_trainable<R: Rng>(
+    pub(crate) fn with_trainable<R: Rng>(
         params: &mut Params,
         name: &str,
         in_dim: usize,
@@ -71,27 +69,7 @@ impl Linear {
         } else {
             None
         };
-        Self {
-            weight,
-            bias,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// The weight parameter id.
-    pub fn weight_id(&self) -> ParamId {
-        self.weight
+        Self { weight, bias }
     }
 
     /// Applies the layer to the last axis of `x` (`[batch, in]` or
@@ -104,7 +82,7 @@ impl Linear {
     /// read as `[b, in, s]` tokens — byte-identical to
     /// `forward(g, params, g.transpose_last(x))` but without ever
     /// materializing the transposed copy (see [`Transpose::Lhs`]).
-    pub fn forward_tokens_tn(&self, g: &Graph, params: &Params, x: Var) -> Var {
+    pub(crate) fn forward_tokens_tn(&self, g: &Graph, params: &Params, x: Var) -> Var {
         self.apply(g, params, x, Transpose::Lhs)
     }
 
@@ -165,11 +143,16 @@ mod tests {
             let g = Graph::new();
             let x = g.constant(Tensor::from_vec(vec![1.0, 2.0, -1.0], &[3, 1]));
             let y = lin.forward(&g, &params, x);
-            let loss = g.mse_against(y, &Tensor::from_vec(vec![2.0, 4.0, -2.0], &[3, 1]));
+            // Mean squared error against the targets [2, 4, -2].
+            let neg_t = g.constant(Tensor::from_vec(vec![-2.0, -4.0, 2.0], &[3, 1]));
+            let d = g.add(y, neg_t);
+            let sq = g.mul(d, d);
+            let total = g.sum_all(sq);
+            let loss = g.scale(total, 1.0 / 3.0);
             g.backward(loss, &mut params);
             opt.step(&mut params);
         }
-        let w = params.value(lin.weight_id()).data()[0];
+        let w = params.value(params.id("l.weight").unwrap()).data()[0];
         assert!((w - 2.0).abs() < 0.05, "learned {w}");
     }
 }

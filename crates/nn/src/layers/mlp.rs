@@ -30,14 +30,9 @@ impl Mlp {
         Self { fc1, fc2 }
     }
 
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.fc2.out_dim()
-    }
-
     /// Applies the MLP to the last axis of `x` (`[batch, in]` or
     /// `[batch, tokens, in]`).
-    pub fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let h = self.fc1.forward(g, params, x);
         let h = g.gelu(h);
         self.fc2.forward(g, params, h)
@@ -46,7 +41,7 @@ impl Mlp {
     /// Applies the MLP tokenwise to the last-axis-transposed view of
     /// `x [b, s, in]` — byte-identical to
     /// `forward(g, params, g.transpose_last(x))` without materializing
-    /// the transposed tensor (see [`Linear::forward_tokens_tn`]).
+    /// the transposed tensor (see [`Transpose::Lhs`](crate::Transpose::Lhs)).
     pub fn forward_tokens_tn(&self, g: &Graph, params: &Params, x: Var) -> Var {
         let h = self.fc1.forward_tokens_tn(g, params, x);
         let h = g.gelu(h);

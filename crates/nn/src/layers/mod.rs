@@ -16,14 +16,15 @@ mod mlp;
 mod norm;
 mod tokenizer;
 
-pub use attention::{MultiHeadAttention, TransformerBlock};
-pub use classifier::Classifier;
-pub use conv_extractor::ConvExtractor;
+pub use attention::TransformerBlock;
 pub use dropout::Dropout;
 pub use embedding::Embedding;
-pub use extractor::ResidualExtractor;
 pub use film::Film;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;
-pub use tokenizer::PatchTokenizer;
+
+pub(crate) use classifier::Classifier;
+pub(crate) use conv_extractor::ConvExtractor;
+pub(crate) use extractor::ResidualExtractor;
+pub(crate) use tokenizer::PatchTokenizer;

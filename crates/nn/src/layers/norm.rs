@@ -10,7 +10,6 @@ use crate::tensor::Tensor;
 pub struct LayerNorm {
     gain: ParamId,
     bias: ParamId,
-    dim: usize,
     eps: f32,
 }
 
@@ -21,20 +20,19 @@ impl LayerNorm {
     }
 
     /// Registers a LayerNorm, optionally frozen.
-    pub fn with_trainable(params: &mut Params, name: &str, dim: usize, trainable: bool) -> Self {
+    pub(crate) fn with_trainable(
+        params: &mut Params,
+        name: &str,
+        dim: usize,
+        trainable: bool,
+    ) -> Self {
         let gain = params.insert(&format!("{name}.gain"), Tensor::ones(&[dim]), trainable);
         let bias = params.insert(&format!("{name}.bias"), Tensor::zeros(&[dim]), trainable);
         Self {
             gain,
             bias,
-            dim,
             eps: 1e-5,
         }
-    }
-
-    /// Normalized width.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Applies normalization to a `[..., dim]` input.

@@ -17,7 +17,7 @@ use super::linear::Linear;
 /// Tokenizes a `[batch, n*d]` feature map into `[batch, n+1, d]` tokens
 /// (`[CLS]` first).
 #[derive(Debug, Clone)]
-pub struct PatchTokenizer {
+pub(crate) struct PatchTokenizer {
     embed: Linear,
     cls: ParamId,
     n_patches: usize,
@@ -29,7 +29,7 @@ impl PatchTokenizer {
     ///
     /// The patch embedding is frozen (initialized-only); the `[CLS]` token is
     /// trainable, matching the paper.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         params: &mut Params,
         name: &str,
         n_patches: usize,
@@ -58,24 +58,14 @@ impl PatchTokenizer {
         }
     }
 
-    /// Number of patch tokens (excluding `[CLS]`).
-    pub fn n_patches(&self) -> usize {
-        self.n_patches
-    }
-
-    /// Token width `d`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Expected flat feature width `n * d`.
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.n_patches * self.dim
     }
 
     /// Tokenizes `features [batch, n*d]` into `[batch, n+1, d]` with `[CLS]`
     /// at position 0.
-    pub fn forward(&self, g: &Graph, params: &Params, features: Var) -> Var {
+    pub(crate) fn forward(&self, g: &Graph, params: &Params, features: Var) -> Var {
         let shape = g.shape(features);
         assert_eq!(shape.len(), 2, "tokenizer expects 2-D features");
         let b = shape[0];
@@ -126,7 +116,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut params = Params::new();
         let _tok = PatchTokenizer::new(&mut params, "t", 2, 4, &mut rng);
-        assert!(!params.entry(params.id("t.embed.weight").unwrap()).trainable);
-        assert!(params.entry(params.id("t.cls").unwrap()).trainable);
+        let trainable = |name: &str| {
+            params
+                .iter()
+                .find(|(_, e)| e.name == name)
+                .unwrap()
+                .1
+                .trainable
+        };
+        assert!(!trainable("t.embed.weight"));
+        assert!(trainable("t.cls"));
     }
 }

@@ -4,8 +4,7 @@
 //! RefFiL reproduction: dense `f32` tensors, a reverse-mode autograd tape,
 //! the layers the paper's backbone needs (linear, layer norm, multi-head
 //! attention, FiLM, embeddings, a residual feature extractor, a frozen patch
-//! tokenizer), SGD/Adam optimizers, and composite losses (knowledge
-//! distillation, EWC penalty).
+//! tokenizer), an SGD optimizer, and the knowledge-distillation loss.
 //!
 //! Everything is deterministic given a seeded [`rand::Rng`]; gradients are
 //! validated against finite differences in the test suite.
@@ -41,7 +40,7 @@ mod conv;
 mod exp;
 pub mod gemm;
 mod graph;
-pub mod infer;
+mod infer;
 pub mod init;
 pub mod layers;
 pub mod losses;
@@ -50,14 +49,12 @@ mod optim;
 mod params;
 #[cfg(test)]
 mod proptests;
-mod schedule;
 mod tanh;
 mod tensor;
 
 pub use gemm::{set_kernel_policy, KernelPolicy};
 pub use graph::{take_scratch_stats, Graph, ScratchStats, Transpose, Var};
 pub use infer::{force_taped, InferenceSession};
-pub use optim::{clip_grad_norm, Adam, Sgd};
+pub use optim::{clip_grad_norm, Sgd};
 pub use params::{ParamEntry, ParamId, Params};
-pub use schedule::LrSchedule;
 pub use tensor::{gaussian, Tensor};

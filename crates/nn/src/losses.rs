@@ -56,25 +56,6 @@ pub fn distillation_loss(
     g.scale(total, -(temperature * temperature) / b)
 }
 
-/// L2 penalty `0.5 * sum(c * (x - anchor)^2)` against a constant anchor with
-/// constant per-element coefficients — the EWC quadratic penalty.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn weighted_l2_penalty(g: &Graph, x: Var, anchor: &Tensor, coeff: &Tensor) -> Var {
-    let xshape = g.shape(x);
-    assert_eq!(xshape.as_slice(), anchor.shape(), "anchor shape mismatch");
-    assert_eq!(xshape.as_slice(), coeff.shape(), "coeff shape mismatch");
-    let a = g.constant(anchor.clone());
-    let c = g.constant(coeff.clone());
-    let d = g.sub(x, a);
-    let sq = g.mul(d, d);
-    let w = g.mul(c, sq);
-    let s = g.sum_all(w);
-    g.scale(s, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,20 +99,5 @@ mod tests {
             v.data()[0] > v.data()[1],
             "student did not follow teacher: {v:?}"
         );
-    }
-
-    #[test]
-    fn weighted_l2_matches_manual() {
-        let mut params = Params::new();
-        let x = params.insert("x", Tensor::from_vec(vec![2.0, 3.0], &[2]), true);
-        let anchor = Tensor::from_vec(vec![1.0, 1.0], &[2]);
-        let coeff = Tensor::from_vec(vec![4.0, 0.0], &[2]);
-        let g = Graph::new();
-        let xv = g.param(&params, x);
-        let loss = weighted_l2_penalty(&g, xv, &anchor, &coeff);
-        // 0.5 * (4*(2-1)^2 + 0*(3-1)^2) = 2
-        assert!((g.value(loss).data()[0] - 2.0).abs() < 1e-6);
-        g.backward(loss, &mut params);
-        assert_eq!(params.grad(x).data(), &[4.0, 0.0]);
     }
 }

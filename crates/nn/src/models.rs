@@ -68,13 +68,9 @@ impl Default for BackboneConfig {
     }
 }
 
-/// Intermediate and final activations of one forward pass.
+/// The final `[CLS]` representation and logits of one forward pass.
 #[derive(Debug, Clone, Copy)]
 pub struct BackboneOutput {
-    /// Raw extractor features `h(x)`, `[batch, n*d]`.
-    pub features: Var,
-    /// Input tokens `I = [CLS; PT_1..PT_n]` before prompts, `[batch, n+1, d]`.
-    pub tokens: Var,
     /// Final `[CLS]` representation, `[batch, d]`.
     pub cls: Var,
     /// Class logits, `[batch, classes]`.
@@ -171,11 +167,10 @@ impl PromptedBackbone {
     /// Tokenizes a raw input batch: `x [b, in_dim] -> I [b, n+1, d]`.
     ///
     /// Exposed separately so RefFiL's CDAP generator can consume `I`.
-    pub fn tokenize(&self, g: &Graph, params: &Params, x: &Tensor) -> (Var, Var) {
+    pub fn tokenize(&self, g: &Graph, params: &Params, x: &Tensor) -> Var {
         let xv = g.input(x);
         let features = self.extractor.forward(g, params, xv);
-        let tokens = self.tokenizer.forward(g, params, features);
-        (features, tokens)
+        self.tokenizer.forward(g, params, features)
     }
 
     /// Full forward pass with optional prompt tokens.
@@ -190,8 +185,8 @@ impl PromptedBackbone {
         x: &Tensor,
         prompts: Option<Var>,
     ) -> BackboneOutput {
-        let (features, tokens) = self.tokenize(g, params, x);
-        self.forward_from_tokens(g, params, features, tokens, prompts)
+        let tokens = self.tokenize(g, params, x);
+        self.forward_from_tokens(g, params, tokens, prompts)
     }
 
     /// Forward pass reusing pre-computed tokens (so the tokenization cost is
@@ -200,7 +195,6 @@ impl PromptedBackbone {
         &self,
         g: &Graph,
         params: &Params,
-        features: Var,
         tokens: Var,
         prompts: Option<Var>,
     ) -> BackboneOutput {
@@ -224,12 +218,7 @@ impl PromptedBackbone {
         let b = g.shape(cls3)[0];
         let cls = g.reshape(cls3, &[b, d]);
         let logits = self.classifier.forward(g, params, cls);
-        BackboneOutput {
-            features,
-            tokens,
-            cls,
-            logits,
-        }
+        BackboneOutput { cls, logits }
     }
 
     /// Broadcasts a shared `[p, d]` prompt tensor across a batch of size `b`,
@@ -292,7 +281,7 @@ mod tests {
         let out = model.forward(&g, &params, &x, None);
         assert_eq!(g.shape(out.logits), vec![4, 3]);
         assert_eq!(g.shape(out.cls), vec![4, 8]);
-        assert_eq!(g.shape(out.tokens), vec![4, 3, 8]);
+        assert_eq!(g.shape(model.tokenize(&g, &params, &x)), vec![4, 3, 8]);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 use crate::params::Params;
 use crate::tensor::Tensor;
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Stochastic gradient descent with optional momentum.
 ///
 /// The paper trains every method with SGD; this implementation matches
-/// PyTorch's semantics (`v = mu*v + g + wd*w; w -= lr*v`).
+/// PyTorch's semantics (`v = mu*v + g; w -= lr*v`).
 ///
 /// # Examples
 ///
@@ -27,7 +27,6 @@ use crate::tensor::Tensor;
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Option<Tensor>>,
     lr_scales: Option<Vec<f32>>,
 }
@@ -38,7 +37,6 @@ impl Sgd {
         Self {
             lr,
             momentum: 0.0,
-            weight_decay: 0.0,
             velocity: Vec::new(),
             lr_scales: None,
         }
@@ -58,22 +56,6 @@ impl Sgd {
         self
     }
 
-    /// Sets the L2 weight-decay coefficient.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Overrides the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update to every trainable parameter, then leaves the
     /// gradients untouched (call [`Params::zero_grad`] before the next pass).
     pub fn step(&mut self, params: &mut Params) {
@@ -90,9 +72,6 @@ impl Sgd {
             }
             let idx = id.index();
             let mut update = params.grad(id).clone();
-            if self.weight_decay != 0.0 {
-                update.axpy(self.weight_decay, params.value(id));
-            }
             if self.momentum != 0.0 {
                 let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(update.shape()));
                 v.scale_inplace(self.momentum);
@@ -105,69 +84,6 @@ impl Sgd {
                 .and_then(|s| s.get(idx).copied())
                 .unwrap_or(1.0);
             params.value_mut(id).axpy(-self.lr * scale, &update);
-        }
-    }
-
-    /// Drops momentum state (used at task boundaries).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// Adam optimizer (used for substrate diagnostics; the paper's runs use SGD).
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Option<Tensor>>,
-    v: Vec<Option<Tensor>>,
-}
-
-impl Adam {
-    /// Adam with standard betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Applies one Adam update to every trainable parameter.
-    pub fn step(&mut self, params: &mut Params) {
-        self.t += 1;
-        if self.m.len() < params.len() {
-            self.m.resize(params.len(), None);
-            self.v.resize(params.len(), None);
-        }
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let ids: Vec<_> = params
-            .iter()
-            .filter(|(_, e)| e.trainable)
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids {
-            let idx = id.index();
-            let g = params.grad(id).clone();
-            let m = self.m[idx].get_or_insert_with(|| Tensor::zeros(g.shape()));
-            m.scale_inplace(self.beta1);
-            m.axpy(1.0 - self.beta1, &g);
-            let v = self.v[idx].get_or_insert_with(|| Tensor::zeros(g.shape()));
-            v.scale_inplace(self.beta2);
-            let g2 = g.map(|x| x * x);
-            v.axpy(1.0 - self.beta2, &g2);
-            let mhat = m.map(|x| x / bc1);
-            let vhat = v.map(|x| x / bc2);
-            let upd = mhat.zip(&vhat, |mi, vi| mi / (vi.sqrt() + self.eps));
-            params.value_mut(id).axpy(-self.lr, &upd);
         }
     }
 }
@@ -231,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut params = Params::new();
-        let w = params.insert("w", Tensor::from_vec(vec![1.0], &[1]), true);
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // No loss gradient: only decay acts.
-        opt.step(&mut params);
-        assert!((params.value(w).data()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
     fn frozen_params_unchanged() {
         let mut params = Params::new();
         let w = params.insert("w", Tensor::from_vec(vec![2.0], &[1]), false);
@@ -248,23 +154,6 @@ mod tests {
         let mut opt = Sgd::new(0.5);
         opt.step(&mut params);
         assert_eq!(params.value(w).data(), &[2.0]);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut params = Params::new();
-        params.insert("w", Tensor::from_vec(vec![4.0], &[1]), true);
-        let mut opt = Adam::new(0.2);
-        for _ in 0..100 {
-            params.zero_grad();
-            let g = Graph::new();
-            let w = g.param(&params, params.id("w").unwrap());
-            let loss = g.mul(w, w);
-            let s = g.sum_all(loss);
-            g.backward(s, &mut params);
-            opt.step(&mut params);
-        }
-        assert!(params.value(params.id("w").unwrap()).data()[0].abs() < 0.1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
     /// The raw index of this parameter in its store.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -107,15 +107,6 @@ impl Params {
         self.entries.iter().map(|e| e.value.numel()).sum()
     }
 
-    /// Total scalar count across trainable parameters only.
-    pub fn num_trainable_scalars(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.trainable)
-            .map(|e| e.value.numel())
-            .sum()
-    }
-
     /// Looks up a parameter id by name.
     pub fn id(&self, name: &str) -> Option<ParamId> {
         self.by_name.get(name).copied().map(ParamId)
@@ -127,7 +118,7 @@ impl Params {
     }
 
     /// Mutable access to the value tensor of `id`.
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
+    pub(crate) fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.entries[id.0].value
     }
 
@@ -139,11 +130,6 @@ impl Params {
     /// Mutable access to the gradient tensor of `id`.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.entries[id.0].grad
-    }
-
-    /// The full entry for `id`.
-    pub fn entry(&self, id: ParamId) -> &ParamEntry {
-        &self.entries[id.0]
     }
 
     /// Iterates over `(ParamId, &ParamEntry)` pairs.
@@ -191,7 +177,7 @@ impl Params {
     }
 
     /// Gradient L2 norm over trainable parameters (for clipping / diagnostics).
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.entries
             .iter()
             .filter(|e| e.trainable)
@@ -201,7 +187,7 @@ impl Params {
     }
 
     /// Scales every trainable gradient by `alpha` (gradient clipping support).
-    pub fn scale_grads(&mut self, alpha: f32) {
+    pub(crate) fn scale_grads(&mut self, alpha: f32) {
         for e in &mut self.entries {
             if e.trainable {
                 e.grad.scale_inplace(alpha);
@@ -223,7 +209,6 @@ mod tests {
         assert_eq!(p.id("b"), Some(b));
         assert_eq!(p.id("c"), None);
         assert_eq!(p.num_scalars(), 5);
-        assert_eq!(p.num_trainable_scalars(), 2);
     }
 
     #[test]

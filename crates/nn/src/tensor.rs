@@ -41,12 +41,6 @@ impl Shape {
             len: dims.len() as u8,
         }
     }
-
-    fn push(&mut self, dim: usize) {
-        assert!((self.len as usize) < MAX_NDIM, "tensor rank overflow");
-        self.dims[self.len as usize] = dim;
-        self.len += 1;
-    }
 }
 
 impl std::ops::Deref for Shape {
@@ -133,19 +127,11 @@ impl Tensor {
     }
 
     /// Creates a tensor filled with `value`.
-    pub fn full(shape: &[usize], value: f32) -> Self {
+    pub(crate) fn full(shape: &[usize], value: f32) -> Self {
         let numel: usize = shape.iter().product();
         Self {
             shape: Shape::new(shape),
             data: vec![value; numel],
-        }
-    }
-
-    /// Creates a scalar (shape `[1]`) tensor.
-    pub fn scalar(value: f32) -> Self {
-        Self {
-            shape: Shape::new(&[1]),
-            data: vec![value],
         }
     }
 
@@ -160,7 +146,7 @@ impl Tensor {
     }
 
     /// Samples a tensor with entries drawn i.i.d. from `U(lo, hi)`.
-    pub fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
+    pub(crate) fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
         let numel: usize = shape.iter().product();
         let data = (0..numel).map(|_| rng.gen_range(lo..hi)).collect();
         Self {
@@ -175,7 +161,7 @@ impl Tensor {
     }
 
     /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
+    pub(crate) fn ndim(&self) -> usize {
         self.shape.len()
     }
 
@@ -208,12 +194,6 @@ impl Tensor {
         self.data[self.flat_index(idx)]
     }
 
-    /// Mutable element access by multi-dimensional index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let i = self.flat_index(idx);
-        &mut self.data[i]
-    }
-
     fn flat_index(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
         let mut flat = 0usize;
@@ -224,28 +204,8 @@ impl Tensor {
         flat
     }
 
-    /// Returns a reshaped copy sharing the same data order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Self {
-        let numel: usize = shape.iter().product();
-        assert_eq!(
-            numel,
-            self.data.len(),
-            "reshape numel mismatch: {:?} -> {:?}",
-            self.shape,
-            shape
-        );
-        Self {
-            shape: Shape::new(shape),
-            data: self.data.clone(),
-        }
-    }
-
     /// Applies `f` elementwise, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
             shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
@@ -257,7 +217,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
+    pub(crate) fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         assert_eq!(self.shape, other.shape, "zip shape mismatch");
         let data = self
             .data
@@ -276,7 +236,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Self) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
@@ -284,31 +244,22 @@ impl Tensor {
     }
 
     /// In-place scaling: `self *= alpha`.
-    pub fn scale_inplace(&mut self, alpha: f32) {
+    pub(crate) fn scale_inplace(&mut self, alpha: f32) {
         for a in &mut self.data {
             *a *= alpha;
         }
     }
 
     /// Fills the tensor with `value`.
-    pub fn fill(&mut self, value: f32) {
+    pub(crate) fn fill(&mut self, value: f32) {
         for a in &mut self.data {
             *a = value;
         }
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
     }
 
     /// Euclidean norm of the flattened tensor.
@@ -316,15 +267,10 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Maximum element (negative infinity for an empty tensor).
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
     /// Index of the maximum element along the last axis, per leading index.
     ///
     /// For a `[rows, cols]` tensor this returns `rows` indices.
-    pub fn argmax_last(&self) -> Vec<usize> {
+    pub(crate) fn argmax_last(&self) -> Vec<usize> {
         let cols = *self.shape.last().expect("argmax on 0-d tensor");
         assert!(cols > 0, "argmax over empty last axis");
         self.data
@@ -362,56 +308,6 @@ impl Tensor {
         let mut shape = self.shape;
         shape.swap(nd - 2, nd - 1);
         Self { shape, data }
-    }
-
-    /// Extracts row `i` of a 2-D tensor as a `[cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not 2-D or `i` is out of bounds.
-    pub fn row(&self, i: usize) -> Self {
-        assert_eq!(self.ndim(), 2, "row() requires a 2-D tensor");
-        let cols = self.shape[1];
-        assert!(i < self.shape[0], "row index out of bounds");
-        Self {
-            shape: Shape::new(&[cols]),
-            data: self.data[i * cols..(i + 1) * cols].to_vec(),
-        }
-    }
-
-    /// Stacks equal-shape tensors along a new leading axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes differ.
-    pub fn stack(items: &[Tensor]) -> Self {
-        assert!(!items.is_empty(), "stack of zero tensors");
-        let inner = items[0].shape;
-        let mut data = Vec::with_capacity(items.len() * items[0].numel());
-        for t in items {
-            assert_eq!(t.shape, inner, "stack shape mismatch");
-            data.extend_from_slice(&t.data);
-        }
-        let mut shape = Shape::new(&[items.len()]);
-        for &d in inner.iter() {
-            shape.push(d);
-        }
-        Self { shape, data }
-    }
-
-    /// Cosine similarity between two flattened tensors.
-    ///
-    /// Returns 0 when either vector has zero norm.
-    pub fn cosine(&self, other: &Self) -> f32 {
-        assert_eq!(self.numel(), other.numel(), "cosine length mismatch");
-        let dot: f32 = self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum();
-        let na = self.norm();
-        let nb = other.norm();
-        if na <= f32::EPSILON || nb <= f32::EPSILON {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
     }
 }
 
@@ -499,31 +395,11 @@ mod tests {
     }
 
     #[test]
-    fn cosine_similarity_extremes() {
-        let a = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let b = Tensor::from_vec(vec![2.0, 0.0], &[2]);
-        let c = Tensor::from_vec(vec![0.0, 3.0], &[2]);
-        let d = Tensor::from_vec(vec![-1.0, 0.0], &[2]);
-        assert!((a.cosine(&b) - 1.0).abs() < 1e-6);
-        assert!(a.cosine(&c).abs() < 1e-6);
-        assert!((a.cosine(&d) + 1.0).abs() < 1e-6);
-        assert_eq!(a.cosine(&Tensor::zeros(&[2])), 0.0);
-    }
-
-    #[test]
-    fn stack_builds_leading_axis() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn randn_statistics_are_plausible() {
         let mut rng = StdRng::seed_from_u64(42);
         let t = Tensor::randn(&[10_000], 1.0, &mut rng);
-        assert!(t.mean().abs() < 0.05, "mean {}", t.mean());
+        let mean = t.sum() / 10_000.0;
+        assert!(mean.abs() < 0.05, "mean {mean}");
         let var = t.data().iter().map(|x| x * x).sum::<f32>() / 10_000.0;
         assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
@@ -536,13 +412,5 @@ mod tests {
         assert_eq!(a.data(), &[6.0, 12.0]);
         a.scale_inplace(2.0);
         assert_eq!(a.data(), &[12.0, 24.0]);
-    }
-
-    #[test]
-    fn reshape_preserves_order() {
-        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
-        let r = t.reshape(&[3, 2]);
-        assert_eq!(r.at(&[0, 1]), 1.0);
-        assert_eq!(r.at(&[2, 1]), 5.0);
     }
 }
