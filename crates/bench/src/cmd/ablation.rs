@@ -16,7 +16,7 @@ fn score_cells(s: Scores) -> [String; 3] {
 
 /// How the server condenses uploaded prompts: FINCH (the paper's choice)
 /// vs. k-means vs. plain averaging (the strawman §3 argues against).
-pub fn clustering() {
+pub(crate) fn clustering() {
     let setup = Setup::new(DatasetChoice::OfficeCaltech10);
     let modes = [
         ("FINCH (paper)", ClusterMode::Finch),
@@ -49,7 +49,7 @@ pub fn clustering() {
 /// The backbone's feature extractor — the residual-MLP stand-in versus the
 /// 1-D CNN analogue of the paper's CNN backbone — under the full RefFiL
 /// pipeline.
-pub fn extractor() {
+pub(crate) fn extractor() {
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let mut table = table(&["Extractor", "Params", "Avg", "Last", "Forgetting"]);
     for (label, kind) in [
@@ -76,7 +76,7 @@ pub fn extractor() {
 /// The balanced prompt averaging of Eq. 2 versus data-size-weighted
 /// sharing, where resource-rich clients dominate the global prompt pool —
 /// the bias Eq. 2's balanced averaging prevents.
-pub fn prompt_weighting() {
+pub(crate) fn prompt_weighting() {
     let setup = Setup::new(DatasetChoice::OfficeCaltech10);
     let variants = [
         ("balanced (paper, Eq. 2)", false),
@@ -111,7 +111,7 @@ pub fn prompt_weighting() {
 /// IDs at evaluation (the paper's setting) against confidence-based
 /// task-free inference and a naive always-use-latest-task policy, on
 /// Digits-Five.
-pub fn taskid() {
+pub(crate) fn taskid() {
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let dataset = &setup.dataset;
     let last_task = dataset.num_domains() - 1;
@@ -183,7 +183,7 @@ pub fn taskid() {
 }
 
 /// The DPCL temperature decay (Eq. 7) versus a fixed temperature.
-pub fn temperature() {
+pub(crate) fn temperature() {
     let setup = Setup::new(DatasetChoice::OfficeCaltech10);
     let fixed = |tau: f32| TemperatureSchedule {
         tau,

@@ -25,7 +25,7 @@ use refil_bench::gate::{check_report, compare, MetricKind};
 use crate::Args;
 
 /// Usage text of `refil-bench bench_gate`.
-pub const USAGE: &str = "usage:
+pub(crate) const USAGE: &str = "usage:
   refil-bench bench_gate --check FILE...
   refil-bench bench_gate BASELINE CANDIDATE [--tolerance PCT] [--force]";
 
@@ -111,7 +111,7 @@ fn run_diff(baseline: &str, candidate: &str, tolerance_pct: f64, force: bool) ->
 }
 
 /// Entry point of `refil-bench bench_gate`.
-pub fn main(mut args: Args) -> ExitCode {
+pub(crate) fn main(mut args: Args) -> ExitCode {
     let mut positional = Vec::new();
     let mut check = false;
     let mut tolerance_pct = 10.0_f64;

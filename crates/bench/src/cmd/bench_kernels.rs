@@ -16,7 +16,7 @@ use refil_nn::{Graph, Params, Tensor};
 use crate::Args;
 
 /// Usage text of `refil-bench bench_kernels`.
-pub const USAGE: &str = "usage: refil-bench bench_kernels [--out PATH]";
+pub(crate) const USAGE: &str = "usage: refil-bench bench_kernels [--out PATH]";
 
 #[derive(serde::Serialize)]
 struct KernelRecord {
@@ -86,7 +86,7 @@ fn duel_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (u64, u64
 }
 
 /// Entry point of `refil-bench bench_kernels`.
-pub fn main(args: Args) -> ExitCode {
+pub(crate) fn main(args: Args) -> ExitCode {
     let out_path = args.out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_kernels.json"

@@ -28,7 +28,7 @@ use refil_nn::models::{BackboneConfig, ExtractorKind};
 use crate::Args;
 
 /// Usage text of `refil-bench bench_net`.
-pub const USAGE: &str = "usage: refil-bench bench_net [--out PATH]";
+pub(crate) const USAGE: &str = "usage: refil-bench bench_net [--out PATH]";
 
 #[derive(serde::Serialize)]
 struct NetRecord {
@@ -188,7 +188,7 @@ fn served_run(n_clients: usize) -> (u64, u64, usize) {
 }
 
 /// Entry point of `refil-bench bench_net`.
-pub fn main(args: Args) -> ExitCode {
+pub(crate) fn main(args: Args) -> ExitCode {
     let out_path = args.out_path(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json"));
     let reps = 5usize;
     let mut records = Vec::new();

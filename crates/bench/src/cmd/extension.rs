@@ -1,8 +1,6 @@
 //! Extension experiments beyond the paper's tables: seed variance,
 //! forgetting analysis, bounds, and the class-incremental stream.
 
-use crossbeam::thread;
-
 use refil_bench::methods::{build_method, MethodChoice};
 use refil_bench::DatasetChoice;
 use refil_continual::{FedProx, RehearsalOracle};
@@ -15,9 +13,9 @@ use crate::{emit_table, predict, table, Setup};
 /// Seed variance of the headline comparison: Finetune, FedDualPrompt† and
 /// RefFiL on Digits-Five under three seeds (data generation, protocol and
 /// init all reseeded), reported as mean ± std of Avg/Last/forgetting.
-/// Seeds run in parallel on crossbeam scoped threads, bounded by the
-/// available cores.
-pub fn variance() {
+/// Seeds run in parallel on scoped threads, bounded by the available
+/// cores.
+pub(crate) fn variance() {
     const SEEDS: [u64; 3] = [42, 1337, 2024];
     let methods = [
         MethodChoice::Finetune,
@@ -43,11 +41,11 @@ pub fn variance() {
         .collect();
 
     // Parallel map over (method, seed) pairs with a bounded worker pool.
-    let results: Vec<(MethodChoice, Scores)> = thread::scope(|scope| {
+    let results: Vec<(MethodChoice, Scores)> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(jobs.len().div_ceil(workers))
             .map(|chunk| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     chunk
                         .iter()
                         .map(|&(m, s)| {
@@ -62,8 +60,7 @@ pub fn variance() {
             .into_iter()
             .flat_map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("thread scope");
+    });
 
     let mean_std = |xs: &[f32]| {
         let n = xs.len() as f32;
@@ -102,7 +99,7 @@ pub fn variance() {
 /// Per-class confusion of the final global model and the backward-transfer
 /// metric, Finetune vs. RefFiL on Digits-Five: *which* classes the
 /// forgetting destroys and how much RefFiL's prompts repair.
-pub fn confusion() {
+pub(crate) fn confusion() {
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let mut table = table(&[
         "Method",
@@ -143,7 +140,7 @@ pub fn confusion() {
 /// Where RefFiL sits between the lower bound (Finetune), drift-regularized
 /// federated optimization (FedProx), and the privacy-violating upper bound
 /// (episodic rehearsal).
-pub fn bounds() {
+pub(crate) fn bounds() {
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let cfg = setup.cfg;
     let rows: Vec<(&str, Box<dyn FdilStrategy>, &str)> = vec![
@@ -222,7 +219,7 @@ fn stream_dataset() -> FdilDataset {
 /// learning from streaming data must learn "both new domains and new
 /// classes"): Finetune, FedLwF and RefFiL on [`stream_dataset`], whose
 /// classes 6–9 only exist from the third domain on.
-pub fn class_incremental() {
+pub(crate) fn class_incremental() {
     // Borrow the Digits-Five protocol (same class count, 10).
     let setup = Setup::with_dataset(DatasetChoice::DigitsFive, stream_dataset(), 42);
     let mut table = table(&[

@@ -1,7 +1,8 @@
 //! The paper's own results: Tables 1–6 and Figures 1 and 3–6.
 //!
 //! Tables 1–4 and Figure 4 are views of the same all-methods runs, cached
-//! under `results/` (see [`refil_bench::full_results`]).
+//! in an uncommitted `results/cache_*.json` (see
+//! [`refil_bench::full_results`]).
 
 use refil_bench::methods::{build_method, build_reffil_variant, MethodChoice};
 use refil_bench::report::{emit, save_raw};
@@ -18,7 +19,7 @@ use crate::{batch, emit_table, table, Setup};
 
 /// Table 1: Avg/Last summary across the four datasets (canonical domain
 /// order), with Δ columns relative to RefFiL.
-pub fn table1() {
+pub(crate) fn table1() {
     emit_table(
         "table1",
         "Table 1 — Summarised results on four datasets (canonical domain order)",
@@ -27,7 +28,7 @@ pub fn table1() {
 }
 
 /// Table 2: the Table 1 summary under the shuffled domain order of Table 4.
-pub fn table2() {
+pub(crate) fn table2() {
     emit_table(
         "table2",
         "Table 2 — Summarised results in the new domain order",
@@ -38,12 +39,12 @@ pub fn table2() {
 /// Table 3: per-step accuracy (the column labelled with a domain is the
 /// accuracy over all seen domains after that domain's task), canonical
 /// order, all four datasets.
-pub fn table3() {
+pub(crate) fn table3() {
     per_step(3, "canonical order", false);
 }
 
 /// Table 4: per-step accuracies under the shuffled domain order.
-pub fn table4() {
+pub(crate) fn table4() {
     per_step(4, "new domain order", true);
 }
 
@@ -60,7 +61,7 @@ fn per_step(number: u8, order: &str, new_order: bool) {
 
 /// Table 5: the CDAP / GPL / DPCL ablation on OfficeCaltech10, with Δ
 /// columns relative to the Finetune baseline.
-pub fn table5() {
+pub(crate) fn table5() {
     let setup = Setup::new(DatasetChoice::OfficeCaltech10);
     // The paper's six rows: baseline, CDAP, GPL, CDAP+GPL, GPL+DPCL, full.
     let rows = [
@@ -113,7 +114,7 @@ pub fn table5() {
 /// cliff-style transition (every client switches at the task boundary)
 /// versus RefFiL's gradual transition (80 % of clients move at random
 /// rounds, new clients join over time).
-pub fn fig1_transition() {
+pub(crate) fn fig1_transition() {
     fn timeline(cfg: &IncrementConfig, label: &str) -> Table {
         let mut t = table(&[
             "Setting",
@@ -166,7 +167,7 @@ pub fn fig1_transition() {
 
 /// Table 6 / Figure 3: FedDomainNet per-class, per-domain sample
 /// statistics, verified against the generated dataset.
-pub fn fig3_stats() {
+pub(crate) fn fig3_stats() {
     // Table 6: the paper's counts as embedded constants.
     let mut header = vec!["Class"];
     header.extend(FED_DOMAIN_NET_DOMAINS);
@@ -219,7 +220,7 @@ pub fn fig3_stats() {
 
 /// Figure 4: box-plot statistics of each domain's accuracy distribution
 /// across task steps, per method, on Digits-Five.
-pub fn fig4_boxplots() {
+pub(crate) fn fig4_boxplots() {
     let full = full_results(false);
     let (name, methods) = &full.datasets[0]; // Digits-Five
     let domains = &methods[0].result.domain_names;
@@ -287,7 +288,7 @@ fn file_label(m: MethodChoice) -> String {
 /// domains after each Digits-Five task step, for every method. Emits
 /// per-step point CSVs plus a class-separation score table (higher =
 /// clearer decision boundaries, the paper's visual claim).
-pub fn fig5_tsne() {
+pub(crate) fn fig5_tsne() {
     const SAMPLES_PER_DOMAIN: usize = 25;
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let dataset = &setup.dataset;
@@ -339,7 +340,7 @@ pub fn fig5_tsne() {
 /// Figure 6: the detailed per-domain t-SNE view of the global model after
 /// the final Digits-Five task — one embedding per domain dataset, per
 /// method, with class-separation scores.
-pub fn fig6_tsne() {
+pub(crate) fn fig6_tsne() {
     const SAMPLES_PER_DOMAIN: usize = 60;
     let setup = Setup::new(DatasetChoice::DigitsFive);
     let mut header = vec!["Method".to_string()];

@@ -55,7 +55,7 @@ use refil_telemetry::{ChromeTraceSink, JsonlSink, PrometheusSink, Sink, TeeSink,
 use crate::Args;
 
 /// Usage text of `refil-bench run`.
-pub const USAGE: &str = "usage: refil-bench run --dataset <digits|office|pacs|domainnet> --method <finetune|lwf|ewc|l2p|l2p+pool|dualprompt|dualprompt+pool|reffil|reffil+prompt> [--seed N] [--new-order] [--listen ADDR [--min-peers N] [--round-deadline-ms N] [--join-grace-ms N] [--sample-fraction F] [--min-sample N]] [--wire SPEC] [--threads N] [--json FILE] [--trace FILE] [--trace-chrome FILE] [--metrics FILE]
+pub(crate) const USAGE: &str = "usage: refil-bench run --dataset <digits|office|pacs|domainnet> --method <finetune|lwf|ewc|l2p|l2p+pool|dualprompt|dualprompt+pool|reffil|reffil+prompt> [--seed N] [--new-order] [--listen ADDR [--min-peers N] [--round-deadline-ms N] [--join-grace-ms N] [--sample-fraction F] [--min-sample N]] [--wire SPEC] [--threads N] [--json FILE] [--trace FILE] [--trace-chrome FILE] [--metrics FILE]
        refil-bench run --connect ADDR [--idle-ms N] [--train-delay-ms N] [--leave-after N] [--abort-after N] [--threads N] [--trace FILE] [--trace-chrome FILE] [--metrics FILE]";
 
 #[derive(Default)]
@@ -257,7 +257,7 @@ fn print_result(flags: &Flags, r: &MethodResult, telemetry: &Telemetry, wall: st
 }
 
 /// Entry point of `refil-bench run`.
-pub fn main(args: Args) -> ExitCode {
+pub(crate) fn main(args: Args) -> ExitCode {
     let flags = parse(args);
     if let Some(addr) = &flags.connect {
         return run_connect(addr, &flags);

@@ -15,7 +15,7 @@ use refil_telemetry::Telemetry;
 use crate::Args;
 
 /// Usage text of `refil-bench tune`.
-pub const TUNE_USAGE: &str =
+pub(crate) const TUNE_USAGE: &str =
     "usage: refil-bench tune [digits|office|pacs|domainnet]   (default digits)";
 
 fn final_accuracies(acc: &[f32]) -> String {
@@ -27,7 +27,7 @@ fn final_accuracies(acc: &[f32]) -> String {
 
 /// All eight methods on one dataset (default Digits-Five) at the
 /// environment's scale, seed 42.
-pub fn tune(mut args: Args) -> ExitCode {
+pub(crate) fn tune(mut args: Args) -> ExitCode {
     let dataset = match args.next() {
         None => DatasetChoice::DigitsFive,
         Some(name) => {
@@ -89,7 +89,7 @@ fn digits_like(k: &Knobs) -> DatasetSpec {
 }
 
 /// Explores dataset/method knobs on a digits-like synthetic at bench scale.
-pub fn sweep() {
+pub(crate) fn sweep() {
     let status = Telemetry::stderr();
     let knob = |collision_spacing, shift_max, sig_scale, stable_scale| Knobs {
         collision_spacing,

@@ -21,7 +21,7 @@ pub enum DatasetChoice {
 
 impl DatasetChoice {
     /// All four datasets in the paper's table order.
-    pub fn all() -> [DatasetChoice; 4] {
+    pub(crate) fn all() -> [DatasetChoice; 4] {
         [
             Self::DigitsFive,
             Self::OfficeCaltech10,
@@ -44,7 +44,7 @@ impl DatasetChoice {
     ///
     /// FedDomainNet spreads its samples over 48 classes x 6 domains, so it
     /// runs at 10x the base data scale to keep per-class counts learnable.
-    pub fn spec(self, scale: &Scale) -> DatasetSpec {
+    pub(crate) fn spec(self, scale: &Scale) -> DatasetSpec {
         let mult = if self == Self::FedDomainNet {
             10.0
         } else {
@@ -73,7 +73,7 @@ impl DatasetChoice {
     }
 
     /// The Table 4 domain permutation.
-    pub fn new_order(self) -> Vec<usize> {
+    pub(crate) fn new_order(self) -> Vec<usize> {
         match self {
             Self::DigitsFive => DIGITS_FIVE_NEW_ORDER.to_vec(),
             Self::OfficeCaltech10 => OFFICE_CALTECH10_NEW_ORDER.to_vec(),
@@ -84,7 +84,7 @@ impl DatasetChoice {
 
     /// Per-dataset learning rate (§4.1: 0.03 default, 0.06 OfficeCaltech10,
     /// 0.04 FedDomainNet).
-    pub fn lr(self) -> f32 {
+    pub(crate) fn lr(self) -> f32 {
         match self {
             Self::OfficeCaltech10 => 0.06,
             Self::FedDomainNet => 0.04,
@@ -94,7 +94,7 @@ impl DatasetChoice {
 
     /// The paper's client protocol: 20 start / select 10 / +2 per task, except
     /// OfficeCaltech10 (10 / 5 / +1), scaled by `scale.client_scale`.
-    pub fn increment_config(self, scale: &Scale) -> IncrementConfig {
+    pub(crate) fn increment_config(self, scale: &Scale) -> IncrementConfig {
         let (initial, select, inc) = match self {
             Self::OfficeCaltech10 => (10, 5, 1),
             _ => (20, 10, 2),
@@ -172,7 +172,7 @@ impl Scale {
     }
 
     /// The paper's full protocol (for reference / GPU-class machines).
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             data_scale: 1.0,
             client_scale: 1.0,

@@ -2,7 +2,9 @@
 //!
 //! Tables 1/3 (and 2/4) are different views of the same runs, and Figure 4
 //! reuses them as well, so completed runs are cached as JSON under
-//! `results/` keyed by domain order and scale.
+//! `results/` keyed by domain order and scale. The key does not cover the
+//! code, so the cache is kept out of git: delete it after any change that
+//! can move a result, or it reprints the old numbers.
 
 use std::fs;
 

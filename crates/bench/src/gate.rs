@@ -119,7 +119,7 @@ fn meta_of(label: &str, doc: &Value) -> Result<BenchMeta, GateError> {
 /// Identity is the object's `name`, refined by a `shape` or `threads` field
 /// when present, so kernel rows at different shapes and end-to-end rows at
 /// different thread counts stay distinct.
-pub fn extract_metrics(doc: &Value) -> BTreeMap<String, u64> {
+pub(crate) fn extract_metrics(doc: &Value) -> BTreeMap<String, u64> {
     let mut metrics = BTreeMap::new();
     let mut ratios = BTreeMap::new();
     walk(doc, &mut metrics, &mut ratios);
@@ -130,7 +130,7 @@ pub fn extract_metrics(doc: &Value) -> BTreeMap<String, u64> {
 /// ratio field is named `speedup` or ends in `_speedup` / `_ratio`. These
 /// gate in the opposite direction from `*_ns` medians: a *drop* in the
 /// candidate ratio is the regression.
-pub fn extract_ratios(doc: &Value) -> BTreeMap<String, f64> {
+pub(crate) fn extract_ratios(doc: &Value) -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
     let mut ratios = BTreeMap::new();
     walk(doc, &mut metrics, &mut ratios);

@@ -13,19 +13,17 @@
 
 #![warn(missing_docs)]
 
-pub mod datasets;
-pub mod experiments;
+pub(crate) mod datasets;
+pub(crate) mod experiments;
 pub mod gate;
-pub mod meta;
+pub(crate) mod meta;
 pub mod methods;
 pub mod netcli;
 pub mod report;
-pub mod runner;
+pub(crate) mod runner;
 
 pub use datasets::{dataset_by_name, DatasetChoice, Scale};
 pub use experiments::{full_results, per_step_tables, summary_table, CachedMethod, FullResults};
-pub use gate::{check_report, compare, extract_metrics, Comparison, GateError, MetricDelta};
 pub use meta::BenchMeta;
-pub use methods::{build_method, method_names, MethodChoice};
-pub use netcli::{scale_by_name, scale_name_from_env, NetOverrides, NetSpec, ResolvedSpec};
+pub use methods::{build_method, MethodChoice};
 pub use runner::{run_all_methods, run_experiment, ExperimentSpec, MethodResult};

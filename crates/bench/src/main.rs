@@ -25,14 +25,14 @@ use refil_fed::{FdilRunner, FdilStrategy, RunConfig, RunResult};
 use refil_nn::Tensor;
 
 mod cmd {
-    pub mod ablation;
-    pub mod bench_gate;
-    pub mod bench_kernels;
-    pub mod bench_net;
-    pub mod extension;
-    pub mod paper;
-    pub mod run;
-    pub mod tuning;
+    pub(crate) mod ablation;
+    pub(crate) mod bench_gate;
+    pub(crate) mod bench_kernels;
+    pub(crate) mod bench_net;
+    pub(crate) mod extension;
+    pub(crate) mod paper;
+    pub(crate) mod run;
+    pub(crate) mod tuning;
 }
 
 use cmd::{ablation, bench_gate, bench_kernels, bench_net, extension, paper, run, tuning};
@@ -259,39 +259,39 @@ fn main() -> ExitCode {
 }
 
 /// A subcommand's arguments, with its usage text for error exits.
-pub struct Args {
+pub(crate) struct Args {
     usage: &'static str,
     rest: std::vec::IntoIter<String>,
 }
 
 impl Args {
     /// Prints the usage text and exits with status 2.
-    pub fn usage(&self) -> ! {
+    pub(crate) fn usage(&self) -> ! {
         eprintln!("{}", self.usage);
         std::process::exit(2);
     }
 
     /// Prints `msg`, then exits as [`Args::usage`] does.
-    pub fn fail(&self, msg: impl std::fmt::Display) -> ! {
+    pub(crate) fn fail(&self, msg: impl std::fmt::Display) -> ! {
         eprintln!("{msg}");
         self.usage()
     }
 
     /// The value after a flag; a missing value is a usage error.
-    pub fn value(&mut self) -> String {
+    pub(crate) fn value(&mut self) -> String {
         self.rest.next().unwrap_or_else(|| self.usage())
     }
 
     /// The value after a flag, parsed; a missing or malformed value is a
     /// usage error.
-    pub fn num<T: FromStr>(&mut self) -> T {
+    pub(crate) fn num<T: FromStr>(&mut self) -> T {
         let v = self.value();
         v.parse()
             .unwrap_or_else(|_| self.fail(format!("malformed value {v:?}")))
     }
 
     /// Parses an `--out PATH` flag, the only option of the report writers.
-    pub fn out_path(mut self, default: &str) -> String {
+    pub(crate) fn out_path(mut self, default: &str) -> String {
         let mut out = default.to_string();
         while let Some(arg) = self.next() {
             match arg.as_str() {
@@ -314,7 +314,7 @@ impl Iterator for Args {
 /// The prologue the single-dataset experiments share: a dataset generated
 /// at the environment's scale, its protocol, and the method config seeded
 /// `seed ^ 7`, exactly as [`refil_bench::run_experiment`] builds them.
-pub struct Setup {
+pub(crate) struct Setup {
     /// The generated dataset.
     pub dataset: FdilDataset,
     /// The shared method config.
@@ -325,18 +325,18 @@ pub struct Setup {
 
 impl Setup {
     /// `choice` at seed 42, canonical domain order.
-    pub fn new(choice: DatasetChoice) -> Self {
+    pub(crate) fn new(choice: DatasetChoice) -> Self {
         Self::seeded(choice, 42)
     }
 
     /// `choice` at `seed`, canonical domain order.
-    pub fn seeded(choice: DatasetChoice, seed: u64) -> Self {
+    pub(crate) fn seeded(choice: DatasetChoice, seed: u64) -> Self {
         let dataset = choice.generate(&Scale::from_env(), seed, false);
         Self::with_dataset(choice, dataset, seed)
     }
 
     /// A custom `dataset` under `choice`'s protocol and model.
-    pub fn with_dataset(choice: DatasetChoice, dataset: FdilDataset, seed: u64) -> Self {
+    pub(crate) fn with_dataset(choice: DatasetChoice, dataset: FdilDataset, seed: u64) -> Self {
         Self {
             run_cfg: choice.run_config(&Scale::from_env(), seed),
             cfg: method_config(choice, dataset.num_domains(), seed ^ 7),
@@ -346,7 +346,7 @@ impl Setup {
 
     /// The method config with the backbone frozen after the first task,
     /// the regime the RefFiL ablations train in.
-    pub fn prompt_cfg(&self) -> MethodConfig {
+    pub(crate) fn prompt_cfg(&self) -> MethodConfig {
         MethodConfig {
             stable_after_first_task: true,
             ..self.cfg
@@ -354,28 +354,28 @@ impl Setup {
     }
 
     /// One federated run of `strategy` on the dataset.
-    pub fn run(&self, strategy: &mut dyn FdilStrategy) -> RunResult {
+    pub(crate) fn run(&self, strategy: &mut dyn FdilStrategy) -> RunResult {
         FdilRunner::new(self.run_cfg).run(&self.dataset, strategy)
     }
 
     /// The Avg, Last and forgetting scores of one run of `strategy`.
-    pub fn score(&self, strategy: &mut dyn FdilStrategy) -> Scores {
+    pub(crate) fn score(&self, strategy: &mut dyn FdilStrategy) -> Scores {
         scores(&self.run(strategy).domain_acc)
     }
 }
 
 /// A table with the given column names.
-pub fn table(header: &[&str]) -> Table {
+pub(crate) fn table(header: &[&str]) -> Table {
     Table::new(header.iter().map(|h| h.to_string()).collect())
 }
 
 /// Prints `table` and saves it as `results/<name>.md` and `.csv`.
-pub fn emit_table(name: &str, title: &str, table: &Table) {
+pub(crate) fn emit_table(name: &str, title: &str, table: &Table) {
     emit(name, title, &table.to_markdown(), Some(&table.to_csv()));
 }
 
 /// Stacks the samples' feature vectors into one `[n, dim]` batch.
-pub fn batch<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> Tensor {
+pub(crate) fn batch<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> Tensor {
     let (mut data, mut n, mut dim) = (Vec::new(), 0, 0);
     for s in samples {
         dim = s.features.len();
@@ -387,7 +387,7 @@ pub fn batch<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> Tensor {
 
 /// The strategy's predictions for `samples` under task key `task`, taken
 /// in 256-row batches.
-pub fn predict(
+pub(crate) fn predict(
     strategy: &mut dyn FdilStrategy,
     global: &[f32],
     samples: &[Sample],
@@ -563,6 +563,123 @@ mod tests {
         assert!(!is_registered("fed/fedavg_10x50k_more", &registered));
         assert!(is_registered("fed/fedavg", &registered));
         assert!(is_registered("nn/gemm/tiled_128x128x128", &registered));
+    }
+
+    /// The `[dependencies]` and `[dev-dependencies]` entries of a manifest,
+    /// as the crate names sources use (`refil-nn` → `refil_nn`).
+    fn manifest_deps(manifest: &str) -> Vec<String> {
+        let mut deps = Vec::new();
+        let mut in_deps = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_deps = line == "[dependencies]" || line == "[dev-dependencies]";
+            } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+                let name = line.split(['.', '=', ' ']).next().unwrap_or(line);
+                deps.push(name.replace('-', "_"));
+            }
+        }
+        deps
+    }
+
+    /// `src` without its `//` comments (doc comments included). A `//` after
+    /// an odd number of quotes on its line is inside a string and kept.
+    fn strip_comments(src: &str) -> String {
+        src.lines()
+            .map(|line| {
+                let cut = line
+                    .match_indices("//")
+                    .find(|&(i, _)| line[..i].matches('"').count() % 2 == 0)
+                    .map_or(line.len(), |(i, _)| i);
+                &line[..cut]
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Whether code names crate `dep`: as a path root (`dep::`) or in a
+    /// `use dep` / `extern crate dep` item.
+    fn names_crate(code: &str, dep: &str) -> bool {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        code.match_indices(dep).any(|(i, _)| {
+            let before = &code[..i];
+            let after = &code[i + dep.len()..];
+            !before.ends_with(ident)
+                && !after.starts_with(ident)
+                && (after.starts_with("::")
+                    || before.ends_with("use ")
+                    || before.ends_with("extern crate "))
+        })
+    }
+
+    /// Every `.rs` file under `dir`, recursively, skipping build outputs.
+    fn rust_sources(dir: &std::path::Path, out: &mut String) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+                rust_sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap_or_default();
+                out.push_str(&strip_comments(&src));
+                out.push('\n');
+            }
+        }
+    }
+
+    #[test]
+    fn every_manifest_dependency_is_named_in_its_crate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        // The facade's sources are its own directories; every other
+        // workspace crate owns its whole directory.
+        let mut packages = vec![(root.clone(), vec!["src", "tests", "examples"])];
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+            packages.push((entry.expect("crates/ entry").path(), vec!["."]));
+        }
+        let mut unnamed = Vec::new();
+        for (dir, source_dirs) in packages {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml"))
+                .unwrap_or_else(|e| panic!("cannot read {dir:?}/Cargo.toml: {e}"));
+            let mut code = String::new();
+            for sub in source_dirs {
+                rust_sources(&dir.join(sub), &mut code);
+            }
+            for dep in manifest_deps(&manifest) {
+                if !names_crate(&code, &dep) {
+                    unnamed.push(format!("{}: {dep}", dir.display()));
+                }
+            }
+        }
+        assert!(
+            unnamed.is_empty(),
+            "manifest entries no source names: {unnamed:?}"
+        );
+    }
+
+    #[test]
+    fn dependency_scan_ignores_comments_and_other_words() {
+        let manifest = "[package]\nname = \"x\"\n\n[dependencies]\nrand.workspace = true\n\
+                        refil-nn.workspace = true\ncrossbeam = { path = \"vendor/crossbeam\" }\n\n\
+                        [dev-dependencies]\nproptest.workspace = true\n\n[[bench]]\nname = \"micro\"\n";
+        assert_eq!(
+            manifest_deps(manifest),
+            ["rand", "refil_nn", "crossbeam", "proptest"]
+        );
+        let code = strip_comments(
+            "//! The runner used to spawn a `crossbeam::scope`.\n\
+             use rand::Rng; // proptest::prelude\n\
+             let url = \"http://refil_nn::x\";\n\
+             let operand::y = 1;\n",
+        );
+        assert!(names_crate(&code, "rand"));
+        assert!(
+            names_crate(&code, "refil_nn"),
+            "a string's `//` is not a comment"
+        );
+        assert!(!names_crate(&code, "crossbeam"));
+        assert!(!names_crate(&code, "proptest"));
+        assert!(!names_crate("let operand::y = 1;", "rand"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl BenchMeta {
     /// True when two reports were produced in comparable environments
     /// (same machine, same parallelism) — the precondition for diffing
     /// their medians.
-    pub fn comparable_to(&self, other: &BenchMeta) -> bool {
+    pub(crate) fn comparable_to(&self, other: &BenchMeta) -> bool {
         self.hostname == other.hostname && self.threads == other.threads
     }
 }

@@ -29,13 +29,13 @@ pub enum MethodChoice {
     /// RefFiL with prompt-only parameter exchange: the shared backbone
     /// stays at the server's broadcast values and only the prompt
     /// machinery travels uplink (the communication-light deployment; not a
-    /// paper table row, so excluded from [`MethodChoice::all`]).
+    /// paper table row, so excluded from `MethodChoice::all`).
     RefFiLPromptOnly,
 }
 
 impl MethodChoice {
     /// All eight methods in the paper's row order.
-    pub fn all() -> [MethodChoice; 8] {
+    pub(crate) fn all() -> [MethodChoice; 8] {
         [
             Self::Finetune,
             Self::FedLwf,
@@ -50,7 +50,7 @@ impl MethodChoice {
 
     /// The canonical CLI spelling, accepted by [`method_by_name`]. Used in
     /// network run-specs, where the label must survive a round-trip.
-    pub fn cli_name(self) -> &'static str {
+    pub(crate) fn cli_name(self) -> &'static str {
         match self {
             Self::Finetune => "finetune",
             Self::FedLwf => "lwf",
@@ -156,11 +156,6 @@ pub fn build_reffil_variant(cfg: MethodConfig, flags: RefFiLFlags) -> Box<dyn Fd
     Box::new(RefFiL::new(RefFiLConfig::new(prompt_cfg).with_flags(flags)))
 }
 
-/// The eight paper row labels, in order.
-pub fn method_names() -> Vec<&'static str> {
-    MethodChoice::all().iter().map(|m| m.paper_name()).collect()
-}
-
 /// Looks up a method by (case-insensitive) name; `+pool` or a trailing `!`
 /// selects the dagger variants.
 pub fn method_by_name(name: &str) -> Option<MethodChoice> {
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn eight_methods_with_dagger_rows() {
-        let names = method_names();
+        let names: Vec<&str> = MethodChoice::all().iter().map(|m| m.paper_name()).collect();
         assert_eq!(names.len(), 8);
         assert!(names.contains(&"FedL2P\u{2020}"));
         assert!(names.contains(&"RefFiL"));

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use refil_eval::scores;
 use refil_fed::{
-    client_handshake, connect, run_client, ClientOptions, ClientReport, Endpoint, FdilRunner,
-    NetListener, Telemetry,
+    client_handshake, connect, run_clients_pumped, ClientOptions, ClientReport, Endpoint,
+    FdilRunner, Link, NetListener, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +44,7 @@ pub struct NetSpec {
 
 /// A [`NetSpec`] with its names resolved to harness types.
 #[derive(Debug, Clone, Copy)]
-pub struct ResolvedSpec {
+pub(crate) struct ResolvedSpec {
     /// Which dataset.
     pub dataset: DatasetChoice,
     /// Which method.
@@ -73,7 +73,7 @@ impl NetSpec {
     }
 
     /// Serializes the spec for the `Welcome` frame.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string(self).expect("NetSpec serialization cannot fail")
     }
 
@@ -82,7 +82,7 @@ impl NetSpec {
     /// # Errors
     ///
     /// Fails on malformed JSON or missing fields.
-    pub fn from_json(json: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| format!("malformed run-spec: {e}"))
     }
 
@@ -91,7 +91,7 @@ impl NetSpec {
     /// # Errors
     ///
     /// Fails if the dataset, method, or scale name is unknown.
-    pub fn resolve(&self) -> Result<ResolvedSpec, String> {
+    pub(crate) fn resolve(&self) -> Result<ResolvedSpec, String> {
         let dataset = dataset_by_name(&self.dataset)
             .ok_or_else(|| format!("run-spec names unknown dataset {:?}", self.dataset))?;
         let method = method_by_name(&self.method)
@@ -107,7 +107,7 @@ impl NetSpec {
 }
 
 /// Looks up a protocol scale by name (`smoke`, `bench`, `paper`).
-pub fn scale_by_name(name: &str) -> Option<Scale> {
+pub(crate) fn scale_by_name(name: &str) -> Option<Scale> {
     match name {
         "smoke" => Some(Scale::smoke()),
         "bench" => Some(Scale::bench()),
@@ -284,20 +284,23 @@ pub fn client(
         .dataset
         .generate(&resolved.scale, spec.seed, spec.new_order);
     let mcfg = method_config(resolved.dataset, dataset.num_domains(), spec.seed ^ 7);
-    let mut strategy = build_method(resolved.method, mcfg);
+    let mut strategies = [build_method(resolved.method, mcfg)];
     let mut cfg = resolved.dataset.run_config(&resolved.scale, spec.seed);
     if let Some(ms) = idle_ms {
         cfg.net.client_idle_ms = ms;
     }
-    let report = run_client(
-        &link,
-        peer_id,
+    let links: [Box<dyn Link>; 1] = [Box::new(link)];
+    let report = run_clients_pumped(
+        &links,
+        &[peer_id],
+        &mut strategies,
         &dataset,
-        strategy.as_mut(),
         &cfg,
         &opts,
         telemetry,
     )
+    .pop()
+    .expect("one result per replica")
     .map_err(|e| format!("client loop: {e}"))?;
     Ok((spec, report))
 }

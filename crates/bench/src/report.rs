@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 
 /// Directory the benches write their artifacts to.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = PathBuf::from("results");
     let _ = fs::create_dir_all(&dir);
     dir

@@ -30,12 +30,6 @@ impl ExperimentSpec {
             seed: 42,
         }
     }
-
-    /// Switches to the Table 4 domain order.
-    pub fn with_new_order(mut self, new_order: bool) -> Self {
-        self.new_order = new_order;
-        self
-    }
 }
 
 /// One method's outcome on an experiment.

@@ -9,7 +9,7 @@
 //! parameter — which is what makes it suitable for the dynamic federated
 //! setting.
 
-use crate::similarity::{cosine_similarity, first_neighbors};
+use crate::similarity::first_neighbors;
 
 /// One level of the FINCH hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,13 +31,6 @@ impl FinchResult {
     /// The finest partition (the one RefFiL's server uses, Eq. 5).
     pub fn finest(&self) -> &Partition {
         &self.partitions[0]
-    }
-
-    /// The coarsest computed partition.
-    pub fn coarsest(&self) -> &Partition {
-        self.partitions
-            .last()
-            .expect("FINCH always yields at least one partition")
     }
 
     /// The partition whose cluster count is closest to `k` (FINCH's standard
@@ -210,26 +203,6 @@ pub fn cluster_means(points: &[Vec<f32>], labels: &[usize], num_clusters: usize)
     sums
 }
 
-/// For each cluster, the index of the member closest (by cosine) to the
-/// cluster mean — the cluster's representative ("medoid-to-mean"). A
-/// cluster whose every similarity is NaN is represented by its first
-/// member; a cluster with no member keeps `usize::MAX`.
-pub fn representatives(points: &[Vec<f32>], labels: &[usize], num_clusters: usize) -> Vec<usize> {
-    let means = cluster_means(points, labels, num_clusters);
-    let mut best = vec![usize::MAX; num_clusters];
-    let mut best_sim = vec![f32::NEG_INFINITY; num_clusters];
-    for (i, (p, &l)) in points.iter().zip(labels).enumerate() {
-        let s = cosine_similarity(p, &means[l]);
-        if s > best_sim[l] {
-            best_sim[l] = s;
-            best[l] = i;
-        } else if best[l] == usize::MAX {
-            best[l] = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +285,7 @@ mod tests {
         for w in counts.windows(2) {
             assert!(w[1] <= w[0], "hierarchy not monotone: {counts:?}");
         }
-        assert_eq!(r.coarsest().num_clusters, 1);
+        assert_eq!(r.partitions.last().map(|p| p.num_clusters), Some(1));
     }
 
     #[test]
@@ -344,17 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn representatives_belong_to_their_cluster() {
-        let pts = two_blobs();
-        let r = finch(&pts);
-        let p = r.finest();
-        let reps = representatives(&pts, &p.labels, p.num_clusters);
-        for (cluster, &rep) in reps.iter().enumerate() {
-            assert_eq!(p.labels[rep], cluster);
-        }
-    }
-
-    #[test]
     fn nan_point_stays_its_own_cluster() {
         // Every similarity involving the NaN point is NaN, so it has no
         // first neighbour; it must not be linked (or index out of range).
@@ -363,11 +325,6 @@ mod tests {
         let p = r.finest();
         assert_eq!(p.labels, vec![0, 1, 1]);
         assert_eq!(p.num_clusters, 2);
-        let reps = representatives(&pts, &p.labels, p.num_clusters);
-        for (cluster, &rep) in reps.iter().enumerate() {
-            assert!(rep < pts.len(), "cluster {cluster} has no member");
-            assert_eq!(p.labels[rep], cluster);
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Clustering substrate for RefFiL's global prompt clustering: the
 //! parameter-free FINCH algorithm the paper adopts (Eq. 4–5), cosine
-//! similarity primitives, cluster representatives, and a seeded k-means used
-//! as an ablation comparator.
+//! similarity primitives and a seeded k-means used as an ablation
+//! comparator.
 //!
 //! # Examples
 //!
@@ -26,9 +26,9 @@ mod finch;
 mod kmeans;
 mod similarity;
 
-pub use finch::{cluster_means, finch, finch_traced, representatives, FinchResult, Partition};
+pub use finch::{cluster_means, finch, finch_traced, FinchResult, Partition};
 pub use kmeans::{kmeans, KmeansResult};
-pub use similarity::{cosine_similarity, squared_distance};
+pub use similarity::cosine_similarity;
 
 #[cfg(test)]
 mod proptests {

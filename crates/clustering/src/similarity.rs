@@ -44,7 +44,7 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "distance length mismatch");
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }

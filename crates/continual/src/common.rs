@@ -10,7 +10,7 @@ use refil_nn::models::{BackboneConfig, PromptedBackbone};
 use refil_nn::{clip_grad_norm, Graph, InferenceSession, Params, Sgd, Tensor, Var};
 
 /// Builds prompt tokens for a forward pass (e.g. pool lookup + concat).
-pub type PromptBuilder<'a> = &'a dyn Fn(&Graph, &Params) -> Var;
+pub(crate) type PromptBuilder<'a> = &'a dyn Fn(&Graph, &Params) -> Var;
 
 /// Hyperparameters shared by every method in the evaluation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -171,7 +171,7 @@ impl ModelCore {
     }
 
     /// Final `[CLS]` representations under `flat` with the given prompts.
-    pub fn cls_with_prompts(
+    pub(crate) fn cls_with_prompts(
         &mut self,
         flat: &[f32],
         features: &Tensor,
@@ -192,14 +192,14 @@ impl ModelCore {
 /// parameter snapshot under the evaluated global vector. Each worker predicts
 /// through its own [`PlainEvalContext::evaluator`], whose reusable tape-free
 /// inference session recycles forward buffers across batches.
-pub struct PlainEvalContext {
+pub(crate) struct PlainEvalContext {
     model: PromptedBackbone,
     params: Params,
 }
 
 impl PlainEvalContext {
     /// Snapshots `core`'s backbone with `global` loaded.
-    pub fn new(core: &ModelCore, global: &[f32]) -> Self {
+    pub(crate) fn new(core: &ModelCore, global: &[f32]) -> Self {
         Self {
             model: core.model.clone(),
             params: core.eval_params(global),
@@ -236,7 +236,7 @@ impl DomainEvaluator for PlainEvaluator<'_> {
 /// # Panics
 ///
 /// Panics if lengths mismatch.
-pub fn add_quadratic_penalty_grads(
+pub(crate) fn add_quadratic_penalty_grads(
     params: &mut Params,
     anchor: &[f32],
     fisher: &[f32],
@@ -260,7 +260,7 @@ pub fn add_quadratic_penalty_grads(
 /// Estimates the diagonal Fisher information of the cross-entropy loss at the
 /// current parameters on `samples` (squared gradients averaged over
 /// minibatches). Returns a flat vector aligned with [`Params::to_flat`].
-pub fn estimate_fisher(
+pub(crate) fn estimate_fisher(
     core: &mut ModelCore,
     samples: &[refil_data::Sample],
     max_samples: usize,

@@ -92,11 +92,6 @@ impl FedDualPrompt {
         }
     }
 
-    /// Whether per-task expert prompts are active (the † variant).
-    pub fn pool_enabled(&self) -> bool {
-        self.experts.is_some()
-    }
-
     /// Pooled patch-token query per sample (detached, `[b, d]` rows). Built
     /// on the caller's graph: the query subgraph feeds no loss, so backward
     /// never visits it and the detachment is preserved, while tape-free
@@ -326,7 +321,7 @@ mod tests {
     fn dualprompt_without_pool_runs() {
         let ds = tiny_dataset();
         let mut strat = FedDualPrompt::new(tiny_cfg(), false);
-        assert!(!strat.pool_enabled());
+        assert!(strat.experts.is_none());
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         assert!(res.domain_acc[0][0] > 50.0, "{:?}", res.domain_acc);
     }
@@ -335,7 +330,7 @@ mod tests {
     fn dualprompt_with_pool_runs() {
         let ds = tiny_dataset();
         let mut strat = FedDualPrompt::new(tiny_cfg(), true);
-        assert!(strat.pool_enabled());
+        assert!(strat.experts.is_some());
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         assert!(res.domain_acc[0][0] > 40.0, "{:?}", res.domain_acc);
     }

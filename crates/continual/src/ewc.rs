@@ -45,12 +45,6 @@ impl FedEwc {
             fisher_samples: 64,
         }
     }
-
-    /// Overrides the per-client Fisher sample budget.
-    pub fn with_fisher_samples(mut self, n: usize) -> Self {
-        self.fisher_samples = n;
-        self
-    }
 }
 
 struct FedEwcCtx<'a> {
@@ -162,7 +156,8 @@ mod tests {
     #[test]
     fn ewc_runs_and_learns() {
         let ds = tiny_dataset();
-        let mut strat = FedEwc::new(tiny_cfg()).with_fisher_samples(16);
+        let mut strat = FedEwc::new(tiny_cfg());
+        strat.fisher_samples = 16;
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         assert!(res.domain_acc[0][0] > 50.0, "{:?}", res.domain_acc);
         assert!(strat.fisher.is_some(), "fisher never estimated");
@@ -175,7 +170,8 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.ewc_lambda = 1e6;
         let ds = tiny_dataset();
-        let mut strat = FedEwc::new(cfg).with_fisher_samples(16);
+        let mut strat = FedEwc::new(cfg);
+        strat.fisher_samples = 16;
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         // Sanity: the run completes and fisher is in place.
         assert_eq!(res.domain_acc.len(), ds.num_domains());

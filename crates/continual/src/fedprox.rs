@@ -32,11 +32,6 @@ impl FedProx {
         let model = core.model.clone();
         Self { core, model, mu }
     }
-
-    /// The proximal coefficient.
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
 }
 
 struct FedProxCtx<'a> {

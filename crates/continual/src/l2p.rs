@@ -84,11 +84,6 @@ impl FedL2p {
         }
     }
 
-    /// Whether the prompt pool is active (the † variant).
-    pub fn pool_enabled(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Pooled patch-token query `q(x)` per sample (detached, `[b, d]` rows),
     /// mirroring L2P's frozen query function. Built on the caller's graph:
     /// the query subgraph feeds no loss, so backward never visits it and the
@@ -306,7 +301,7 @@ mod tests {
     fn l2p_without_pool_runs() {
         let ds = tiny_dataset();
         let mut strat = FedL2p::new(tiny_cfg(), false);
-        assert!(!strat.pool_enabled());
+        assert!(strat.pool.is_none());
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         assert!(res.domain_acc[0][0] > 50.0, "{:?}", res.domain_acc);
     }
@@ -315,7 +310,7 @@ mod tests {
     fn l2p_with_pool_runs() {
         let ds = tiny_dataset();
         let mut strat = FedL2p::new(tiny_cfg(), true);
-        assert!(strat.pool_enabled());
+        assert!(strat.pool.is_some());
         let res = FdilRunner::new(tiny_run_config()).run(&ds, &mut strat);
         assert!(res.domain_acc[0][0] > 40.0, "{:?}", res.domain_acc);
     }

@@ -34,9 +34,7 @@ mod rehearsal;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use common::{
-    add_quadratic_penalty_grads, estimate_fisher, MethodConfig, ModelCore, PlainEvalContext,
-};
+pub use common::{MethodConfig, ModelCore};
 pub use dualprompt::FedDualPrompt;
 pub use ewc::FedEwc;
 pub use fedprox::FedProx;

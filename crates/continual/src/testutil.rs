@@ -7,7 +7,7 @@ use refil_nn::models::BackboneConfig;
 use crate::common::MethodConfig;
 
 /// A very small backbone + method configuration for fast tests.
-pub fn tiny_cfg() -> MethodConfig {
+pub(crate) fn tiny_cfg() -> MethodConfig {
     MethodConfig {
         backbone: BackboneConfig {
             in_dim: 8,
@@ -30,7 +30,7 @@ pub fn tiny_cfg() -> MethodConfig {
 }
 
 /// A 2-domain, 3-class dataset with a strong shift.
-pub fn tiny_dataset() -> FdilDataset {
+pub(crate) fn tiny_dataset() -> FdilDataset {
     DatasetSpec {
         name: "tiny".into(),
         classes: 3,
@@ -49,7 +49,7 @@ pub fn tiny_dataset() -> FdilDataset {
 }
 
 /// A minimal federated protocol: 4 clients, 3 rounds per task.
-pub fn tiny_run_config() -> RunConfig {
+pub(crate) fn tiny_run_config() -> RunConfig {
     RunConfig {
         increment: IncrementConfig {
             initial_clients: 4,

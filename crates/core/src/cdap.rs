@@ -104,11 +104,6 @@ impl CdapGenerator {
         }
     }
 
-    /// Generator configuration.
-    pub fn config(&self) -> &CdapConfig {
-        &self.cfg
-    }
-
     /// Generates instance-level prompts.
     ///
     /// `tokens` is the backbone's `I` of shape `[b, n+1, d]`; `task_id` is

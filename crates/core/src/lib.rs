@@ -25,7 +25,8 @@
 //! let dataset = digits_five(PresetConfig::small()).generate(42);
 //! let mut strategy = RefFiL::new(RefFiLConfig::new(MethodConfig::default()));
 //! let result = FdilRunner::new(RunConfig::default()).run(&dataset, &mut strategy);
-//! println!("Avg {:.2}% Last {:.2}%", result.avg_accuracy(), result.last_accuracy());
+//! let last = result.step_accuracies()[dataset.num_domains() - 1];
+//! println!("Avg {:.2}% Last {:.2}%", result.avg_accuracy(), last);
 //! ```
 
 #![warn(missing_docs)]

@@ -38,17 +38,9 @@ pub struct LocalPromptGroup {
 }
 
 impl LocalPromptGroup {
-    /// Serialized payload size in bytes (for traffic accounting).
-    pub fn byte_len(&self) -> u64 {
-        self.prompts
-            .iter()
-            .map(|(_, v)| 8 + 4 * v.len() as u64)
-            .sum()
-    }
-
     /// The wire envelope this group travels in (ids narrowed to the codec's
     /// fixed-width fields).
-    pub fn to_wire(&self) -> refil_fed::PromptGroup {
+    pub(crate) fn to_wire(&self) -> refil_fed::PromptGroup {
         refil_fed::PromptGroup {
             client_id: self.client_id as u64,
             prompts: self
@@ -60,7 +52,7 @@ impl LocalPromptGroup {
     }
 
     /// Reconstructs the group from its decoded wire envelope.
-    pub fn from_wire(g: refil_fed::PromptGroup) -> Self {
+    pub(crate) fn from_wire(g: refil_fed::PromptGroup) -> Self {
         Self {
             client_id: g.client_id as usize,
             prompts: g
@@ -126,7 +118,7 @@ impl std::error::Error for PromptError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalPromptStore {
     classes: usize,
-    dim: usize,
+    pub(crate) dim: usize,
     /// `pool[k]` = recent LPG history for class `k` (FIFO, bounded).
     pool: Vec<Vec<Vec<f32>>>,
     /// `reps[k]` = representative prompts for class `k` (cluster means).
@@ -155,31 +147,15 @@ impl GlobalPromptStore {
     }
 
     /// Overrides the per-class representative cap.
-    pub fn with_cap(mut self, cap: usize) -> Self {
+    pub(crate) fn with_cap(mut self, cap: usize) -> Self {
         self.per_class_cap = cap.max(1);
         self
     }
 
-    /// Overrides the per-class LPG history cap.
-    pub fn with_pool_cap(mut self, cap: usize) -> Self {
-        self.pool_cap = cap.max(2);
-        self
-    }
-
     /// Overrides the condensation algorithm (ablation support).
-    pub fn with_mode(mut self, mode: ClusterMode) -> Self {
+    pub(crate) fn with_mode(mut self, mode: ClusterMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// Flattened prompt dimension `p * d`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Whether any representatives exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.reps.iter().all(Vec::is_empty)
     }
 
     /// Total representative count across classes.
@@ -198,7 +174,7 @@ impl GlobalPromptStore {
     /// # Errors
     ///
     /// The first rule the group breaks, in entry order.
-    pub fn check(&self, group: &LocalPromptGroup) -> Result<(), PromptError> {
+    pub(crate) fn check(&self, group: &LocalPromptGroup) -> Result<(), PromptError> {
         let mut seen = vec![false; self.classes];
         for (k, v) in &group.prompts {
             let class = *k;
@@ -235,7 +211,7 @@ impl GlobalPromptStore {
     ///
     /// # Errors
     ///
-    /// The first [`GlobalPromptStore::check`] failure among `uploads`; the
+    /// The first `GlobalPromptStore::check` failure among `uploads`; the
     /// store is then left unchanged.
     pub fn ingest(&mut self, uploads: &[LocalPromptGroup]) -> Result<(), PromptError> {
         self.ingest_traced(uploads, &Telemetry::disabled())
@@ -249,7 +225,7 @@ impl GlobalPromptStore {
     ///
     /// As [`GlobalPromptStore::ingest`]: nothing is ingested if any group
     /// fails [`GlobalPromptStore::check`].
-    pub fn ingest_traced(
+    pub(crate) fn ingest_traced(
         &mut self,
         uploads: &[LocalPromptGroup],
         telemetry: &Telemetry,
@@ -306,7 +282,7 @@ impl GlobalPromptStore {
 
     /// All representatives as a flat candidate list plus each one's class —
     /// the sampling set for the DPCL loss.
-    pub fn candidates(&self) -> (Vec<Vec<f32>>, Vec<usize>) {
+    pub(crate) fn candidates(&self) -> (Vec<Vec<f32>>, Vec<usize>) {
         let mut cands = Vec::with_capacity(self.total_reps());
         let mut classes = Vec::with_capacity(self.total_reps());
         for (k, reps) in self.reps.iter().enumerate() {
@@ -420,7 +396,8 @@ mod tests {
 
     #[test]
     fn pool_cap_bounds_history() {
-        let mut store = GlobalPromptStore::new(1, 2).with_pool_cap(4);
+        let mut store = GlobalPromptStore::new(1, 2);
+        store.pool_cap = 4;
         for i in 0..20 {
             store.ingest(&[lpg(i, 0, vec![i as f32, 1.0])]).unwrap();
         }
@@ -456,7 +433,7 @@ mod tests {
     fn empty_store_has_no_generalized_prompt() {
         let store = GlobalPromptStore::new(3, 4);
         assert!(store.generalized_prompt().is_none());
-        assert!(store.is_empty());
+        assert!(store.total_reps() == 0);
         assert_eq!(store.candidates().0.len(), 0);
     }
 
@@ -476,8 +453,6 @@ mod tests {
         let mut store = GlobalPromptStore::new(1, 3);
         store.ingest(&[lpg(0, 0, vec![1.0, 2.0, 3.0])]).unwrap();
         assert_eq!(store.byte_len(), 12);
-        let up = lpg(0, 0, vec![1.0, 2.0, 3.0]);
-        assert_eq!(up.byte_len(), 8 + 12);
     }
 
     #[test]

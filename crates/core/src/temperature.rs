@@ -40,7 +40,7 @@ impl TemperatureSchedule {
     ///
     /// Panics if `gamma` or `beta` leave `[0, 1]`, or `t == 0` (tasks are
     /// 1-based in Eq. 7).
-    pub fn at_task(&self, t: usize) -> f32 {
+    pub(crate) fn at_task(&self, t: usize) -> f32 {
         assert!((0.0..=1.0).contains(&self.gamma), "gamma must be in [0,1]");
         assert!((0.0..=1.0).contains(&self.beta), "beta must be in [0,1]");
         assert!(t >= 1, "tasks are 1-based in Eq. 7");

@@ -6,7 +6,7 @@
 //! subset ("FedDomainNet"). Those image corpora are unavailable here, so this
 //! crate generates structure-preserving synthetic analogues: shared class
 //! prototypes observed under per-domain orthogonal rotations, shifts and
-//! noise (see [`synth`] for the substitution rationale), plus the paper's
+//! noise (see `synth` for the substitution rationale), plus the paper's
 //! quantity-shift non-iid client partitioning.
 //!
 //! # Examples
@@ -27,7 +27,7 @@ mod presets;
 #[cfg(test)]
 mod proptests;
 mod sample;
-pub mod synth;
+pub(crate) mod synth;
 
 pub use batch::{collate, minibatches, Batch};
 pub use partition::{partition_quantity_shift, QuantityShift};

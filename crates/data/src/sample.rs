@@ -54,11 +54,6 @@ impl FdilDataset {
         self.domains.len()
     }
 
-    /// Index of the domain named `name`, if present.
-    pub fn domain_index(&self, name: &str) -> Option<usize> {
-        self.domains.iter().position(|d| d.name == name)
-    }
-
     /// Returns a copy with the domains reordered by `order` (indices into the
     /// current domain list). Used for the paper's "new domain order" runs
     /// (Tables 2 and 4).
@@ -130,12 +125,5 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn reorder_rejects_duplicates() {
         tiny().reordered(&[0, 0, 1]);
-    }
-
-    #[test]
-    fn domain_index_lookup() {
-        let d = tiny();
-        assert_eq!(d.domain_index("b"), Some(1));
-        assert_eq!(d.domain_index("zzz"), None);
     }
 }

@@ -267,7 +267,7 @@ impl DatasetSpec {
 }
 
 /// Fisher–Yates shuffle with the provided RNG.
-pub fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
+pub(crate) fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
     for i in (1..items.len()).rev() {
         let j = rng.gen_range(0..=i);
         items.swap(i, j);

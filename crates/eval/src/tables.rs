@@ -40,16 +40,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders GitHub-flavoured markdown with aligned columns.
     pub fn to_markdown(&self) -> String {
         let cols = self.header.len();

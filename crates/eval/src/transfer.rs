@@ -51,17 +51,12 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Records one `(true, predicted)` observation.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn record(&mut self, truth: usize, predicted: usize) {
+    pub(crate) fn record(&mut self, truth: usize, predicted: usize) {
         assert!(truth < self.classes, "true class {truth} out of range");
         assert!(
             predicted < self.classes,
@@ -83,12 +78,12 @@ impl ConfusionMatrix {
     }
 
     /// The raw count at `(truth, predicted)`.
-    pub fn count(&self, truth: usize, predicted: usize) -> u32 {
+    pub(crate) fn count(&self, truth: usize, predicted: usize) -> u32 {
         self.counts[truth * self.classes + predicted]
     }
 
     /// Total observations recorded.
-    pub fn total(&self) -> u32 {
+    pub(crate) fn total(&self) -> u32 {
         self.counts.iter().sum()
     }
 
@@ -100,20 +95,6 @@ impl ConfusionMatrix {
         }
         let correct: u32 = (0..self.classes).map(|k| self.count(k, k)).sum();
         100.0 * correct as f32 / total as f32
-    }
-
-    /// Per-class recall in percent (`None` for classes never observed).
-    pub fn per_class_recall(&self) -> Vec<Option<f32>> {
-        (0..self.classes)
-            .map(|k| {
-                let row: u32 = (0..self.classes).map(|j| self.count(k, j)).sum();
-                if row == 0 {
-                    None
-                } else {
-                    Some(100.0 * self.count(k, k) as f32 / row as f32)
-                }
-            })
-            .collect()
     }
 
     /// The most confused off-diagonal pair `(truth, predicted, count)`, if
@@ -158,17 +139,8 @@ mod tests {
         cm.record_batch(&[0, 0, 1, 1, 2], &[0, 1, 1, 1, 0]);
         assert_eq!(cm.total(), 5);
         assert!((cm.accuracy() - 60.0).abs() < 1e-5);
-        let recall = cm.per_class_recall();
-        assert_eq!(recall[0], Some(50.0));
-        assert_eq!(recall[1], Some(100.0));
-        assert_eq!(recall[2], Some(0.0));
-    }
-
-    #[test]
-    fn unobserved_class_has_no_recall() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record(0, 0);
-        assert_eq!(cm.per_class_recall()[1], None);
+        // Recall's numerators: 1 of 2, 2 of 2 and 0 of 1 per class.
+        assert_eq!((cm.count(0, 0), cm.count(1, 1), cm.count(2, 2)), (1, 2, 0));
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl WireConfig {
             topk_fraction: self.topk_fraction,
         }
     }
-
-    /// Whether this config changes any payload ([`CompressionSpec::is_active`]).
-    pub fn is_active(&self) -> bool {
-        self.spec().is_active()
-    }
 }
 
 /// Options for the networked federation server ([`crate::FdilRunner::serve`]).
@@ -169,7 +164,7 @@ impl Default for NetConfig {
 impl NetConfig {
     /// The sessions to keep out of `planned` under this config's sampling
     /// knobs; `None` when sampling is disabled or keeps everything.
-    pub fn sample_size(&self, planned: usize) -> Option<usize> {
+    pub(crate) fn sample_size(&self, planned: usize) -> Option<usize> {
         if self.sample_fraction <= 0.0 || planned == 0 {
             return None;
         }
@@ -600,8 +595,8 @@ mod tests {
         let cfg = topk(0.25);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.wire.spec().to_string(), "delta+int8+topk0.25");
-        assert!(cfg.wire.is_active());
-        assert!(!WireConfig::default().is_active());
+        assert!(cfg.wire.spec().is_active());
+        assert!(!WireConfig::default().spec().is_active());
         assert_eq!(
             topk(0.0).validate(),
             Err(ConfigError::TopkFractionOutOfRange(0.0))
@@ -631,7 +626,7 @@ mod tests {
         };
         let cfg: RunConfig = serde_json::from_str(&stripped).expect("deserialize sans wire");
         assert_eq!(cfg.wire, WireConfig::default());
-        assert!(!cfg.wire.is_active());
+        assert!(!cfg.wire.spec().is_active());
         // And a config with the field round-trips it.
         let active = with_wire(WireConfig {
             delta: true,

@@ -70,7 +70,7 @@ pub struct ClientPlan {
 
 impl ClientPlan {
     /// The group this client belongs to at `round` of the current task.
-    pub fn group_at(&self, round: usize) -> ClientGroup {
+    pub(crate) fn group_at(&self, round: usize) -> ClientGroup {
         if self.is_new {
             ClientGroup::New
         } else {
@@ -82,7 +82,7 @@ impl ClientPlan {
     }
 
     /// Whether this client receives new-domain data this task.
-    pub fn receives_new_data(&self) -> bool {
+    pub(crate) fn receives_new_data(&self) -> bool {
         self.is_new || self.transition_round.is_some()
     }
 }
@@ -113,7 +113,7 @@ impl TaskSchedule {
     }
 
     /// Ids of clients that receive new-domain data this task.
-    pub fn new_data_recipients(&self) -> Vec<usize> {
+    pub(crate) fn new_data_recipients(&self) -> Vec<usize> {
         self.clients
             .iter()
             .filter(|c| c.receives_new_data())
@@ -185,7 +185,11 @@ pub fn build_schedule(cfg: &IncrementConfig, num_tasks: usize, seed: u64) -> Vec
 }
 
 /// Samples `select_per_round` distinct active clients for a round.
-pub fn select_clients(schedule: &TaskSchedule, count: usize, rng: &mut StdRng) -> Vec<usize> {
+pub(crate) fn select_clients(
+    schedule: &TaskSchedule,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<usize> {
     let mut ids: Vec<usize> = schedule.clients.iter().map(|c| c.id).collect();
     for i in (1..ids.len()).rev() {
         let j = rng.gen_range(0..=i);

@@ -29,12 +29,10 @@ mod traffic;
 
 pub use aggregate::{fedavg, WeightedUpdate};
 pub use config::{ConfigError, NetConfig, RunConfig, WireConfig, WireQuant};
-pub use increment::{
-    build_schedule, select_clients, ClientGroup, ClientPlan, IncrementConfig, TaskSchedule,
-};
+pub use increment::{build_schedule, ClientGroup, ClientPlan, IncrementConfig, TaskSchedule};
 pub use net::{
-    client_handshake, process_thread_count, run_client, run_client_resumable, run_clients_pumped,
-    ClientError, ClientOptions, ClientReport,
+    client_handshake, process_thread_count, run_client_resumable, run_clients_pumped, ClientError,
+    ClientOptions, ClientReport,
 };
 pub use runner::{
     evaluate_domain, ClientUpdate, DomainEvaluator, EvalContext, FdilRunner, FdilStrategy,
@@ -44,13 +42,9 @@ pub use traffic::{TaskTraffic, TrafficStats};
 
 // Re-exported so strategy implementors can name the telemetry and wire types
 // that appear in the `FdilStrategy` trait without a separate dependency.
-pub use refil_telemetry::{
-    ArenaStats, PhaseNanos, PoolStats, RoundReport, SessionStat, Telemetry, TelemetrySummary,
-    WorkerStats,
-};
+pub use refil_telemetry::{ArenaStats, PhaseNanos, RoundReport, Telemetry, TelemetrySummary};
 pub use refil_wire::{
-    connect, ClientModelUpdate, CompressedModelUpdate, CompressionSpec, ConnectError, Endpoint,
-    GlobalPromptBroadcast, Interest, Link, Listener, Loopback, MessageKind, ModelBroadcast,
-    NetLink, NetListener, PeerId, PollSet, PromptGroup, PromptUpload, QuantMode, RecvError,
-    RehearsalMemory, Resume, WireError, WireMessage, WireSample, SERVER_PEER,
+    connect, CompressedModelUpdate, CompressionSpec, ConnectError, Endpoint, GlobalPromptBroadcast,
+    Link, Listener, Loopback, NetListener, PeerId, PromptGroup, PromptUpload, RecvError,
+    RehearsalMemory, WireError, WireMessage, WireSample,
 };

@@ -938,7 +938,7 @@ pub struct ClientOptions {
     /// On receiving exactly this many `RoundStart` frames, close the link
     /// before training — a one-shot simulated connection blip. Under
     /// [`run_client_resumable`] the client then reconnects and resumes its
-    /// session; under plain [`run_client`] it behaves like an abort.
+    /// session; under [`run_clients_pumped`] it behaves like an abort.
     pub drop_link_after_round_starts: Option<usize>,
     /// How many times [`run_client_resumable`] may reconnect after losing
     /// the link before giving up.
@@ -998,10 +998,10 @@ enum Step {
     DropLink,
 }
 
-/// The replica state machine shared by every client front-end: the blocking
-/// loop ([`run_client`]), the reconnecting loop ([`run_client_resumable`]),
-/// and the multiplexed pump ([`run_clients_pumped`]). One frame in, strategy
-/// hooks fired in exactly the in-process order, results queued on the link.
+/// The replica state machine shared by both client drivers: the
+/// reconnecting loop ([`run_client_resumable`]) and the multiplexed pump
+/// ([`run_clients_pumped`]). One frame in, strategy hooks fired in exactly
+/// the in-process order, results queued on the link.
 struct ClientSession<'a> {
     dataset: &'a FdilDataset,
     strategy: &'a mut dyn FdilStrategy,
@@ -1192,8 +1192,10 @@ impl<'a> ClientSession<'a> {
                     reason: RunEnd::LEAVE,
                 })
                 .encode();
-                let _ = link.enqueue_frame(&bye);
-                let _ = link.try_flush();
+                // A blocking send: it writes the results still queued
+                // ahead of the notice, which the pump's close after
+                // `Step::Done` would otherwise cut off.
+                let _ = link.send(&bye);
                 self.report.reason = RunEnd::LEAVE;
                 return Ok(Step::Done);
             }
@@ -1202,61 +1204,21 @@ impl<'a> ClientSession<'a> {
     }
 }
 
-/// Runs the client replica loop until the server ends the run (or an
-/// option-triggered leave/abort fires). Call after [`client_handshake`];
-/// `dataset`, `strategy`, and `cfg` must match the server's run, or the
-/// replicated state (and therefore the training results) will diverge.
-///
-/// The loop blocks on the link with `cfg.net.client_idle_ms` patience,
-/// handling each lifecycle frame as described in the module docs. All
-/// strategy hooks fire in exactly the order the in-process driver fires
-/// them, so a strategy cannot tell it is running remotely.
+/// Runs one client replica over a connection it owns through a `connect`
+/// factory, until the server ends the run (or an option-triggered
+/// leave/abort fires). It survives link loss: on a lost (or deliberately
+/// blipped) connection it reconnects, presents its resume token and replay
+/// cursor, and picks the session back up — at most `opts.max_reconnects`
+/// times. `dataset`, `strategy` and `cfg` must match the server's run, or
+/// the replicated state (and therefore the training results) will diverge.
 ///
 /// # Errors
 ///
-/// Fails on link errors, undecodable frames, idle timeout, or protocol
-/// violations (unknown group codes, out-of-range ids, unexpected kinds).
-pub fn run_client(
-    link: &dyn Link,
-    peer_id: PeerId,
-    dataset: &FdilDataset,
-    strategy: &mut dyn FdilStrategy,
-    cfg: &RunConfig,
-    opts: &ClientOptions,
-    telemetry: &Telemetry,
-) -> Result<ClientReport, ClientError> {
-    if let Err(err) = cfg.validate() {
-        return proto(format!("invalid RunConfig: {err}"));
-    }
-    let mut session = ClientSession::new(dataset, strategy, cfg, *opts, telemetry, peer_id);
-    let idle = Duration::from_millis(cfg.net.client_idle_ms);
-    loop {
-        let frame = link
-            .recv_deadline(Instant::now() + idle)
-            .map_err(ClientError::Recv)?;
-        match session.handle(&frame, link)? {
-            Step::Continue => {}
-            Step::Done => return Ok(session.report),
-            Step::DropLink => {
-                // No reconnection path here: the deliberate blip degrades
-                // to a simulated crash.
-                link.close();
-                session.report.reason = RunEnd::ABORT;
-                return Ok(session.report);
-            }
-        }
-    }
-}
-
-/// Like [`run_client`], but owns its connection through a `connect` factory
-/// and survives link loss: on a lost (or deliberately blipped) connection
-/// it reconnects, presents its resume token and replay cursor, and picks
-/// the session back up — at most `opts.max_reconnects` times.
-///
-/// # Errors
-///
-/// Same as [`run_client`], plus a `Protocol` error when reconnection
-/// attempts are exhausted or the server refuses the resumption claim.
+/// Fails on link errors, undecodable frames, idle timeout
+/// (`cfg.net.client_idle_ms` without a frame), or protocol violations
+/// (unknown group codes, out-of-range ids, unexpected kinds), and with a
+/// `Protocol` error when reconnection attempts are exhausted or the server
+/// refuses the resumption claim.
 pub fn run_client_resumable(
     connect: &mut dyn FnMut() -> Result<Box<dyn Link>, ConnectError>,
     nonce: u64,
@@ -1342,9 +1304,16 @@ fn resume_link(
 /// its private strategy instance. Links are switched to non-blocking mode
 /// and multiplexed through one [`PollSet`].
 ///
-/// Returns one terminal result per replica, in input order. Used by the
-/// `bench_net` harness and the peer-scale tests to run hundreds of
-/// simulated clients without hundreds of threads.
+/// Each replica waits at most `cfg.net.client_idle_ms` for a frame, counted
+/// from the end of its last handled frame; past that it ends with
+/// `ClientError::Recv(RecvError::DeadlineExceeded)`. All strategy hooks fire
+/// in exactly the order the in-process driver fires them, so a strategy
+/// cannot tell it is running remotely.
+///
+/// Returns one terminal result per replica, in input order. A joined client
+/// process runs it over its one link; the `bench_net` harness and the
+/// peer-scale tests run hundreds of simulated clients with it, without
+/// hundreds of threads.
 pub fn run_clients_pumped(
     links: &[Box<dyn Link>],
     peer_ids: &[PeerId],
@@ -1406,8 +1375,11 @@ pub fn run_clients_pumped(
             loop {
                 match link.try_recv_frame() {
                     Ok(Some(frame)) => {
-                        last_rx[i] = now;
-                        match sessions[i].handle(&frame, &**link) {
+                        let step = sessions[i].handle(&frame, &**link);
+                        // Patience runs from the end of handling: training a
+                        // round's sessions may take longer than it.
+                        last_rx[i] = Instant::now();
+                        match step {
                             Ok(Step::Continue) => {}
                             Ok(Step::Done) => {
                                 done[i] = Some(Ok(sessions[i].report.clone()));

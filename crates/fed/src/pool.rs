@@ -1,7 +1,7 @@
 //! Persistent, core-clamped worker pool for the runner's fan-outs.
 //!
-//! The runner used to re-spawn a `crossbeam::scope` of worker threads for
-//! every round's client fan-out and every eval sweep — thousands of thread
+//! The runner used to re-spawn a scope of worker threads for every
+//! round's client fan-out and every eval sweep — thousands of thread
 //! spawns per run, plus fresh `Timeline` lanes and cold `refil_nn` scratch
 //! arenas on each. A [`WorkerPool`] is created once per runner (lazily, on
 //! the first dispatch that wants more than one worker) and reused for every

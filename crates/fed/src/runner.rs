@@ -353,11 +353,6 @@ impl RunResult {
         steps.iter().sum::<f32>() / steps.len() as f32
     }
 
-    /// `Last` metric: step accuracy after the final task.
-    pub fn last_accuracy(&self) -> f32 {
-        *self.step_accuracies().last().expect("at least one task")
-    }
-
     /// Accuracy on each domain after the final task (for forgetting analysis).
     pub fn final_domain_accuracies(&self) -> &[f32] {
         self.domain_acc.last().expect("at least one task")
@@ -673,16 +668,11 @@ impl FdilRunner {
         self
     }
 
-    /// The run configuration this runner was built with.
-    pub fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
     /// The worker count dispatches actually use: the requested count clamped
     /// to available parallelism. Oversubscribing threads past the cores
     /// only adds spawn and contention cost, so callers may say
     /// `.threads(16)` portably.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         self.threads.min(resolve_threads(0))
     }
 
@@ -702,7 +692,7 @@ impl FdilRunner {
     /// sibling `fedavg` and `evaluate_domain` spans; client spans are emitted
     /// from worker threads but reparented under their round. The
     /// `traffic.up_bytes` / `traffic.down_bytes` counters mirror
-    /// [`TrafficStats::record_client`] exactly, so their final totals in the
+    /// `TrafficStats::record_client` exactly, so their final totals in the
     /// trace equal the run's [`TrafficStats`]; sibling `wire.<kind>_bytes`
     /// counters break the same bytes down per message kind. Neither
     /// telemetry nor the thread count touches the run's RNG streams: results
@@ -2020,7 +2010,6 @@ mod tests {
         let steps = res.step_accuracies();
         assert_eq!(steps, vec![90.0, 70.0]);
         assert!((res.avg_accuracy() - 80.0).abs() < 1e-5);
-        assert!((res.last_accuracy() - 70.0).abs() < 1e-5);
         assert_eq!(res.final_domain_accuracies(), &[60.0, 80.0]);
     }
 
@@ -2116,7 +2105,7 @@ mod tests {
     }
 
     /// Spawns `n` in-process client threads that connect to `endpoint`,
-    /// handshake, and run the replica loop to completion.
+    /// handshake, and pump their one replica to completion.
     fn spawn_clients(
         endpoint: &refil_wire::Endpoint,
         ds: &FdilDataset,
@@ -2136,16 +2125,20 @@ mod tests {
                             .expect("handshake failed");
                     let mut opts = opts;
                     opts.compression = compression;
-                    let mut strat = CentroidStrategy::new(3, 6);
-                    crate::net::run_client(
-                        &link,
-                        pid,
+                    let links: [Box<dyn refil_wire::Link>; 1] = [Box::new(link)];
+                    let mut strats: [Box<dyn FdilStrategy>; 1] =
+                        [Box::new(CentroidStrategy::new(3, 6))];
+                    crate::net::run_clients_pumped(
+                        &links,
+                        &[pid],
+                        &mut strats,
                         &ds,
-                        &mut strat,
                         &cfg,
                         &opts,
                         &Telemetry::disabled(),
                     )
+                    .pop()
+                    .expect("one replica")
                     .expect("client failed")
                 })
             })
@@ -2178,6 +2171,66 @@ mod tests {
         assert_eq!(local.traffic, served.traffic);
         assert_eq!(s_local.merged, s_srv.merged);
         assert!(served.rounds.iter().all(|r| r.clients_late == 0));
+    }
+
+    #[test]
+    fn pumped_client_gives_up_on_a_silent_server() {
+        use refil_wire::{Listener as _, Welcome, WireMessage};
+        let listener =
+            refil_wire::NetListener::bind(&refil_wire::Endpoint::Tcp("127.0.0.1:0".into()))
+                .expect("bind failed");
+        let endpoint = listener.local_endpoint();
+        // Completes the join handshake, then sends nothing until the client
+        // hangs up.
+        let server = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let link = listener.accept_deadline(deadline).expect("accept failed");
+            let hello = link.recv_deadline(deadline).expect("no Hello");
+            assert!(matches!(
+                WireMessage::decode(&hello),
+                Ok(WireMessage::Hello(_))
+            ));
+            let welcome = WireMessage::Welcome(Welcome {
+                peer_id: link.peer_id(),
+                resume_token: 0,
+                spec: String::new(),
+                compression: None,
+            });
+            link.send(&welcome.encode()).expect("Welcome failed");
+            let _ = link.recv_deadline(deadline);
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let link = refil_wire::connect(&endpoint, deadline).expect("connect failed");
+        let (pid, _spec, _token, _compression) =
+            crate::net::client_handshake(&link, 1, None, deadline).expect("handshake failed");
+        let mut cfg = tiny_config();
+        cfg.net.client_idle_ms = 50;
+        let links: [Box<dyn refil_wire::Link>; 1] = [Box::new(link)];
+        let mut strats: [Box<dyn FdilStrategy>; 1] = [Box::new(CentroidStrategy::new(3, 6))];
+        let started = Instant::now();
+        let result = crate::net::run_clients_pumped(
+            &links,
+            &[pid],
+            &mut strats,
+            &tiny_dataset(),
+            &cfg,
+            &crate::net::ClientOptions::default(),
+            &Telemetry::disabled(),
+        )
+        .pop()
+        .expect("one replica");
+        assert!(
+            matches!(
+                result,
+                Err(crate::net::ClientError::Recv(
+                    refil_wire::RecvError::DeadlineExceeded
+                ))
+            ),
+            "{result:?}"
+        );
+        assert!(started.elapsed() >= Duration::from_millis(50));
+        drop(links);
+        server.join().expect("server thread panicked");
     }
 
     #[test]

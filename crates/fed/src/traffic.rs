@@ -20,7 +20,7 @@ pub struct TaskTraffic {
 /// Bytes moved between server and clients over a run.
 ///
 /// Totals are always maintained; when the driver calls
-/// [`TrafficStats::start_task`] at task boundaries, a per-task breakdown
+/// `TrafficStats::start_task` at task boundaries, a per-task breakdown
 /// accumulates in [`TrafficStats::per_task`] whose slices sum exactly to the
 /// run totals.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -40,7 +40,7 @@ pub struct TrafficStats {
 
 impl TrafficStats {
     /// Opens a new per-task accounting slice; subsequent records accrue to it.
-    pub fn start_task(&mut self, task: usize) {
+    pub(crate) fn start_task(&mut self, task: usize) {
         self.per_task.push(TaskTraffic {
             task,
             ..TaskTraffic::default()
@@ -52,7 +52,7 @@ impl TrafficStats {
     /// client's dense (`ClientModelUpdate`) or compressed
     /// (`CompressedModelUpdate`) update frame plus any merge frame, `down_bytes`
     /// the `ModelBroadcast` frame plus any strategy broadcast frame.
-    pub fn record_client(&mut self, up_bytes: u64, down_bytes: u64) {
+    pub(crate) fn record_client(&mut self, up_bytes: u64, down_bytes: u64) {
         self.down_bytes += down_bytes;
         self.up_bytes += up_bytes;
         self.client_updates += 1;
@@ -64,7 +64,7 @@ impl TrafficStats {
     }
 
     /// Records the completion of one round.
-    pub fn record_round(&mut self) {
+    pub(crate) fn record_round(&mut self) {
         self.rounds += 1;
         if let Some(t) = self.per_task.last_mut() {
             t.rounds += 1;

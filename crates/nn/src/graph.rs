@@ -1446,52 +1446,6 @@ impl Graph {
             None,
         )
     }
-
-    /// Inverted dropout: zeroes each element with probability `p` and scales
-    /// survivors by `1/(1-p)`, so activations keep their expectation. The
-    /// mask is sampled eagerly from `rng` and reused in the backward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p < 1.0`.
-    pub(crate) fn dropout<R: rand::Rng>(&self, x: Var, p: f32, rng: &mut R) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
-        if p == 0.0 {
-            return x;
-        }
-        let keep = 1.0 - p;
-        let mask: Vec<f32> = {
-            let nodes = self.nodes.borrow();
-            (0..nodes[x.id].value.numel())
-                .map(|_| {
-                    if rng.gen::<f32>() < p {
-                        0.0
-                    } else {
-                        1.0 / keep
-                    }
-                })
-                .collect()
-        };
-        let value = {
-            let nodes = self.nodes.borrow();
-            let xv = &nodes[x.id].value;
-            let mut data = self.out_cleared(xv.numel());
-            data.extend(xv.data().iter().zip(&mask).map(|(&a, &m)| a * m));
-            Tensor::from_vec(data, xv.shape())
-        };
-        self.push(
-            value,
-            self.deps(&[x.id]),
-            self.bw(|| {
-                Box::new(move |g, _, _, _scr| {
-                    let data: Vec<f32> =
-                        g.data().iter().zip(&mask).map(|(&gi, &m)| gi * m).collect();
-                    vec![Tensor::from_vec(data, g.shape())]
-                })
-            }),
-            None,
-        )
-    }
 }
 
 /// `sqrt(2/π)`, the scale of the tanh-GELU argument.
@@ -2706,37 +2660,6 @@ mod tests {
             },
             1e-2,
         );
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_and_masks_gradient() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut params = Params::new();
-        let x = params.insert("x", Tensor::ones(&[1000]), true);
-        let g = Graph::new();
-        let xv = g.param(&params, x);
-        let y = g.dropout(xv, 0.3, &mut rng);
-        let v = g.value(y);
-        let mean = v.sum() / v.numel() as f32;
-        assert!((mean - 1.0).abs() < 0.1, "dropout mean {mean}");
-        let s = g.sum_all(y);
-        g.backward(s, &mut params);
-        // Gradient is the same mask: zeros where dropped, 1/keep elsewhere.
-        let grads = params.grad(x);
-        let zeros = grads.data().iter().filter(|&&v| v == 0.0).count();
-        assert!((200..400).contains(&zeros), "dropped {zeros}/1000");
-        for &v in grads.data() {
-            assert!(v == 0.0 || (v - 1.0 / 0.7).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let g = Graph::new();
-        let x = g.constant(Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let y = g.dropout(x, 0.0, &mut rng);
-        assert_eq!(g.value(y).data(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -8,14 +8,21 @@ use crate::tensor::Tensor;
 ///
 /// # Examples
 ///
+/// [`Linear`](crate::layers::Linear) draws its weight from it:
+///
 /// ```
 /// use rand::{rngs::StdRng, SeedableRng};
+/// use refil_nn::{layers::Linear, Params};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let w = refil_nn::init::xavier_uniform(4, 8, &mut rng);
+/// let mut params = Params::new();
+/// let _fc = Linear::new(&mut params, "fc", 4, 8, false, &mut rng);
+/// let w = params.value(params.id("fc.weight").unwrap());
 /// assert_eq!(w.shape(), &[4, 8]);
+/// let limit = (6.0f32 / (4 + 8) as f32).sqrt();
+/// assert!(w.data().iter().all(|x| x.abs() <= limit));
 /// ```
-pub fn xavier_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
+pub(crate) fn xavier_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform(&[fan_in, fan_out], -limit, limit, rng)
 }

@@ -7,7 +7,6 @@
 mod attention;
 mod classifier;
 mod conv_extractor;
-mod dropout;
 mod embedding;
 mod extractor;
 mod film;
@@ -17,7 +16,6 @@ mod norm;
 mod tokenizer;
 
 pub use attention::TransformerBlock;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use film::Film;
 pub use linear::Linear;

@@ -62,28 +62,21 @@ impl Sgd {
         if self.velocity.len() < params.len() {
             self.velocity.resize(params.len(), None);
         }
-        for (id, entry) in params
-            .iter()
-            .map(|(id, e)| (id, e.trainable))
-            .collect::<Vec<_>>()
-        {
-            if !entry {
-                continue;
-            }
-            let idx = id.index();
-            let mut update = params.grad(id).clone();
-            if self.momentum != 0.0 {
-                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(update.shape()));
+        for (idx, value, grad) in params.trainable_mut() {
+            let update = if self.momentum != 0.0 {
+                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(grad.shape()));
                 v.scale_inplace(self.momentum);
-                v.axpy(1.0, &update);
-                update = v.clone();
-            }
+                v.axpy(1.0, grad);
+                &*v
+            } else {
+                grad
+            };
             let scale = self
                 .lr_scales
                 .as_ref()
                 .and_then(|s| s.get(idx).copied())
                 .unwrap_or(1.0);
-            params.value_mut(id).axpy(-self.lr * scale, &update);
+            value.axpy(-self.lr * scale, update);
         }
     }
 }

@@ -15,13 +15,6 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
-impl ParamId {
-    /// The raw index of this parameter in its store.
-    pub(crate) fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// One named parameter: value, accumulated gradient, and trainability.
 #[derive(Debug, Clone)]
 pub struct ParamEntry {
@@ -45,7 +38,7 @@ pub struct ParamEntry {
 /// let mut params = Params::new();
 /// let w = params.insert("w", Tensor::zeros(&[2, 2]), true);
 /// assert_eq!(params.value(w).shape(), &[2, 2]);
-/// assert_eq!(params.len(), 1);
+/// assert_eq!(params.num_scalars(), 4);
 /// ```
 #[derive(Default, Clone)]
 pub struct Params {
@@ -93,13 +86,8 @@ impl Params {
     }
 
     /// Number of parameters (tensors, not scalars).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total scalar count across all parameters.
@@ -117,7 +105,9 @@ impl Params {
         &self.entries[id.0].value
     }
 
-    /// Mutable access to the value tensor of `id`.
+    /// Mutable access to the value tensor of `id` (tests perturb values
+    /// through it).
+    #[cfg(test)]
     pub(crate) fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.entries[id.0].value
     }
@@ -130,6 +120,16 @@ impl Params {
     /// Mutable access to the gradient tensor of `id`.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.entries[id.0].grad
+    }
+
+    /// Iterates over the trainable parameters as `(index, value, grad)`,
+    /// borrowing each value mutably beside its gradient (an optimizer step).
+    pub(crate) fn trainable_mut(&mut self) -> impl Iterator<Item = (usize, &mut Tensor, &Tensor)> {
+        self.entries
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, e)| e.trainable)
+            .map(|(i, e)| (i, &mut e.value, &e.grad))
     }
 
     /// Iterates over `(ParamId, &ParamEntry)` pairs.

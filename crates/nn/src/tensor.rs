@@ -71,7 +71,7 @@ impl fmt::Debug for Shape {
 ///
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 /// assert_eq!(t.shape(), &[2, 2]);
-/// assert_eq!(t.at(&[1, 0]), 3.0);
+/// assert_eq!(t.data()[2], 3.0); // row 1, column 0
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
@@ -183,25 +183,6 @@ impl Tensor {
     /// Consumes the tensor, returning the underlying buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
-    }
-
-    /// Element access by multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank mismatches or is out of bounds.
-    pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.flat_index(idx)]
-    }
-
-    fn flat_index(&self, idx: &[usize]) -> usize {
-        assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
-        let mut flat = 0usize;
-        for (d, (&i, &s)) in idx.iter().zip(self.shape.iter()).enumerate() {
-            assert!(i < s, "index {i} out of bounds for dim {d} (size {s})");
-            flat = flat * s + i;
-        }
-        flat
     }
 
     /// Applies `f` elementwise, returning a new tensor.
@@ -332,9 +313,10 @@ mod tests {
     #[test]
     fn from_vec_and_indexing() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        assert_eq!(t.at(&[0, 0]), 1.0);
-        assert_eq!(t.at(&[0, 2]), 3.0);
-        assert_eq!(t.at(&[1, 1]), 5.0);
+        // Row-major: element [i, j] of a [2, 3] tensor sits at 3·i + j.
+        assert_eq!(t.data()[0], 1.0);
+        assert_eq!(t.data()[2], 3.0);
+        assert_eq!(t.data()[4], 5.0);
     }
 
     #[test]
@@ -378,7 +360,8 @@ mod tests {
         let t3 = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 2, 3]);
         let t3t = t3.transpose_last();
         assert_eq!(t3t.shape(), &[2, 3, 2]);
-        assert_eq!(t3t.at(&[1, 2, 0]), t3.at(&[1, 0, 2]));
+        // [1, 2, 0] of the [2, 3, 2] result is [1, 0, 2] of the [2, 2, 3] input.
+        assert_eq!(t3t.data()[6 + 2 * 2], t3.data()[6 + 2]);
     }
 
     #[test]

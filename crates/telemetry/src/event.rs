@@ -19,7 +19,7 @@ pub enum Level {
 
 impl Level {
     /// Parses a level name as found in `REFIL_LOG` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
@@ -31,7 +31,7 @@ impl Level {
     }
 
     /// Fixed-width display name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Error => "ERROR",
             Level::Warn => "WARN",

@@ -5,9 +5,9 @@
 //! aggregated in memory (surfaced as a [`TelemetrySummary`]) and streamed to
 //! one pluggable [`Sink`]:
 //!
-//! - [`NoopSink`] — discard the stream (the default; disabled handles
+//! - `NoopSink` — discard the stream (the default; disabled handles
 //!   short-circuit before events are even constructed),
-//! - [`StderrSink`] — human-readable lines, level-filtered via `REFIL_LOG`,
+//! - `StderrSink` — human-readable lines, level-filtered via `REFIL_LOG`,
 //! - [`JsonlSink`] — one JSON event per line, for offline analysis,
 //! - [`ChromeTraceSink`] — Chrome trace-event JSON (open in Perfetto or
 //!   `chrome://tracing`), one track per worker,
@@ -55,9 +55,11 @@ pub use chrome::ChromeTraceSink;
 pub use event::{Level, TraceEvent};
 pub use prometheus::PrometheusSink;
 pub use report::{ArenaStats, PhaseNanos, PoolStats, RoundReport, SessionStat, WorkerStats};
-pub use sink::{JsonlSink, NoopSink, Sink, StderrSink, TeeSink};
+pub use sink::{JsonlSink, Sink, TeeSink};
 pub use summary::{HistogramSummary, SpanSummary, TelemetrySummary};
-pub use timeline::{Lane, LaneEvent, Timeline};
+pub use timeline::{Lane, Timeline};
+
+pub(crate) use sink::{NoopSink, StderrSink};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -211,12 +213,6 @@ impl Telemetry {
     /// per worker.
     pub fn chrome(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         Ok(Self::with_sink(Box::new(ChromeTraceSink::create(path)?)))
-    }
-
-    /// An enabled handle writing a Prometheus-style text exposition snapshot
-    /// to `path` on flush.
-    pub fn prometheus(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        Ok(Self::with_sink(Box::new(PrometheusSink::create(path)?)))
     }
 
     /// Whether events are recorded at all.
@@ -377,7 +373,7 @@ impl Telemetry {
     }
 
     /// Emits a log message at `level`.
-    pub fn log(&self, level: Level, message: impl AsRef<str>) {
+    pub(crate) fn log(&self, level: Level, message: impl AsRef<str>) {
         let Some(inner) = &self.inner else { return };
         if inner.stream {
             inner.sink.event(&TraceEvent::Log {
@@ -395,11 +391,6 @@ impl Telemetry {
     /// Emits a [`Level::Warn`] log message.
     pub fn warn(&self, message: impl AsRef<str>) {
         self.log(Level::Warn, message);
-    }
-
-    /// Emits a [`Level::Debug`] log message.
-    pub fn debug(&self, message: impl AsRef<str>) {
-        self.log(Level::Debug, message);
     }
 
     /// Snapshot of everything aggregated so far.

@@ -59,18 +59,6 @@ pub struct WorkerStats {
     pub steals: u64,
 }
 
-impl WorkerStats {
-    /// Busy fraction of the dispatch wall time, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let wall = self.busy_ns + self.idle_ns;
-        if wall == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / wall as f64
-        }
-    }
-}
-
 /// Accounting for one scoped-pool dispatch (client fan-out or eval sweep).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
@@ -84,19 +72,6 @@ impl PoolStats {
     /// Total work items across all slots.
     pub fn total_items(&self) -> u64 {
         self.workers.iter().map(|w| w.items).sum()
-    }
-
-    /// Mean busy fraction across slots, in `[0, 1]`.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.workers.is_empty() {
-            0.0
-        } else {
-            self.workers
-                .iter()
-                .map(WorkerStats::utilization)
-                .sum::<f64>()
-                / self.workers.len() as f64
-        }
     }
 }
 
@@ -227,19 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_utilization_is_busy_over_wall() {
-        let w = WorkerStats {
-            track: 1,
-            busy_ns: 75,
-            idle_ns: 25,
-            items: 3,
-            steals: 0,
-        };
-        assert_eq!(w.utilization(), 0.75);
-    }
-
-    #[test]
-    fn pool_stats_aggregate_items_and_utilization() {
+    fn pool_stats_total_items_sums_every_worker() {
         let pool = PoolStats {
             wall_ns: 100,
             workers: vec![
@@ -260,8 +223,7 @@ mod tests {
             ],
         };
         assert_eq!(pool.total_items(), 6);
-        assert_eq!(pool.mean_utilization(), 0.75);
-        assert_eq!(PoolStats::default().mean_utilization(), 0.0);
+        assert_eq!(PoolStats::default().total_items(), 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub trait Sink: Send + Sync {
 /// short-circuits before event construction when telemetry is disabled, so
 /// the disabled path costs one branch.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
+pub(crate) struct NoopSink;
 
 impl Sink for NoopSink {
     fn event(&self, _event: &TraceEvent) {}
@@ -48,22 +48,15 @@ impl Sink for NoopSink {
 /// counters, and observations are [`Level::Debug`] and print only when the
 /// threshold admits debug output.
 #[derive(Debug)]
-pub struct StderrSink {
+pub(crate) struct StderrSink {
     max_level: Option<Level>,
 }
 
 impl StderrSink {
-    /// A sink admitting events up to and including `max_level`.
-    pub fn with_level(max_level: Level) -> Self {
-        Self {
-            max_level: Some(max_level),
-        }
-    }
-
     /// A sink whose threshold comes from the `REFIL_LOG` environment
     /// variable (`error`/`warn`/`info`/`debug`/`off`), defaulting to `info`
     /// when unset or unrecognised.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         match std::env::var("REFIL_LOG") {
             Ok(raw) if raw.trim().eq_ignore_ascii_case("off") => Self { max_level: None },
             Ok(raw) => Self {
@@ -202,7 +195,9 @@ mod tests {
 
     #[test]
     fn stderr_sink_level_threshold() {
-        let sink = StderrSink::with_level(Level::Warn);
+        let sink = StderrSink {
+            max_level: Some(Level::Warn),
+        };
         assert!(sink.admits(Level::Error));
         assert!(sink.admits(Level::Warn));
         assert!(!sink.admits(Level::Info));
@@ -222,7 +217,9 @@ mod tests {
         assert!(!TeeSink::new(vec![Box::new(NoopSink), Box::new(NoopSink)]).wants_events());
         assert!(TeeSink::new(vec![
             Box::new(NoopSink),
-            Box::new(StderrSink::with_level(Level::Error))
+            Box::new(StderrSink {
+                max_level: Some(Level::Error),
+            })
         ])
         .wants_events());
     }

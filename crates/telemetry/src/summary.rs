@@ -30,20 +30,11 @@ impl Default for HistogramSummary {
 
 impl HistogramSummary {
     /// Folds one observation into the aggregate.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.count += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sum += value;
-    }
-
-    /// Arithmetic mean of the observations, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -109,12 +100,7 @@ mod tests {
         assert_eq!(h.count, 4);
         assert_eq!(h.min, -1.0);
         assert_eq!(h.max, 5.0);
-        assert_eq!(h.mean(), 2.0);
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_zero() {
-        assert_eq!(HistogramSummary::default().mean(), 0.0);
+        assert_eq!(h.sum / h.count as f64, 2.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ const LANE_CAPACITY: usize = 64;
 
 /// One recorded interval on a worker's lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneEvent {
+pub(crate) struct LaneEvent {
     /// Static label of the work kind, e.g. `"client"` or `"eval"`.
     pub kind: &'static str,
     /// Optional item id rendered after the kind (`client:7`); `None` renders
@@ -93,16 +93,6 @@ impl Lane {
             end_ns,
         });
     }
-
-    /// Number of recorded intervals.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// Factory for one pool dispatch's worker lanes, plus the merge step that
@@ -122,11 +112,6 @@ impl Timeline {
             enabled: epoch.is_some(),
             epoch,
         }
-    }
-
-    /// Whether lanes from this timeline record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// A fresh lane for worker slot `slot` (0-based). Rendered as track
@@ -270,12 +255,11 @@ mod tests {
     fn disabled_timeline_records_nothing() {
         let t = Telemetry::disabled();
         let timeline = t.timeline();
-        assert!(!timeline.is_enabled());
         let mut lane = timeline.lane(0);
         let start = lane.tick();
         assert_eq!(start, 0);
         lane.record("client", Some(3), start);
-        assert!(lane.is_empty());
+        assert!(lane.events.is_empty());
         assert_eq!(
             lane.events.capacity(),
             0,
@@ -295,10 +279,10 @@ mod tests {
         assert!(lane.events.capacity() >= LANE_CAPACITY);
         let s = lane.tick();
         lane.record("eval", Some(1), s);
-        assert_eq!(lane.len(), 1);
+        assert_eq!(lane.events.len(), 1);
         let cap = lane.events.capacity();
         timeline.rearm(&mut lane, 0);
-        assert!(lane.is_empty(), "rearm clears prior events");
+        assert!(lane.events.is_empty(), "rearm clears prior events");
         assert_eq!(lane.track, 1);
         assert_eq!(lane.events.capacity(), cap, "rearm keeps the buffer");
     }
@@ -334,7 +318,7 @@ mod tests {
         let start = lane.tick();
         std::thread::sleep(std::time::Duration::from_millis(1));
         lane.record("client", Some(7), start);
-        assert_eq!(lane.len(), 1);
+        assert_eq!(lane.events.len(), 1);
         let busy = lane.events[0].end_ns - lane.events[0].start_ns;
         assert!(busy >= 1_000_000, "recorded at least the sleep: {busy}");
         let wall = busy + 500;

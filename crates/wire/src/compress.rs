@@ -110,7 +110,7 @@ impl CompressionSpec {
     pub(crate) const WIRE_LEN: usize = 6;
 
     /// The inactive spec: no delta, no quantization, keep everything.
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         Self {
             delta: false,
             quant: QuantMode::None,
@@ -204,7 +204,7 @@ fn round_shift_rne(m: u32, shift: u32) -> u32 {
 /// `f32` → IEEE binary16 bits, round-to-nearest-even. Finite values whose
 /// rounded magnitude would overflow f16 saturate to ±65504 (so a dequantized
 /// model never contains infinities); NaN maps to the canonical quiet NaN.
-pub fn f16_from_f32(x: f32) -> u16 {
+pub(crate) fn f16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xff) as i32;
@@ -241,7 +241,7 @@ pub fn f16_from_f32(x: f32) -> u16 {
 }
 
 /// IEEE binary16 bits → `f32`. Exact: every f16 value is representable.
-pub fn f16_to_f32(h: u16) -> f32 {
+pub(crate) fn f16_to_f32(h: u16) -> f32 {
     let sign = u32::from(h & 0x8000) << 16;
     let exp = u32::from(h >> 10) & 0x1f;
     let man = u32::from(h & 0x3ff);
@@ -266,7 +266,7 @@ pub fn f16_to_f32(h: u16) -> f32 {
 /// `scale = (max − min)/255` (both stored as f32, so both ends decode the
 /// same grid); codes round to nearest, ties to even, and NaN codes 0. A
 /// constant input gets `scale = 0` and decodes exactly.
-pub fn int8_quantize(values: &[f32]) -> (f32, f32, Vec<u8>) {
+pub(crate) fn int8_quantize(values: &[f32]) -> (f32, f32, Vec<u8>) {
     if values.is_empty() {
         return (0.0, 0.0, Vec::new());
     }
@@ -300,7 +300,7 @@ pub fn int8_quantize(values: &[f32]) -> (f32, f32, Vec<u8>) {
 
 /// Decodes one affine code: `zero_point + code · scale`, evaluated in f64
 /// so both rounding steps are shared by every decoder.
-pub fn int8_dequantize_one(zero_point: f32, scale: f32, code: u8) -> f32 {
+pub(crate) fn int8_dequantize_one(zero_point: f32, scale: f32, code: u8) -> f32 {
     (f64::from(zero_point) + f64::from(code) * f64::from(scale)) as f32
 }
 
@@ -550,7 +550,7 @@ pub(crate) fn topk_positions(values: &[f32], k: usize) -> Vec<usize> {
 }
 
 /// `k = ceil(fraction · n)`, at least 1 for a non-empty input.
-pub fn topk_count(fraction: f32, n: usize) -> usize {
+pub(crate) fn topk_count(fraction: f32, n: usize) -> usize {
     if n == 0 {
         return 0;
     }
@@ -579,7 +579,7 @@ pub enum SparseIndex {
 
 impl SparseIndex {
     /// Number of coordinates this index selects.
-    pub fn count(&self, total_len: usize) -> usize {
+    pub(crate) fn count(&self, total_len: usize) -> usize {
         match self {
             Self::Dense => total_len,
             Self::Bitmap(bits) => bits.iter().map(|b| b.count_ones() as usize).sum(),
@@ -587,8 +587,9 @@ impl SparseIndex {
         }
     }
 
-    /// Ascending selected coordinates.
-    pub fn positions(&self, total_len: usize) -> Vec<usize> {
+    /// Ascending selected coordinates (the unfused test oracle's scatter).
+    #[cfg(test)]
+    pub(crate) fn positions(&self, total_len: usize) -> Vec<usize> {
         match self {
             Self::Dense => (0..total_len).collect(),
             Self::Bitmap(bits) => {
@@ -759,7 +760,7 @@ pub enum QuantValues {
 
 impl QuantValues {
     /// Encodes `values` under `mode`; raw f32 keeps the vector as it is.
-    pub fn quantize(mode: QuantMode, values: Vec<f32>) -> Self {
+    pub(crate) fn quantize(mode: QuantMode, values: Vec<f32>) -> Self {
         match mode {
             QuantMode::None => Self::F32(values),
             QuantMode::F16 => Self::F16(values.iter().map(|&v| f16_from_f32(v)).collect()),
@@ -774,8 +775,10 @@ impl QuantValues {
         }
     }
 
-    /// Decodes back to f32, one value per entry.
-    pub fn dequantize(&self) -> Vec<f32> {
+    /// Decodes back to f32, one value per entry (the unfused test oracle's
+    /// decode).
+    #[cfg(test)]
+    pub(crate) fn dequantize(&self) -> Vec<f32> {
         match self {
             Self::F32(v) => v.clone(),
             Self::F16(bits) => bits.iter().map(|&b| f16_to_f32(b)).collect(),
@@ -791,17 +794,12 @@ impl QuantValues {
     }
 
     /// Number of values carried.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Self::F32(v) => v.len(),
             Self::F16(v) => v.len(),
             Self::Int8 { codes, .. } => codes.len(),
         }
-    }
-
-    /// True when no values are carried.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     pub(crate) fn encoded_len(&self) -> usize {

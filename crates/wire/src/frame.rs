@@ -4,7 +4,7 @@
 use std::fmt;
 
 /// First four bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"RFWL";
+pub(crate) const MAGIC: [u8; 4] = *b"RFWL";
 
 /// Current schema version; decoders accept exactly this value. Bumped to 2
 /// when the handshake payloads grew session-resumption fields
@@ -16,10 +16,10 @@ pub const MAGIC: [u8; 4] = *b"RFWL";
 /// [`crate::Welcome::compression`] is the whole negotiation. Kind 5
 /// (secure-aggregation masked updates) was retired in the same revision and
 /// now decodes to [`WireError::UnknownKind`].
-pub const SCHEMA_VERSION: u16 = 4;
+pub(crate) const SCHEMA_VERSION: u16 = 4;
 
 /// Fixed header size preceding every payload.
-pub const HEADER_LEN: usize = 16;
+pub(crate) const HEADER_LEN: usize = 16;
 
 /// Typed decode/transport failure. Decoding never panics: every malformed
 /// frame maps to one of these.
@@ -36,7 +36,7 @@ pub enum WireError {
         /// Bytes actually available.
         got: usize,
     },
-    /// The first four bytes are not [`MAGIC`].
+    /// The first four bytes are not `MAGIC`.
     BadMagic {
         /// The bytes found where the magic should be.
         got: [u8; 4],
@@ -142,7 +142,8 @@ pub enum MessageKind {
 
 impl MessageKind {
     /// Every kind, in wire-id order (for exhaustive tests). Id 5 is retired.
-    pub const ALL: [MessageKind; 14] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [MessageKind; 14] = [
         MessageKind::ModelBroadcast,
         MessageKind::ClientModelUpdate,
         MessageKind::PromptUpload,
@@ -160,7 +161,7 @@ impl MessageKind {
     ];
 
     /// Parses the header's kind field.
-    pub fn from_wire(raw: u16) -> Result<Self, WireError> {
+    pub(crate) fn from_wire(raw: u16) -> Result<Self, WireError> {
         match raw {
             1 => Ok(Self::ModelBroadcast),
             2 => Ok(Self::ClientModelUpdate),
@@ -464,19 +465,19 @@ pub(crate) fn open_frame(buf: &[u8]) -> Result<(MessageKind, &[u8]), WireError> 
 pub(crate) struct Writer<'a>(pub &'a mut Vec<u8>);
 
 impl Writer<'_> {
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
 
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn f32(&mut self, v: f32) {
+    pub(crate) fn f32(&mut self, v: f32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -494,31 +495,31 @@ impl Writer<'_> {
     }
 
     /// Length-prefixed `f32` vector: `u32` count followed by raw LE floats.
-    pub fn f32s(&mut self, v: &[f32]) {
+    pub(crate) fn f32s(&mut self, v: &[f32]) {
         self.words(v, f32::to_le_bytes);
     }
 
     /// Length-prefixed `u16` vector: `u32` count followed by raw LE words
     /// (used for f16-quantized payloads).
-    pub fn u16s(&mut self, v: &[u16]) {
+    pub(crate) fn u16s(&mut self, v: &[u16]) {
         self.words(v, u16::to_le_bytes);
     }
 
     /// Length-prefixed `u32` vector: `u32` count followed by raw LE words
     /// (used for sparse index lists).
-    pub fn u32s(&mut self, v: &[u32]) {
+    pub(crate) fn u32s(&mut self, v: &[u32]) {
         self.words(v, u32::to_le_bytes);
     }
 
     /// Length-prefixed byte string: `u32` length followed by the raw bytes
     /// (used for nested frames and UTF-8 strings).
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("byte string exceeds u32 framing"));
         self.0.extend_from_slice(v);
     }
 
     /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
+    pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 }
@@ -537,7 +538,7 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -554,23 +555,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
             self.take(4, what)?.try_into().expect("4-byte slice"),
         ))
     }
 
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
             self.take(8, what)?.try_into().expect("8-byte slice"),
         ))
     }
 
-    pub fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
+    pub(crate) fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(
             self.take(4, what)?.try_into().expect("4-byte slice"),
         ))
@@ -578,7 +579,7 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed `f32` vector; the count is validated against the
     /// remaining bytes before allocating.
-    pub fn f32s(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+    pub(crate) fn f32s(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
         let n = self.u32(what)? as usize;
         let bytes = self.take(n.checked_mul(4).ok_or(WireError::Malformed(what))?, what)?;
         Ok(bytes
@@ -589,7 +590,7 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed `u16` vector; the count is validated against the
     /// remaining bytes before allocating.
-    pub fn u16s(&mut self, what: &'static str) -> Result<Vec<u16>, WireError> {
+    pub(crate) fn u16s(&mut self, what: &'static str) -> Result<Vec<u16>, WireError> {
         let n = self.u32(what)? as usize;
         let bytes = self.take(n.checked_mul(2).ok_or(WireError::Malformed(what))?, what)?;
         Ok(bytes
@@ -600,7 +601,7 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed `u32` vector; the count is validated against the
     /// remaining bytes before allocating.
-    pub fn u32s(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
+    pub(crate) fn u32s(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
         let n = self.u32(what)? as usize;
         let bytes = self.take(n.checked_mul(4).ok_or(WireError::Malformed(what))?, what)?;
         Ok(bytes
@@ -611,19 +612,23 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed byte string; the length is validated against the
     /// remaining bytes before allocating.
-    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
+    pub(crate) fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
         let n = self.u32(what)? as usize;
         Ok(self.take(n, what)?.to_vec())
     }
 
     /// Length-prefixed UTF-8 string; invalid UTF-8 is a typed error.
-    pub fn str(&mut self, what: &'static str) -> Result<String, WireError> {
+    pub(crate) fn str(&mut self, what: &'static str) -> Result<String, WireError> {
         String::from_utf8(self.bytes(what)?).map_err(|_| WireError::Malformed(what))
     }
 
     /// A `u32` element count, validated against a minimum per-element byte
     /// cost so a corrupt count cannot trigger a huge allocation.
-    pub fn count(&mut self, min_elem_bytes: usize, what: &'static str) -> Result<usize, WireError> {
+    pub(crate) fn count(
+        &mut self,
+        min_elem_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, WireError> {
         let n = self.u32(what)? as usize;
         if n.saturating_mul(min_elem_bytes) > self.buf.len() - self.pos {
             return Err(WireError::Malformed(what));
@@ -632,7 +637,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fails unless the payload was consumed exactly.
-    pub fn finish(&self) -> Result<(), WireError> {
+    pub(crate) fn finish(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {

@@ -67,7 +67,7 @@
 //! reconstructs it with nothing but the matching broadcast from its own
 //! history (keyed by the `base_task`/`base_round` tag the client echoes
 //! back). A run without compression sends no spec, and its peers upload
-//! plain [`ClientModelUpdate`] frames. See [`compress`]'s module docs
+//! plain [`ClientModelUpdate`] frames. See `compress`'s module docs
 //! for the deterministic rounding rules and reconstruction-error contracts.
 //!
 //! `f32` values are encoded as their IEEE-754 little-endian bit patterns,
@@ -106,7 +106,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod compress;
+pub(crate) mod compress;
 mod frame;
 mod link;
 mod message;
@@ -114,14 +114,14 @@ mod net;
 mod poll;
 
 pub use compress::{CompressionSpec, QuantMode, QuantValues, SparseIndex};
-pub use frame::{crc32, MessageKind, WireError, HEADER_LEN, MAGIC, SCHEMA_VERSION};
-pub use link::{ConnectError, Link, Listener, Loopback, PeerId, RecvError, SERVER_PEER};
+pub use frame::{crc32, MessageKind, WireError};
+pub use link::{ConnectError, Link, Listener, Loopback, PeerId, RecvError};
 pub use message::{
     ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, ModelBroadcast,
     PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync, RunEnd,
     SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
 };
-pub use net::{connect, Endpoint, NetLink, NetListener, MAX_FRAME_LEN};
+pub use net::{connect, Endpoint, NetLink, NetListener};
 pub use poll::{Interest, PollSet};
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -22,7 +24,7 @@ use crate::frame::WireError;
 pub type PeerId = u64;
 
 /// Reserved [`PeerId`] of the server end of an outbound connection.
-pub const SERVER_PEER: PeerId = 0;
+pub(crate) const SERVER_PEER: PeerId = 0;
 
 /// Receive failure. `#[non_exhaustive]`: future transports may add
 /// variants without a semver break.
@@ -194,29 +196,31 @@ pub trait Listener: Send {
 /// This is the byte-identical oracle for every socket transport — a
 /// loopback-framed run must produce the same bytes as a networked one —
 /// and the simulation's default path when the codec is not bypassed.
-/// Waiting receivers block on a condvar (see [`Loopback::wait_count`] for
-/// the regression hook proving they sleep rather than spin).
+/// Waiting receivers block on a condvar; a test counts the waits to prove
+/// they sleep rather than spin.
 pub struct Loopback {
     peer: PeerId,
     queue: Mutex<VecDeque<Vec<u8>>>,
     ready: Condvar,
     closed: AtomicBool,
+    #[cfg(test)]
     waits: AtomicU64,
 }
 
 impl Loopback {
-    /// An open loopback link addressed as [`SERVER_PEER`].
+    /// An open loopback link addressed as peer 0 (the server).
     pub fn new() -> Self {
         Self::with_peer(SERVER_PEER)
     }
 
     /// An open loopback link addressed as `peer`.
-    pub fn with_peer(peer: PeerId) -> Self {
+    pub(crate) fn with_peer(peer: PeerId) -> Self {
         Self {
             peer,
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             closed: AtomicBool::new(false),
+            #[cfg(test)]
             waits: AtomicU64::new(0),
         }
     }
@@ -228,7 +232,8 @@ impl Loopback {
 
     /// How many times a receiver parked on the condvar. A blocked receiver
     /// parks O(1) times per wait; a spinning one would count thousands.
-    pub fn wait_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn wait_count(&self) -> u64 {
         self.waits.load(Ordering::Relaxed)
     }
 }
@@ -269,6 +274,7 @@ impl Link for Loopback {
             if now >= deadline {
                 return Err(RecvError::DeadlineExceeded);
             }
+            #[cfg(test)]
             self.waits.fetch_add(1, Ordering::Relaxed);
             let (guard, _timeout) = self
                 .ready

@@ -25,7 +25,7 @@ use crate::link::{ConnectError, Link, Listener, PeerId, RecvError, SERVER_PEER};
 
 /// Upper bound on a length-prefixed frame. A prefix above this is treated
 /// as stream corruption ([`RecvError::Frame`]) rather than an allocation.
-pub const MAX_FRAME_LEN: usize = 1 << 30;
+pub(crate) const MAX_FRAME_LEN: usize = 1 << 30;
 
 /// Minimum OS read timeout. `set_read_timeout(Some(ZERO))` is an error on
 /// every platform, so remaining-time slices are clamped up to this.
@@ -616,7 +616,7 @@ impl Listener for NetListener {
 
 /// Connects to a listening server, retrying until `deadline` — the server
 /// may not be up yet when a client process launches. The returned link is
-/// addressed as [`SERVER_PEER`].
+/// addressed as peer 0 (the server).
 pub fn connect(endpoint: &Endpoint, deadline: Instant) -> Result<NetLink, ConnectError> {
     loop {
         let attempt = match endpoint {

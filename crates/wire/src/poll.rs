@@ -33,22 +33,22 @@ const FALLBACK_SLICE: Duration = Duration::from_millis(2);
 mod sys {
     /// `struct pollfd` from `<poll.h>`.
     #[repr(C)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: i32,
         pub events: i16,
         pub revents: i16,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
 
     #[cfg(target_os = "linux")]
-    pub type NFds = std::os::raw::c_ulong;
+    pub(crate) type NFds = std::os::raw::c_ulong;
     #[cfg(not(target_os = "linux"))]
-    pub type NFds = std::os::raw::c_uint;
+    pub(crate) type NFds = std::os::raw::c_uint;
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+        pub(crate) fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
     }
 }
 
@@ -90,16 +90,6 @@ impl PollSet {
             fd,
             interest,
         });
-    }
-
-    /// Registered sources.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no source is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Blocks until at least one source is ready or `timeout` passes,

@@ -18,13 +18,13 @@ use crate::compress::{
     f16_from_f32, f16_to_f32, int8_dequantize_one, int8_quantize, topk_positions, CompressionSpec,
     QuantMode,
 };
-use crate::frame::HEADER_LEN;
+use crate::frame::{HEADER_LEN, MAGIC};
 use crate::message::{
     ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, ModelBroadcast,
     PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync, RunEnd,
     SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
 };
-use crate::{WireError, MAGIC};
+use crate::WireError;
 
 /// Bit patterns → f32s; the codec must be bit-exact for every pattern.
 fn f32s(bits: &[u32]) -> Vec<f32> {

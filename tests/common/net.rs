@@ -11,8 +11,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use refil::fed::{
-    client_handshake, connect, run_client, ClientOptions, Endpoint, FdilRunner, NetListener,
-    RunConfig, RunResult, Telemetry,
+    client_handshake, connect, run_clients_pumped, ClientOptions, Endpoint, FdilRunner, Link,
+    NetListener, RunConfig, RunResult, Telemetry,
 };
 
 use super::{dataset, run_cfg, Strategy};
@@ -41,16 +41,18 @@ pub fn client_child() {
     let (peer_id, _spec, _token, compression) =
         client_handshake(&link, seed, None, deadline).expect("child handshake");
     opts.compression = compression;
-    let mut strat = Strategy::build(&method);
-    run_client(
-        &link,
-        peer_id,
+    let links: [Box<dyn Link>; 1] = [Box::new(link)];
+    run_clients_pumped(
+        &links,
+        &[peer_id],
+        &mut [Strategy::build(&method).into_boxed()],
         &dataset(),
-        strat.get_mut(),
         &run_cfg(seed),
         &opts,
         &Telemetry::disabled(),
     )
+    .pop()
+    .expect("one result per replica")
     .expect("child replica loop");
 }
 
